@@ -13,10 +13,6 @@ class ReductionLimitError(RuntimeError):
     """Rewriting exceeded the iteration cap (non-terminating rule set)."""
 
 
-class EigenSolveError(RuntimeError):
-    """The tridiagonal eigensolver failed to converge within its cap."""
-
-
 class UnitarityError(RuntimeError):
     """A computed rotation matrix failed its unitarity check."""
 

@@ -1,13 +1,13 @@
 """Generalized Gauss-Laguerre quadrature and half-plane inner products.
 
-Nodes and weights come from the symmetric tridiagonal Jacobi matrix of the
-weight y^alpha e^(-y) (diagonal 2k + alpha + 1, off-diagonal sqrt(k(k+alpha))),
-diagonalized by an implicit-shift QL sweep that rotates the first unit vector
-along, so weights start as Gamma(alpha+1) times the squared first eigenvector
-components.  Nodes are then polished by Newton iteration on the orthonormal
-recurrence and the weights recomputed from the Christoffel function, keeping
-moments of degree <= 2N - 1 exact to near machine precision even at high
-order.
+Nodes come from the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+the weight y^alpha e^(-y) (diagonal 2k + alpha + 1, off-diagonal
+sqrt(k(k+alpha))), computed by LAPACK through numpy.linalg.eigvalsh (Golub &
+Welsch, Math. Comp. 23, 1969).  Nodes are then polished by Newton iteration
+on the orthonormal recurrence and the weights computed from the Christoffel
+function, keeping moments of degree <= 2N - 1 exact to near machine precision
+even at high order.  Rules whose weights underflow double precision raise
+DomainError.
 """
 
 from __future__ import annotations
@@ -18,77 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, EigenSolveError
+from .errors import DomainError
 
 __all__ = ["QuadratureRule", "gauss_laguerre", "halfline_inner", "plane_inner"]
-
-# Deflation threshold (relative) and per-eigenvalue sweep cap for the QL loop.
-_QL_TOL = 1e-14
-_QL_MAX_SWEEPS = 50
-
-
-def _imtqlx(d, e, z):
-    """Implicit-shift QL for a symmetric tridiagonal matrix.
-
-    Diagonalizes tridiag(d, e) in place while applying the same rotations to
-    the vector z.  Returns eigenvalues in ascending order with z permuted to
-    match.  Raises EigenSolveError when an eigenvalue needs more than
-    _QL_MAX_SWEEPS sweeps.
-    """
-    n = d.size
-    d = d.astype(float).copy()
-    z = z.astype(float).copy()
-    if n == 1:
-        return d, z
-    e = np.append(e.astype(float), 0.0)
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            for m in range(l, n - 1):
-                if abs(e[m]) <= _QL_TOL * (abs(d[m]) + abs(d[m + 1])):
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _QL_MAX_SWEEPS:
-                raise EigenSolveError(
-                    f"eigenvalue {l} did not converge in {_QL_MAX_SWEEPS} sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # Underflow in the rotation chain: drop the shift and retry.
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order]
 
 
 def _orthonormal_eval(x, order, alpha):
@@ -171,19 +103,25 @@ def gauss_laguerre(order: int, alpha: int) -> QuadratureRule:
     if not isinstance(alpha, int) or alpha < 0:
         raise DomainError(f"alpha must be a nonnegative integer, got {alpha!r}")
     k = np.arange(order, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt((k[1:]) * (k[1:] + alpha))
-    z0 = np.zeros(order)
-    z0[0] = 1.0
-    nodes, z = _imtqlx(diag, off, z0)
-    # Two Newton polish steps sharpen the QL eigenvalues to the true roots;
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes = np.linalg.eigvalsh(jacobi)
+    # Two Newton polish steps sharpen the LAPACK eigenvalues to the true roots;
     # the power amplification in high moments (x^k inflates node error k-fold)
-    # otherwise eats the 1e-12 exactness budget at order ~40.
-    for _ in range(2):
-        p, dp, _ = _orthonormal_eval(nodes, order, alpha)
-        step = np.where(dp != 0.0, p / np.where(dp != 0.0, dp, 1.0), 0.0)
-        nodes = nodes - step
-    _, _, csum = _orthonormal_eval(nodes, order, alpha)
+    # otherwise eats the 1e-12 exactness budget at order ~40.  From order 187
+    # (alpha 0) the smallest weight, about e^(-x_max), underflows and the
+    # Christoffel sum overflows; that raises DomainError, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            p, dp, _ = _orthonormal_eval(nodes, order, alpha)
+            step = np.where(dp != 0.0, p / np.where(dp != 0.0, dp, 1.0), 0.0)
+            nodes = nodes - step
+        _, _, csum = _orthonormal_eval(nodes, order, alpha)
+    if not np.all(np.isfinite(csum)):
+        raise DomainError(
+            f"gauss_laguerre(order={order}, alpha={alpha}): the rule's weights "
+            "underflow double precision"
+        )
     weights = 1.0 / csum
     return QuadratureRule(order, alpha, nodes, weights)
 

@@ -78,6 +78,8 @@ class CoefficientBlock:
             if Fraction(s.two_j, 2) > j_max:
                 raise DomainError(f"label {key} exceeds j_max={j_max}")
             c = complex(value)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise DomainError(f"coefficient at label {key} must be finite, got {value!r}")
             if c != 0:
                 stored[(s.two_j, s.two_m)] = c
         self._sector = sector

@@ -1,20 +1,25 @@
 """Command line interface: output formats, exit codes, stream handling.
 
-Everything funnels through main(argv) in-process; one test exercises the
-installed console script end to end.
+Everything funnels through main(argv) in-process; one test runs
+``python -m planeharm`` end to end and checks the console-script entry point.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from planeharm.cli import main
 from planeharm.transform import CoefficientBlock, random_block
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, stdin_text=None):
@@ -278,10 +283,17 @@ class TestTopLevel:
         assert code == 0
 
     def test_console_script(self):
+        # The [project.scripts] entry point and `python -m planeharm` both
+        # land in cli.main; the module form runs from the source tree.
+        text = (ROOT / "pyproject.toml").read_text()
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        assert section is not None
+        assert re.search(r'^planeharm\s*=\s*"planeharm\.cli:main"\s*$', section.group(1), re.M)
         proc = subprocess.run(
-            ["planeharm", "verify", "--suite", "quadrature", "--j-max", "2"],
+            [sys.executable, "-m", "planeharm", "verify", "--suite", "quadrature", "--j-max", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         assert proc.returncode == 0
         assert proc.stdout.rstrip().endswith("overall: pass")

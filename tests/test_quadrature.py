@@ -1,6 +1,7 @@
 """Gauss-Laguerre rules against closed forms, moments, and a dense eigensolver."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,21 @@ def test_rule_validation():
         QuadratureRule(2, 0, np.array([2.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         QuadratureRule(2, 0, np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+
+
+@pytest.mark.parametrize("order, alpha", [(187, 0), (199, 10), (237, 40), (400, 0)])
+def test_weights_underflowing_double_precision_raise(order, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"order={order}, alpha={alpha}.*underflow"):
+            gauss_laguerre(order, alpha)
+
+
+def test_largest_alpha_zero_rule_in_double_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = gauss_laguerre(186, 0)
+    assert abs(r.weights.sum() - 1.0) < 1e-13
 
 
 # ------------------------------------------------------- inner products

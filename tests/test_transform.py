@@ -1,8 +1,9 @@
 """Coefficient blocks, analyze/synthesize, rotations, and their invariants.
 
 Rotation content is validated against hand-derived closed forms at spins
-1/2 and 1, so the matrix-exponential route and the coefficient transport
-in rotate() are checked independently of each other.
+1/2 and 1 and against Wigner's explicit d-matrix sum up to j = 10, so the
+eigendecomposition route and the coefficient transport in rotate() are
+checked independently of each other.
 """
 
 import json
@@ -55,6 +56,33 @@ def d_one(b: float) -> np.ndarray:
             [(1 - c) / 2, -s / r2, (1 + c) / 2],
         ]
     )
+
+
+def d_wigner(two_j: int, b: float) -> np.ndarray:
+    """Wigner's explicit small-d sum, rows m' and columns m ascending.
+
+    d_{m'm}(b) = sum_s (-1)^(m'-m+s) sqrt((j+m')!(j-m')!(j+m)!(j-m)!)
+    / ((j+m-s)! s! (m'-m+s)! (j-m'-s)!) cos(b/2)^(2j+m-m'-2s) sin(b/2)^(m'-m+2s),
+    with the factorial ratios taken in exact integers.
+    """
+    f = math.factorial
+    c, s_ = math.cos(b / 2.0), math.sin(b / 2.0)
+    out = np.zeros((two_j + 1, two_j + 1))
+    for row in range(two_j + 1):  # row = j + m'
+        for col in range(two_j + 1):  # col = j + m
+            num = f(row) * f(two_j - row) * f(col) * f(two_j - col)
+            total = 0.0
+            for k in range(max(0, col - row), min(col, two_j - row) + 1):
+                den = f(col - k) * f(k) * f(row - col + k) * f(two_j - row - k)
+                sign = -1.0 if (row - col + k) % 2 else 1.0
+                total += (
+                    sign
+                    * math.sqrt(Fraction(num, den * den))
+                    * c ** (two_j + col - row - 2 * k)
+                    * s_ ** (row - col + 2 * k)
+                )
+            out[row, col] = total
+    return out
 
 
 class TestRotationSpec:
@@ -139,6 +167,13 @@ class TestRotationMatrix:
         composed = np.diag(np.exp(-1j * a * ms)) @ d_one(b) @ np.diag(np.exp(-1j * c * ms))
         assert np.max(np.abs(u - composed)) < 1e-14
 
+    def test_matches_wigner_sum(self):
+        # Past 2j = 20 the float Wigner sum itself loses digits.
+        for two_j in range(0, 21):
+            for b in (0.3, 1.7, -2.2, 2.9, 5.0):
+                u = rotation_matrix(two_j, RotationSpec(0.0, b, 0.0))
+                assert np.max(np.abs(u - d_wigner(two_j, b))) < 1e-13
+
     def test_double_cover_signs(self):
         full_turn = RotationSpec(0.0, 2.0 * math.pi, 0.0)
         for two_j in range(0, 8):
@@ -196,6 +231,12 @@ class TestCoefficientBlock:
             CoefficientBlock("int", 2, {(2, 1): 1.0})  # parity mismatch
         with pytest.raises(DomainError):
             CoefficientBlock("int", 2, {"x": 1.0})
+
+    def test_rejects_non_finite_coefficients(self):
+        with pytest.raises(DomainError):
+            CoefficientBlock("int", 1, {(0, 0): math.nan})
+        with pytest.raises(DomainError):
+            CoefficientBlock("int", 1, {(2, 0): complex(1.0, math.inf)})
 
 
 class TestBlockJson:
