@@ -16,12 +16,30 @@ so both signs of m share one evaluation path
     calL_j^m(y) = s_m sqrt((j-|m|)!/(j+|m|)!) y^|m| e^(-y/2) L_{j-|m|}^(2|m|)(y)
 with s_m = -1 exactly when m is a positive half-odd-integer and +1 otherwise.
 
+At fixed m this is s_m times the orthonormal Laguerre function for
+alpha = 2|m|, so every label of one m comes from one three-term recurrence
+in k = j - |m| (the scaled recurrences of Gil, Segura & Temme, Numerical
+Methods for Special Functions, SIAM 2007):
+
+    sqrt((k+1)(k+1+a)) p_{k+1} = (2k+1+a-y) p_k - sqrt(k(k+a)) p_{k-1},
+
+started from p_0 = y^|m| e^(-y/2) / sqrt((2|m|)!).  The start is a plain
+product where each factor is a normal double and is formed in log space
+elsewhere; a power-of-two exponent per point carries whatever the start or
+the recurrence would push outside the double range, so large labels and
+large y give finite, accurate values.  ``_radial_rows`` runs it for all m
+of a sector at once, one row per k; calL, synthesize and analyze share it.
+A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
+memory.
+
 Half-integer-j harmonics are antiperiodic in phi (functions on the double
 cover); the two parity sectors are never mixed.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,7 +153,7 @@ def index_to_spin(idx: LaguerreIndex) -> SpinIndex:
 
 
 def _radial_parts(s: SpinIndex):
-    """Shared pieces of the single evaluation path.
+    """Pieces of the closed-form derivatives in calL_deriv.
 
     Returns (sign, prefactor, half_power, degree, superscript) where the
     radial function is sign * prefactor * y**half_power * e^(-y/2) *
@@ -146,8 +164,115 @@ def _radial_parts(s: SpinIndex):
     a = abs2m
     # sqrt((j-|m|)! / (j+|m|)!) through log-gamma; k and k+a are plain ints.
     pref = math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(k + a + 1)))
-    sign = -1.0 if (s.two_m > 0 and s.two_m % 2) else 1.0
-    return sign, pref, 0.5 * abs2m, k, a
+    return _sign(s.two_m), pref, 0.5 * abs2m, k, a
+
+
+_LN2 = math.log(2.0)
+# Logs of magnitudes kept clear of the double range's ends (about +-708).
+_LOG_RANGE = 700.0
+# Rows whose magnitude passes this are renormalized by a power of two.
+_RESCALE_ABOVE = 2.0**256
+# Exponent floor: below 2^-(2^60) no polynomial factor brings a value back
+# into the double range, so such a start is a true zero.
+_MIN_EXPONENT = -(2**60)
+
+
+def _sign(two_m: int) -> float:
+    """s_m: -1 for positive half-odd-integer m, +1 otherwise."""
+    return -1.0 if (two_m > 0 and two_m % 2) else 1.0
+
+
+def _plain_start_fits(a_lo: int, a_hi: int, lo: float, hi: float) -> bool:
+    """Whether y^|m|, e^(-y/2), 1/sqrt((2|m|)!) and their product are normal
+    doubles for every 2|m| in [a_lo, a_hi] and every y in [lo, hi], lo > 0.
+
+    The log of the product is concave in y and in 2|m|, so its minimum over
+    the box lies at a corner; |log y^|m|| peaks at a_hi and an end of y.
+    """
+    if not (0.5 * hi < _LOG_RANGE and 0.5 * math.lgamma(a_hi + 1) < _LOG_RANGE):
+        return False
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    if 0.5 * a_hi * max(-log_lo, log_hi) >= _LOG_RANGE:
+        return False
+    return all(
+        0.5 * (a * log_y - y - math.lgamma(a + 1)) > -_LOG_RANGE
+        for a in (a_lo, a_hi)
+        for y, log_y in ((lo, log_lo), (hi, log_hi))
+    )
+
+
+def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
+    """Stream calL_{|m|+k}^(-|m|)(y) for k = 0, 1, ... over several |m|.
+
+    ``abs2ms`` is an ascending list of 2|m| values and y a 1-D float array.
+    Step k yields an array of shape (n_k, y.size) whose row i is the radial
+    function of label (2|m| + 2k, -2|m|), 2|m| = abs2ms[i], for the first
+    n_k entries, those with 2|m| + 2k <= two_j_max; the stream ends when
+    none is left.  The label (2|m| + 2k, +2|m|) is _sign(2|m|) times the
+    same row.  Each yielded array is new and not touched afterwards.
+    Raises DomainError, at the first step, unless every y is finite and
+    nonnegative.
+    """
+    lo, hi = (float(y.min()), float(y.max())) if y.size else (1.0, 1.0)
+    if not (lo >= 0.0 and hi < math.inf):
+        raise DomainError(f"radial functions need finite y >= 0, got y in [{lo}, {hi}]")
+    n = bisect.bisect_right(abs2ms, two_j_max)
+    if not n:
+        return
+    a = np.array(abs2ms[:n], dtype=float)[:, None]
+    if lo == 0.0:  # the plain product is exact at y = 0
+        lo = float(np.min(y, where=y > 0, initial=hi))
+    scaled = lo > 0.0 and not _plain_start_fits(abs2ms[0], abs2ms[n - 1], lo, hi)
+    if scaled:
+        # The start in log space, split into a mantissa and a power-of-two
+        # exponent; y^0 = 1 also at y = 0, where y^|m| is an exact 0 otherwise.
+        log_y = np.log(y, out=np.full(y.shape, -np.inf), where=y > 0)
+        log_start = np.multiply(0.5 * a, log_y, out=np.zeros((n, y.size)), where=a > 0)
+        log_start -= 0.5 * y
+        log_start -= 0.5 * np.array([math.lgamma(v + 1) for v in abs2ms[:n]])[:, None]
+        exponent = np.zeros(log_start.shape, dtype=np.int64)
+        low = (log_start < -_LOG_RANGE) & (log_start > -np.inf)
+        exponent[low] = np.maximum(np.floor(log_start[low] / _LN2), _MIN_EXPONENT)
+        p = np.exp(log_start - exponent * _LN2)
+    else:
+        # The plain product, accurate to a few ulps.
+        p = np.empty((n, y.size))
+        decay = np.exp(-0.5 * y)
+        for i, v in enumerate(abs2ms[:n]):
+            p[i] = y ** (0.5 * v) * decay * math.exp(-0.5 * math.lgamma(v + 1))
+    yield np.ldexp(p, exponent) if scaled else p
+    n = bisect.bisect_right(abs2ms, two_j_max - 2)
+    if not n:
+        return
+    # sqrt((k+1)(k+1+a)) p_{k+1} = (2k+1+a-y) p_k - sqrt(k(k+a)) p_{k-1},
+    # with root[k] = sqrt(k(k+a)) of shape (n, 1) for every step.
+    a_minus_y = a - y
+    steps = np.arange((two_j_max - abs2ms[0]) // 2 + 1, dtype=float)[:, None, None]
+    root = np.sqrt(steps * (steps + a))
+    p_prev = p  # any finite value: its coefficient root[0] is 0
+    for k in itertools.count():
+        if n < len(p):
+            p, p_prev, a_minus_y, root = p[:n], p_prev[:n], a_minus_y[:n], root[:, :n]
+            if scaled:
+                exponent = exponent[:n]
+        p_next = a_minus_y + (2 * k + 1)
+        p_next *= p
+        p_next -= root[k] * p_prev
+        p_next /= root[k + 1]
+        p, p_prev = p_next, p
+        # Unscaled rows hold values of the radial functions, which are
+        # bounded by 1; only a row carried by an exponent can outgrow the
+        # double range.
+        if scaled:
+            big = np.abs(p) > _RESCALE_ABOVE
+            if big.any():
+                shift = np.where(big, np.frexp(p)[1], 0)
+                p, p_prev = np.ldexp(p, -shift), np.ldexp(p_prev, -shift)
+                exponent = exponent + shift
+        yield np.ldexp(p, exponent) if scaled else p
+        n = bisect.bisect_right(abs2ms, two_j_max - 2 * (k + 2))
+        if not n:
+            return
 
 
 def calL(s: SpinIndex, y):
@@ -157,10 +282,9 @@ def calL(s: SpinIndex, y):
     integral(0..inf) calL_j^m calL_j'^m dy = delta_{j j'}.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise DomainError("calL needs y >= 0")
-    sign, pref, b, k, a = _radial_parts(s)
-    val = sign * pref * y**b * np.exp(-0.5 * y) * laguerre_eval(k, a, y)
+    for rows in _radial_rows([abs(s.two_m)], s.two_j, y.reshape(-1)):
+        pass
+    val = (_sign(s.two_m) * rows[0]).reshape(y.shape)
     return val if val.ndim else float(val)
 
 

@@ -198,11 +198,13 @@ def _cmd_transform(args) -> int:
         return 0
     y = _y_grid(args)
     phis = _phi_grid(args.phi_steps)
-    rows = []
-    for yv in y:
-        for phi in phis:
-            v = synthesize(block, (float(yv), float(phi)))
-            rows.append([float(yv), float(phi), v.real, v.imag])
+    # One call per angle over the whole y grid; rows stay y-major.
+    table = np.stack([synthesize(block, (y, float(phi))) for phi in phis], axis=1)
+    rows = [
+        [float(yv), float(phi), v.real, v.imag]
+        for yv, row in zip(y, table)
+        for phi, v in zip(phis, row.tolist())
+    ]
     _emit_table(("y", "phi", "re", "im"), rows, args.format)
     return 0
 

@@ -8,6 +8,14 @@ evaluates the expansion at points, and rotate conjugates the block by the
 per-j rotation unitaries.  parseval_gap measures how much of a function's
 norm the block misses.
 
+analyze and synthesize take their radial functions from basis's per-m
+recurrence, which yields calL_{|m|+k}^m for every m of the sector at once,
+one k at a time, and keeps large labels finite.
+synthesize folds e^(i m phi) and the sign s_m into a (k, |m|) coefficient
+matrix and adds one matrix product per step; analyze contracts each step's
+rows with the weighted angular projections of the samples.  Either costs
+O(j_max^2 P) time and O(j_max P) memory for P radial points.
+
 Blocks serialize to a flat JSON document::
 
     {
@@ -21,6 +29,7 @@ with j_max written as a fraction in lowest terms ("6", "7/2").
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -28,7 +37,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .basis import PlanePoint, SpinIndex, calL, calZ, sector_labels
+# calL is bound here only for perfbench/selftest.py, which checks that
+# tracing leaves transform.calL and basis.calL the same object.
+from .basis import PlanePoint, SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
 from .errors import DomainError, SchemaError
 from .quadrature import _as_half_integer, default_n_phi, gauss_laguerre, plane_inner
 from .rotation import RotationSpec, rotation_matrix
@@ -220,6 +231,11 @@ class CoefficientBlock:
         return cls.from_dict(obj)
 
 
+def _sector_ladder(sector: str, two_j_max: int) -> list[int]:
+    """The 2|m| values of a sector up to two_j_max, ascending."""
+    return list(range(0 if sector == "int" else 1, two_j_max + 1, 2))
+
+
 def analyze(
     f: Callable,
     sector: str,
@@ -230,10 +246,10 @@ def analyze(
     """Project f onto the plane harmonics of one sector up to j_max.
 
     f is called as f(y_array, phi_scalar) and must broadcast over y.  The
-    projection is an equispaced angular average against e^(-i m phi)
-    followed by a radial Gauss-Laguerre dot product per label; both grids
-    match plane_inner's, so coefficients of a band-limited f of the sector
-    are exact to roundoff.
+    projection is an equispaced angular average against e^(-i m phi) per m,
+    followed by a radial Gauss-Laguerre sum against each row of the per-m
+    radial recurrence; both grids match plane_inner's, so coefficients of a
+    band-limited f of the sector are exact to roundoff.
     """
     if sector not in _SECTORS:
         raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
@@ -251,17 +267,24 @@ def analyze(
     samples = np.empty((n_phi, n_radial), dtype=complex)
     for k, phi in enumerate(phis):
         samples[k] = np.asarray(f(x, phi), dtype=complex)
-    labels = sector_labels(sector, j_max)
-    # One angular transform per distinct m, shared across the j's above it.
-    projected: dict[int, np.ndarray] = {}
+    two_j_max = int(2 * j_max)
+    ladder = _sector_ladder(sector, two_j_max)
+    # Angular projections onto m = +|m| and m = -|m|, each times the weights;
+    # the +|m| side also carries the sign s_m of its radial function.
+    abs_m = 0.5 * np.array(ladder, dtype=float)[:, None]
+    plus = w * (np.exp(-1j * abs_m * phis) @ samples) / n_phi
+    plus *= np.array([_sign(v) for v in ladder])[:, None]
+    minus = w * (np.exp(1j * abs_m * phis) @ samples) / n_phi
     coeffs: dict[tuple[int, int], complex] = {}
-    for label in labels:
-        two_m = label.two_m
-        if two_m not in projected:
-            phase = np.exp(-0.5j * two_m * phis)
-            projected[two_m] = phase @ samples / n_phi
-        radial = calL(label, x)
-        coeffs[(label.two_j, label.two_m)] = complex(np.dot(w * radial, projected[two_m]))
+    for k, rows in enumerate(_radial_rows(ladder, two_j_max, x)):
+        n = len(rows)
+        c_plus = np.sum(rows * plus[:n], axis=1)
+        c_minus = np.sum(rows * minus[:n], axis=1)
+        for i, abs2m in enumerate(ladder[:n]):
+            two_j = abs2m + 2 * k
+            coeffs[(two_j, abs2m)] = complex(c_plus[i])
+            if abs2m:
+                coeffs[(two_j, -abs2m)] = complex(c_minus[i])
     return CoefficientBlock(sector, j_max, coeffs)
 
 
@@ -269,17 +292,34 @@ def synthesize(block: CoefficientBlock, point):
     """Evaluate the expansion sum of c_jm calZ_j^m at a point.
 
     ``point`` is a PlanePoint or a (y, phi) pair; y may be an ndarray with a
-    scalar phi.  An empty block evaluates to zero.
+    scalar phi.  An empty block evaluates to zero.  The coefficients, with
+    e^(i m phi) and the sign s_m folded in, fill a (k, |m|) matrix; each step
+    of the per-m radial recurrence then adds one matrix product.
     """
     if isinstance(point, PlanePoint):
         y, phi = point.y, point.phi
     else:
         y, phi = point
     y_arr = np.asarray(y, dtype=float)
-    acc = np.zeros(y_arr.shape, dtype=complex)
-    for (two_j, two_m), c in block.items():
-        acc = acc + c * calZ(SpinIndex(two_j, two_m), (y_arr, phi))
-    return acc if acc.ndim else complex(acc)
+    flat = y_arr.reshape(-1)
+    acc = np.zeros((2, flat.size))  # real and imaginary parts
+    if block._coeffs:
+        count = len(block._coeffs)
+        keys = np.fromiter(itertools.chain.from_iterable(block._coeffs), np.int64, 2 * count)
+        two_j, two_m = keys[0::2], keys[1::2]
+        abs2m = np.abs(two_m)
+        values = np.fromiter(block._coeffs.values(), complex, count)
+        values *= np.exp(0.5j * two_m * float(phi))
+        top = int(two_j.max())
+        values[two_m > 0] *= _sign(top)  # every m > 0 of a sector has this s_m
+        ladder = _sector_ladder(block.sector, top)
+        folded = np.zeros(((top - ladder[0]) // 2 + 1, len(ladder)), dtype=complex)
+        np.add.at(folded, ((two_j - abs2m) // 2, (abs2m - ladder[0]) // 2), values)
+        folded = np.stack([folded.real, folded.imag], axis=1)
+        for k, rows in enumerate(_radial_rows(ladder, top, flat)):
+            acc += folded[k, :, : len(rows)] @ rows
+    out = (acc[0] + 1j * acc[1]).reshape(y_arr.shape)
+    return out if out.ndim else complex(out)
 
 
 def as_function(block: CoefficientBlock) -> Callable:

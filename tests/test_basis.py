@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -159,6 +160,47 @@ def test_radial_orthonormality_fixed_m():
                 )
                 expect = 1.0 if tj1 == tj2 else 0.0
                 assert val == pytest.approx(expect, abs=1e-12)
+
+
+def calL_mpmath(two_j, two_m, y):
+    """calL from mpmath's Laguerre polynomial, summed at 60 digits."""
+    a = abs(two_m)
+    k = (two_j - a) // 2
+    sign = -1 if (two_m > 0 and two_m % 2) else 1
+    with mpmath.workdps(60):
+        y = mpmath.mpf(y)
+        pref = mpmath.sqrt(mpmath.factorial(k) / mpmath.factorial(k + a))
+        val = pref * y ** (mpmath.mpf(a) / 2) * mpmath.exp(-y / 2) * mpmath.laguerre(k, a, y)
+        return sign * float(val)
+
+
+@pytest.mark.parametrize(
+    "two_j, two_m, y, approx",
+    [(300, 300, 300.0, 1.517450e-01), (600, 0, 1000.0, -3.753353e-02),
+     (400, -100, 700.0, -5.053569e-02)],
+)
+def test_high_j_against_mpmath(two_j, two_m, y, approx):
+    want = calL_mpmath(two_j, two_m, y)
+    assert want == pytest.approx(approx, rel=1e-6)
+    assert calL(SpinIndex(two_j, two_m), y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("two_j, two_m, y", [(800, 0, 1500.0), (600, 0, 2400.0)])
+def test_high_j_past_the_start_underflow(two_j, two_m, y):
+    # e^(-y/2) underflows here; the value is either right or a DomainError.
+    want = calL_mpmath(two_j, two_m, y)
+    try:
+        got = calL(SpinIndex(two_j, two_m), y)
+    except DomainError:
+        return
+    assert math.isfinite(got) and got != 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_radial_rejects_non_finite_y():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            calL(SpinIndex(2, 0), bad)
 
 
 # ----------------------------------------------------------- derivatives

@@ -12,12 +12,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from planeharm.cli import main
-from planeharm.transform import CoefficientBlock, random_block
+from planeharm.transform import CoefficientBlock, random_block, synthesize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -184,6 +185,23 @@ class TestTransform:
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(1.0)  # e^0 at y = 0
         assert float(first[3]) == 0.0
+
+    def test_synthesize_rows_follow_the_y_grid_then_phi(self):
+        block = random_block("half", Fraction(5, 2), seed=2)
+        code, out, _ = run_cli(
+            "transform", "--mode", "synthesize", "--format", "csv",
+            "--y-min", "0", "--y-max", "6", "--y-steps", "4",
+            "--phi-steps", "3",
+            stdin_text=block.to_json(),
+        )
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        ys = [0.0, 2.0, 4.0, 6.0]
+        phis = [-math.pi + 2.0 * math.pi * k / 3 for k in range(3)]
+        assert [(r[0], r[1]) for r in rows] == [(y, phi) for y in ys for phi in phis]
+        for y, phi, re, im in rows:
+            want = synthesize(block, (y, phi))
+            assert abs(complex(re, im) - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_schema_violation_names_field(self):
         bad = json.dumps({

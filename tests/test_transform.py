@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from planeharm.basis import PlanePoint, SpinIndex, calZ
+from planeharm.basis import PlanePoint, SpinIndex, calZ, sector_labels
 from planeharm.errors import DomainError, SchemaError, UnitarityError
 from planeharm.rotation import (
     RotationSpec,
@@ -328,6 +328,19 @@ class TestAnalyze:
         with pytest.raises(DomainError):
             analyze(lambda y, phi: y, "both", 2)
 
+    def test_high_j_block_is_finite_and_exact(self):
+        # A plain callable: as_function at this size costs far more than analyze.
+        top, low = SpinIndex(300, 40), SpinIndex(12, -4)
+        f = lambda y, phi: calZ(top, (y, phi)) + 0.5j * calZ(low, (y, phi))
+        block = analyze(f, "int", 150)
+        values = dict(block.items())
+        assert all(np.isfinite(v) for v in values.values())
+        assert abs(block.get(300, 40) - 1.0) <= 1e-12
+        assert abs(block.get(12, -4) - 0.5j) <= 1e-12
+        others = [abs(v) for key, v in values.items() if key not in ((300, 40), (12, -4))]
+        assert max(others) <= 1e-12
+        assert all(type(a) is int and type(b) is int for a, b in values)
+
 
 class TestSynthesize:
     def test_unit_ground_block(self):
@@ -348,8 +361,44 @@ class TestSynthesize:
             2.0 * calZ(SpinIndex(1, -1), (1.3, 0.4))
         )
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            random_block("int", 6, seed=11),
+            random_block("half", Fraction(11, 2), seed=12),
+            # sparse: the top stored label sits below j_max
+            CoefficientBlock("int", 6, {(0, 0): 0.5, (2, -2): 1j, (4, 2): -2.0, (6, -6): 0.25}),
+            # half sector at integer j_max: the top label is j = 7/2
+            CoefficientBlock("half", 4, {
+                (s.two_j, s.two_m): complex(s.two_j, -s.two_m)
+                for s in sector_labels("half", 4)
+            }),
+        ],
+        ids=["int-6", "half-11/2", "sparse-int-6", "half-at-integer-4"],
+    )
+    def test_matches_the_per_label_sum(self, block):
+        def direct(y, phi):
+            return sum(
+                c * calZ(SpinIndex(two_j, two_m), (y, phi))
+                for (two_j, two_m), c in block.items()
+            )
+
+        y = np.array([0.0, 0.3, 1.7, 5.0, 12.5, 30.0])
+        for phi in (-math.pi, -1.1, 0.0, 0.7, 3.0):
+            want = direct(y, phi)
+            got = synthesize(block, (y, phi))
+            assert got.shape == y.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        point = synthesize(block, (2.5, 0.4))
+        assert type(point) is complex
+        assert abs(point - direct(2.5, 0.4)) <= 1e-13 * abs(direct(2.5, 0.4))
+        assert synthesize(block, PlanePoint(2.5, 0.4)) == point
+        with pytest.raises(DomainError):
+            synthesize(block, (np.array([1.0, -0.5]), 0.0))
+
     def test_roundtrip_random_blocks(self):
-        for sector, j_max, seed in (("int", 6, 3), ("half", Fraction(11, 2), 4)):
+        # ("half", 4): the sector, not the parity of 2 j_max, sets the m ladder.
+        for sector, j_max, seed in (("int", 6, 3), ("half", Fraction(11, 2), 4), ("half", 4, 5)):
             block = random_block(sector, j_max, seed=seed)
             back = analyze(as_function(block), sector, j_max)
             assert block_gap(back, block) <= 1e-8
