@@ -28,7 +28,8 @@ product where each factor is a normal double and is formed in log space
 elsewhere; a power-of-two exponent per point carries whatever the start or
 the recurrence would push outside the double range, so large labels and
 large y give finite, accurate values.  ``_radial_rows`` runs it for all m
-of a sector at once, one row per k; calL, synthesize and analyze share it.
+of a sector at once, one row per k; calL, calL_deriv, synthesize and
+analyze share it.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
 
@@ -47,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, SectorMixingError
-from .laguerre import LaguerreIndex, laguerre_deriv, laguerre_eval
+from .laguerre import LaguerreIndex
 
 __all__ = [
     "SpinIndex",
@@ -150,21 +151,6 @@ def index_to_spin(idx: LaguerreIndex) -> SpinIndex:
             f"(n={idx.n}, alpha={idx.alpha}) has no spin label: |m| <= j fails"
         )
     return SpinIndex(two_j, two_m)
-
-
-def _radial_parts(s: SpinIndex):
-    """Pieces of the closed-form derivatives in calL_deriv.
-
-    Returns (sign, prefactor, half_power, degree, superscript) where the
-    radial function is sign * prefactor * y**half_power * e^(-y/2) *
-    L_degree^(superscript)(y).
-    """
-    abs2m = abs(s.two_m)
-    k = (s.two_j - abs2m) // 2
-    a = abs2m
-    # sqrt((j-|m|)! / (j+|m|)!) through log-gamma; k and k+a are plain ints.
-    pref = math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(k + a + 1)))
-    return _sign(s.two_m), pref, 0.5 * abs2m, k, a
 
 
 _LN2 = math.log(2.0)
@@ -289,28 +275,41 @@ def calL(s: SpinIndex, y):
 
 
 def calL_deriv(s: SpinIndex, y, order: int = 1):
-    """First or second y-derivative of calL_j^m, in closed form, for y > 0."""
+    """First or second y-derivative of calL_j^m, in closed form, for y > 0.
+
+    With a = 2|m|, k = j - |m| and f_k^a(y) = y^(a/2) e^(-y/2) p_k^a(y) the
+    radial rows of alpha a, d/dy L_k^(a) = -L_(k-1)^(a+1) turns the
+    derivatives of the orthonormal polynomial into rows of alpha a + 1 and
+    a + 2: y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
+    y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  One kernel call
+    gives the rows; the derivatives of y^(a/2) e^(-y/2) are added in closed
+    form.
+    """
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1, or 2, got {order}")
     if order == 0:
         return calL(s, y)
-    y = np.asarray(y, dtype=float)
+    shape = np.shape(y)
+    y = np.asarray(y, dtype=float).reshape(-1)
     if np.any(y <= 0):
         raise DomainError("calL_deriv needs y > 0")
-    sign, pref, b, k, a = _radial_parts(s)
-    P = laguerre_eval(k, a, y)
-    dP = laguerre_deriv(k, a, y, 1)
+    a = abs(s.two_m)
+    k = (s.two_j - a) // 2
+    f0 = f1 = f2 = 0.0  # f_k^a, f_(k-1)^(a+1), f_(k-2)^(a+2); 0 below degree 0
+    for step, rows in enumerate(_radial_rows([a, a + 1, a + 2][: order + 1], s.two_j, y)):
+        if step == k - 2 and order == 2:
+            f2 = rows[2]
+        if step == k - 1:
+            f1 = rows[1]
+        f0 = rows[0]
+    b = 0.5 * a
+    d1 = -math.sqrt(k) * f1 / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
     if order == 1:
-        inner = y**b * (dP - 0.5 * P)
-        if b:
-            inner = inner + b * y ** (b - 1) * P
+        val = d1 - 0.5 * f0 + b * f0 / y
     else:
-        ddP = laguerre_deriv(k, a, y, 2)
-        inner = y**b * (ddP - dP + 0.25 * P)
-        if b:
-            inner = inner + b * y ** (b - 1) * (2.0 * dP - P)
-            inner = inner + b * (b - 1) * y ** (b - 2) * P
-    val = sign * pref * np.exp(-0.5 * y) * inner
+        d2 = math.sqrt(k * (k - 1)) * f2 / y  # y^(a/2) e^(-y/2) p_k''
+        val = d2 - d1 + 0.25 * f0 + b * (2.0 * d1 - f0) / y + b * (b - 1) * f0 / y / y
+    val = (_sign(s.two_m) * val).reshape(shape)
     return val if val.ndim else float(val)
 
 

@@ -8,11 +8,17 @@ on the orthonormal recurrence and the weights computed from the Christoffel
 function, keeping moments of degree <= 2N - 1 exact to near machine precision
 even at high order.  Rules whose weights underflow double precision raise
 DomainError.
+
+Each rule is built once per process: gauss_laguerre hands every caller the
+same QuadratureRule for one (order, alpha), with read-only node and weight
+arrays.  A verify run asks for about 3,000 rules of some 250 distinct ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,8 +88,18 @@ class QuadratureRule:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
+def _as_int(name: str, value) -> int:
+    """value as a Python int if it is integral and not a bool, else DomainError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def gauss_laguerre(order: int, alpha: int) -> QuadratureRule:
-    """Build the order-N generalized Gauss-Laguerre rule for y^alpha e^(-y).
+    """The order-N generalized Gauss-Laguerre rule for y^alpha e^(-y).
 
     Parameters
     ----------
@@ -92,16 +108,29 @@ def gauss_laguerre(order: int, alpha: int) -> QuadratureRule:
     alpha : int
         Weight exponent, >= 0.
 
+    Both accept any integral value (numpy integers included, bool not) and
+    are normalized to int.
+
     Returns
     -------
     QuadratureRule
         Exact for polynomial integrands of degree <= 2*order - 1, with
-        sum(weights) = Gamma(alpha + 1).
+        sum(weights) = Gamma(alpha + 1).  The rule is memoized for the life
+        of the process, so every call with one (order, alpha) returns the
+        same object; its nodes and weights are read-only.  Bad arguments and
+        underflowing rules raise DomainError on every call.
     """
+    order = _as_int("order", order)
+    alpha = _as_int("alpha", alpha)
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    if not isinstance(alpha, int) or alpha < 0:
-        raise DomainError(f"alpha must be a nonnegative integer, got {alpha!r}")
+    if alpha < 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    return _cached_rule(order, alpha)
+
+
+@functools.cache
+def _cached_rule(order: int, alpha: int) -> QuadratureRule:
     k = np.arange(order, dtype=float)
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
@@ -123,6 +152,9 @@ def gauss_laguerre(order: int, alpha: int) -> QuadratureRule:
             "underflow double precision"
         )
     weights = 1.0 / csum
+    # Every caller shares the rule, so none may write to it.
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(order, alpha, nodes, weights)
 
 

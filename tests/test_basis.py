@@ -1,6 +1,7 @@
 """Radial functions, plane harmonics, label maps, and the radial equation."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -226,6 +227,87 @@ def test_derivative_domain():
         calL_deriv(s, 0.0, 1)
     with pytest.raises(DomainError):
         calL_deriv(s, 1.0, 3)
+
+
+def _deriv_poly(poly, b):
+    """R such that d/dy [y^b e^(-y/2) P(y)] = y^(b-1) e^(-y/2) R(y).
+
+    Polynomials are lists of exact coefficients, lowest degree first.
+    """
+    out = [Fraction(0)] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i] += (b + i) * c
+        out[i + 1] -= c / 2
+    return out
+
+
+def calL_deriv_exact(two_j, two_m, ys, order):
+    """calL_deriv from the exact Laguerre series at each y of ``ys``.
+
+    The polynomial part is differentiated and evaluated in exact rationals
+    at the exact binary value of y; only the final prefactor
+    sqrt(k!/(k+a)!) y^(a/2 - order) e^(-y/2) is formed in mpmath.
+    """
+    a = abs(two_m)
+    k = (two_j - a) // 2
+    sign = -1 if (two_m > 0 and two_m % 2) else 1
+    b = Fraction(a, 2)
+    poly = [
+        Fraction((-1) ** i * math.comb(k + a, k - i), math.factorial(i))
+        for i in range(k + 1)
+    ]
+    for d in range(order):
+        poly = _deriv_poly(poly, b - d)
+    out = []
+    with mpmath.workdps(40):
+        for y in ys:
+            yq = Fraction(y)
+            acc = Fraction(0)
+            for c in reversed(poly):
+                acc = acc * yq + c
+            ym = mpmath.mpf(y)
+            pref = mpmath.sqrt(mpmath.factorial(k) / mpmath.factorial(k + a))
+            val = pref * ym ** (b - order) * mpmath.exp(-ym / 2)
+            val *= mpmath.mpf(acc.numerator) / acc.denominator
+            out.append(sign * float(val))
+    return np.array(out)
+
+
+def _deriv_error(two_j, two_m, ys, order):
+    """|calL_deriv - exact| at each y, and the exact value and next derivative."""
+    want = calL_deriv_exact(two_j, two_m, ys, order)
+    got = np.asarray(calL_deriv(SpinIndex(two_j, two_m), np.array(ys), order))
+    assert np.all(np.isfinite(got))
+    return np.abs(got - want), np.maximum(np.abs(want), np.abs(got)), calL_deriv_exact(
+        two_j, two_m, ys, order + 1
+    )
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "two_j, two_m, y",
+    [(300, 300, 300.0), (600, 0, 2400.0), (600, 0, 1000.0), (400, -100, 700.0)],
+)
+def test_derivative_high_j_against_exact_series(two_j, two_m, y, order):
+    # At (300, 300, 300) the first derivative is an exact 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err, size, _ = _deriv_error(two_j, two_m, [y], order)
+    assert err[0] <= 1e-12 * size[0]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_against_exact_series_up_to_2j_40(order):
+    # Near a zero of the derivative a plain relative bound asks for more than
+    # any evaluation in doubles gives (the recurrence's rounding is relative
+    # to the function's envelope, not to its value there); the bound also
+    # admits y |next derivative|, the change a relative shift of y by the
+    # same 1e-12 would make.  The worst measured ratio is about 1e-14.
+    ys = np.array([1e-4, 1e-2, 0.3, 3.0, 30.0])
+    for two_j in range(0, 41):
+        for two_m in range(-two_j, two_j + 1, 2):
+            err, size, nxt = _deriv_error(two_j, two_m, ys, order)
+            assert np.all(err <= 1e-12 * np.maximum(size, ys * np.abs(nxt)))
 
 
 # ------------------------------------------------------- radial equation

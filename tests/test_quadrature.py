@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from planeharm.basis import SpinIndex, calL, calZ
+from planeharm import quadrature
 from planeharm.errors import DomainError
 from planeharm.quadrature import (
     QuadratureRule,
@@ -16,6 +17,7 @@ from planeharm.quadrature import (
     halfline_inner,
     plane_inner,
 )
+from planeharm.verify import run_suite
 
 
 def test_one_point_rules_are_closed_form():
@@ -112,6 +114,51 @@ def test_largest_alpha_zero_rule_in_double_range():
         warnings.simplefilter("error")
         r = gauss_laguerre(186, 0)
     assert abs(r.weights.sum() - 1.0) < 1e-13
+
+
+# ---------------------------------------------------------------- memo
+
+
+def test_repeated_call_returns_the_same_rule():
+    assert gauss_laguerre(7, 2) is gauss_laguerre(7, 2)
+    assert gauss_laguerre(7, 2) is not gauss_laguerre(7, 3)
+
+
+def test_shared_rule_arrays_are_read_only():
+    r = gauss_laguerre(5, 1)
+    with pytest.raises(ValueError):
+        r.nodes[0] = 1.0
+    with pytest.raises(ValueError):
+        r.weights *= 2.0
+    assert r.weights.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("order, alpha", [(0, 0), (3, 1.5), (187, 0)])
+def test_errors_repeat_and_are_not_cached(order, alpha):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            gauss_laguerre(order, alpha)
+
+
+@pytest.mark.parametrize("bad", [8.0, True, "3"])
+def test_non_integral_arguments_rejected(bad):
+    with pytest.raises(DomainError):
+        gauss_laguerre(bad, 0)
+    with pytest.raises(DomainError):
+        gauss_laguerre(3, bad)
+
+
+def test_numpy_integer_arguments_give_int_fields():
+    r = gauss_laguerre(np.int64(5), np.int64(2))
+    assert type(r.order) is int and type(r.alpha) is int
+    assert r is gauss_laguerre(5, 2)
+
+
+def test_verify_run_builds_each_distinct_rule_once():
+    quadrature._cached_rule.cache_clear()
+    run_suite("all", 8)
+    info = quadrature._cached_rule.cache_info()
+    assert (info.misses, info.hits + info.misses) == (248, 3165)
 
 
 # ------------------------------------------------------- inner products
