@@ -283,7 +283,8 @@ def calL_deriv(s: SpinIndex, y, order: int = 1):
     a + 2: y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
     y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  One kernel call
     gives the rows; the derivatives of y^(a/2) e^(-y/2) are added in closed
-    form.
+    form.  A derivative past the double range (order 2 at |m| = 1/2 below
+    y ~ 1e-205) raises DomainError naming the label, the order and y.
     """
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1, or 2, got {order}")
@@ -303,12 +304,21 @@ def calL_deriv(s: SpinIndex, y, order: int = 1):
             f1 = rows[1]
         f0 = rows[0]
     b = 0.5 * a
-    d1 = -math.sqrt(k) * f1 / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
-    if order == 1:
-        val = d1 - 0.5 * f0 + b * f0 / y
-    else:
-        d2 = math.sqrt(k * (k - 1)) * f2 / y  # y^(a/2) e^(-y/2) p_k''
-        val = d2 - d1 + 0.25 * f0 + b * (2.0 * d1 - f0) / y + b * (b - 1) * f0 / y / y
+    # Near y = 0 the derivatives can grow without bound (like y^(-3/2)/4 for
+    # order 2 at |m| = 1/2); a value past the double range is a DomainError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = -math.sqrt(k) * f1 / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
+        if order == 1:
+            val = d1 - 0.5 * f0 + b * f0 / y
+        else:
+            d2 = math.sqrt(k * (k - 1)) * f2 / y  # y^(a/2) e^(-y/2) p_k''
+            val = d2 - d1 + 0.25 * f0 + b * (2.0 * d1 - f0) / y + b * (b - 1) * f0 / y / y
+    finite = np.isfinite(val)
+    if not finite.all():
+        raise DomainError(
+            f"calL_deriv(two_j={s.two_j}, two_m={s.two_m}, order={order}) leaves the "
+            f"double range at y = {float(y[~finite][0])!r}"
+        )
     val = (_sign(s.two_m) * val).reshape(shape)
     return val if val.ndim else float(val)
 
@@ -316,9 +326,10 @@ def calL_deriv(s: SpinIndex, y, order: int = 1):
 def calZ(s: SpinIndex, point) -> complex:
     """Plane harmonic calZ_j^m = e^(i m phi) calL_j^m(y).
 
-    ``point`` is a PlanePoint or a (y, phi) pair; y may be an ndarray with a
-    scalar phi, in which case an ndarray is returned.  Half-integer m gives
-    the antiperiodic (double cover) phase.
+    ``point`` is a PlanePoint or a (y, phi) pair; y and phi may be ndarrays
+    that broadcast against each other, such as y of shape (1, P) and phi of
+    shape (A, 1), and the result then has the broadcast shape.  Half-integer
+    m gives the antiperiodic (double cover) phase.
     """
     if isinstance(point, PlanePoint):
         y, phi = point.y, point.phi

@@ -198,8 +198,8 @@ def _cmd_transform(args) -> int:
         return 0
     y = _y_grid(args)
     phis = _phi_grid(args.phi_steps)
-    # One call per angle over the whole y grid; rows stay y-major.
-    table = np.stack([synthesize(block, (y, float(phi))) for phi in phis], axis=1)
+    # One call on the (y, phi) grid; rows stay y-major.
+    table = synthesize(block, (y[:, None], phis[None, :]))
     rows = [
         [float(yv), float(phi), v.real, v.imag]
         for yv, row in zip(y, table)

@@ -12,6 +12,11 @@ DomainError.
 Each rule is built once per process: gauss_laguerre hands every caller the
 same QuadratureRule for one (order, alpha), with read-only node and weight
 arrays.  A verify run asks for about 3,000 rules of some 250 distinct ones.
+
+plane_inner samples each function once on the (phi, y) grid of n_phi
+equispaced angles times the radial nodes: the callable gets y of shape
+(1, n_radial) and phi of shape (n_phi, 1) and must return something that
+broadcasts to (n_phi, n_radial).
 """
 
 from __future__ import annotations
@@ -195,6 +200,23 @@ def default_n_phi(j_max) -> int:
     return int(math.ceil(4 * j_max)) + 1
 
 
+def _sample_grid(f, x, phis) -> np.ndarray:
+    """f sampled once on the (phi, y) grid, as an (n_phi, n_radial) array.
+
+    f is called as f(x[None, :], phis[:, None]) and its result broadcast to
+    the grid; a result that does not broadcast raises DomainError.
+    """
+    values = np.asarray(f(x[None, :], phis[:, None]), dtype=complex)
+    grid = (phis.size, x.size)
+    try:
+        return np.broadcast_to(values, grid)
+    except ValueError:
+        raise DomainError(
+            f"the function returned shape {values.shape}, which does not broadcast "
+            f"to the (n_phi, n_radial) = {grid} sample grid"
+        ) from None
+
+
 def plane_inner(F, G, j_cap, n_phi: int | None = None, n_radial: int | None = None) -> complex:
     """Plane inner product (1/2pi) integral dphi integral dy conj(F) G.
 
@@ -202,8 +224,10 @@ def plane_inner(F, G, j_cap, n_phi: int | None = None, n_radial: int | None = No
     single sector with j <= j_cap.  The angular integral is an equispaced
     trapezoid rule over a full period (exact for the trigonometric
     polynomials involved); the radial integral is a plain-exponent
-    Gauss-Laguerre rule applied per angular node.  Callables are invoked as
-    F(y_array, phi_scalar) and must broadcast over y.
+    Gauss-Laguerre rule.  F and G are each called once on the whole grid,
+    with y of shape (1, n_radial) and phi of shape (n_phi, 1), and their
+    results must broadcast to (n_phi, n_radial); otherwise DomainError names
+    both shapes.
     """
     j_cap = _as_half_integer(j_cap)
     if j_cap < 0:
@@ -216,9 +240,6 @@ def plane_inner(F, G, j_cap, n_phi: int | None = None, n_radial: int | None = No
     w = rule.lifted_weights()
     x = rule.nodes
     phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
-    acc = 0.0 + 0.0j
-    for phi in phis:
-        fv = np.conjugate(np.asarray(F(x, phi), dtype=complex))
-        gv = np.asarray(G(x, phi), dtype=complex)
-        acc += np.dot(w, fv * gv)
-    return complex(acc / n_phi)
+    fv = _sample_grid(F, x, phis)
+    gv = _sample_grid(G, x, phis)
+    return complex(np.sum((np.conjugate(fv) * gv) @ w) / n_phi)

@@ -10,11 +10,18 @@ norm the block misses.
 
 analyze and synthesize take their radial functions from basis's per-m
 recurrence, which yields calL_{|m|+k}^m for every m of the sector at once,
-one k at a time, and keeps large labels finite.
-synthesize folds e^(i m phi) and the sign s_m into a (k, |m|) coefficient
-matrix and adds one matrix product per step; analyze contracts each step's
-rows with the weighted angular projections of the samples.  Either costs
-O(j_max^2 P) time and O(j_max P) memory for P radial points.
+one k at a time, and keeps large labels finite.  Both work on a grid of
+n_phi angles times P radial points, the layout of fast spherical transforms
+(Schaeffer, G3 14, 2013): an equispaced sum over angle times a Gauss rule
+in y.  analyze calls f once on the whole (phi, y) grid, projects the samples
+onto e^(-+i|m|phi) with one matrix product, and contracts each step's rows
+with the weighted projections, in O(j_max^2 P + j_max n_phi P) time.
+synthesize runs the recurrence once over its P radial points; at each
+step, the coefficients with e^(+-i m phi) and the sign s_m folded in form a
+real (2 n_phi, |m|) matrix, and one matrix product adds the step to every
+angle, in O(j_max^2 n_phi P) time.  Memory stays O(n_phi P + j_max (n_phi
++ P)): the fold is built a few steps at a time, never as a whole
+(steps, n_phi, |m|) tensor.
 
 Blocks serialize to a flat JSON document::
 
@@ -41,7 +48,7 @@ import numpy as np
 # tracing leaves transform.calL and basis.calL the same object.
 from .basis import PlanePoint, SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
 from .errors import DomainError, SchemaError
-from .quadrature import _as_half_integer, default_n_phi, gauss_laguerre, plane_inner
+from .quadrature import _as_half_integer, _sample_grid, default_n_phi, gauss_laguerre, plane_inner
 from .rotation import RotationSpec, rotation_matrix
 
 __all__ = [
@@ -245,11 +252,14 @@ def analyze(
 ) -> CoefficientBlock:
     """Project f onto the plane harmonics of one sector up to j_max.
 
-    f is called as f(y_array, phi_scalar) and must broadcast over y.  The
-    projection is an equispaced angular average against e^(-i m phi) per m,
-    followed by a radial Gauss-Laguerre sum against each row of the per-m
-    radial recurrence; both grids match plane_inner's, so coefficients of a
-    band-limited f of the sector are exact to roundoff.
+    f is called once, as f(y, phi) with y of shape (1, n_radial) and phi of
+    shape (n_phi, 1), and its result must broadcast to (n_phi, n_radial);
+    otherwise DomainError names both shapes.  The projection is an
+    equispaced angular average against e^(-i m phi) per m, one matrix
+    product over the samples, followed by a radial Gauss-Laguerre sum
+    against each row of the per-m radial recurrence; both grids match
+    plane_inner's, so coefficients of a band-limited f of the sector are
+    exact to roundoff.
     """
     if sector not in _SECTORS:
         raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
@@ -264,9 +274,7 @@ def analyze(
     w = rule.lifted_weights()
     x = rule.nodes
     phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
-    samples = np.empty((n_phi, n_radial), dtype=complex)
-    for k, phi in enumerate(phis):
-        samples[k] = np.asarray(f(x, phi), dtype=complex)
+    samples = _sample_grid(f, x, phis)
     two_j_max = int(2 * j_max)
     ladder = _sector_ladder(sector, two_j_max)
     # Angular projections onto m = +|m| and m = -|m|, each times the weights;
@@ -288,42 +296,81 @@ def analyze(
     return CoefficientBlock(sector, j_max, coeffs)
 
 
-def synthesize(block: CoefficientBlock, point):
-    """Evaluate the expansion sum of c_jm calZ_j^m at a point.
+# Entries (step x angle x |m|) of the coefficient fold built at once, so a
+# grid of many angles never holds the whole (steps, n_phi, |m|) tensor.
+_FOLD_ENTRIES = 2**12
 
-    ``point`` is a PlanePoint or a (y, phi) pair; y may be an ndarray with a
-    scalar phi.  An empty block evaluates to zero.  The coefficients, with
-    e^(i m phi) and the sign s_m folded in, fill a (k, |m|) matrix; each step
-    of the per-m radial recurrence then adds one matrix product.
+
+def synthesize(block: CoefficientBlock, point):
+    """Evaluate the expansion sum of c_jm calZ_j^m at a point or a grid.
+
+    ``point`` is a PlanePoint or a (y, phi) pair of scalars or arrays that
+    broadcast as a grid: on every axis one of them has size 1, so y of
+    shape (P, 1) with phi of shape (1, A) gives a (P, A) result.  Anything
+    else raises DomainError.  The result has the broadcast shape, and a
+    scalar pair gives a complex.  An empty block evaluates to zero.
+
+    The per-m radial recurrence runs once over y's own points.  At step k
+    the coefficients, with e^(+-i m phi) and the sign s_m folded in, form a
+    real (2 n_phi, n_k) matrix, and the step adds one
+    (2 n_phi x n_k) @ (n_k x P) product; a few steps are folded at once.
     """
     if isinstance(point, PlanePoint):
         y, phi = point.y, point.phi
     else:
         y, phi = point
     y_arr = np.asarray(y, dtype=float)
-    flat = y_arr.reshape(-1)
-    acc = np.zeros((2, flat.size))  # real and imaginary parts
+    phi_arr = np.asarray(phi, dtype=float)
+    ndim = max(y_arr.ndim, phi_arr.ndim)
+    y_shape = (1,) * (ndim - y_arr.ndim) + y_arr.shape
+    phi_shape = (1,) * (ndim - phi_arr.ndim) + phi_arr.shape
+    if any(a != 1 and b != 1 for a, b in zip(y_shape, phi_shape)):
+        raise DomainError(
+            f"y of shape {y_arr.shape} and phi of shape {phi_arr.shape} do not form "
+            "a grid: on every axis one of them must have size 1"
+        )
+    flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1, 1)
+    acc = np.zeros((2 * phis.size, flat.size))  # real parts, then imaginary parts
     if block._coeffs:
         count = len(block._coeffs)
         keys = np.fromiter(itertools.chain.from_iterable(block._coeffs), np.int64, 2 * count)
         two_j, two_m = keys[0::2], keys[1::2]
         abs2m = np.abs(two_m)
         values = np.fromiter(block._coeffs.values(), complex, count)
-        values *= np.exp(0.5j * two_m * float(phi))
         top = int(two_j.max())
         values[two_m > 0] *= _sign(top)  # every m > 0 of a sector has this s_m
         ladder = _sector_ladder(block.sector, top)
-        folded = np.zeros(((top - ladder[0]) // 2 + 1, len(ladder)), dtype=complex)
-        np.add.at(folded, ((two_j - abs2m) // 2, (abs2m - ladder[0]) // 2), values)
-        folded = np.stack([folded.real, folded.imag], axis=1)
+        # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0 included,
+        # by_sign[1] those of e^(-i|m|phi); indexed by (step, |m|).
+        by_sign = np.zeros((2, (top - ladder[0]) // 2 + 1, len(ladder)), dtype=complex)
+        side = (two_m < 0).astype(np.intp)
+        by_sign[side, (two_j - abs2m) // 2, (abs2m - ladder[0]) // 2] = values
+        phase = np.exp(0.5j * phis * np.array(ladder, dtype=float))
+        phase_conj = phase.conj()
+        chunk = max(1, _FOLD_ENTRIES // phase.size)
         for k, rows in enumerate(_radial_rows(ladder, top, flat)):
-            acc += folded[k, :, : len(rows)] @ rows
-    out = (acc[0] + 1j * acc[1]).reshape(y_arr.shape)
+            n = len(rows)
+            if k % chunk == 0:
+                part = by_sign[:, k : k + chunk, None, :n]
+                folded = part[0] * phase[:, :n] + part[1] * phase_conj[:, :n]
+                folded = np.concatenate([folded.real, folded.imag], axis=1)
+            acc += folded[k % chunk, :, :n] @ rows
+    out = acc[: phis.size] + 1j * acc[phis.size :]
+    # (angle, point) -> the broadcast shape: interleave phi's axes with y's,
+    # then merge each pair, one of which has size 1.
+    out = out.reshape(phi_shape + y_shape)
+    out = out.transpose([i for t in range(ndim) for i in (t, ndim + t)])
+    out = out.reshape(np.broadcast_shapes(y_shape, phi_shape))
     return out if out.ndim else complex(out)
 
 
 def as_function(block: CoefficientBlock) -> Callable:
-    """The expansion as a callable f(y, phi) suitable for analyze."""
+    """The expansion as a callable f(y, phi) suitable for analyze.
+
+    It calls synthesize, so y and phi may be scalars or arrays that broadcast
+    as a grid; analyze's single (1, n_radial) x (n_phi, 1) call costs one run
+    of the radial recurrence.
+    """
     return lambda y, phi: synthesize(block, (y, phi))
 
 
@@ -361,6 +408,8 @@ def parseval_gap(
     Both the norm integral and the projections use the quadrature sized for
     j_max, so f should be a finite harmonic combination the rule can
     integrate (components above j_max then show up as gap, as intended).
+    f follows analyze's contract: it is called on the whole (phi, y) grid,
+    once by analyze and twice by plane_inner.
     """
     block = analyze(f, sector, j_max, n_phi=n_phi, n_radial=n_radial)
     norm = plane_inner(f, f, j_max, n_phi=n_phi, n_radial=n_radial).real

@@ -229,6 +229,19 @@ def test_derivative_domain():
         calL_deriv(s, 1.0, 3)
 
 
+def test_derivative_past_the_double_range_is_a_domain_error():
+    # At |m| = 1/2 the second derivative grows like y^(-3/2)/4 as y -> 0.
+    s = SpinIndex(1, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"two_j=1, two_m=-1, order=2.*y = 1e-300"):
+            calL_deriv(s, 1e-300, 2)
+        with pytest.raises(DomainError, match=r"y = 1e-300"):
+            calL_deriv(s, np.array([1.0, 1e-300]), 2)
+        assert calL_deriv(s, 1e-200, 2) == pytest.approx(-0.25e300, rel=1e-12)
+        assert calL_deriv(s, 1e-300, 1) == pytest.approx(0.5e150, rel=1e-12)
+
+
 def _deriv_poly(poly, b):
     """R such that d/dy [y^b e^(-y/2) P(y)] = y^(b-1) e^(-y/2) R(y).
 

@@ -229,3 +229,23 @@ def test_plane_inner_reduces_to_halfline_at_equal_m():
             j_cap=5,
         )
         assert abs(plane - radial) <= 1e-13
+
+
+def test_plane_inner_samples_each_function_once_on_the_grid():
+    calls = {"F": [], "G": []}
+
+    def counted(name, s):
+        def f(y, phi):
+            calls[name].append((np.shape(y), np.shape(phi)))
+            return calZ(s, (y, phi))
+        return f
+
+    s = SpinIndex.from_jm(2, 1)
+    assert plane_inner(counted("F", s), counted("G", s), j_cap=2) == pytest.approx(1.0, abs=1e-13)
+    assert calls == {"F": [((1, 4), (9, 1))], "G": [((1, 4), (9, 1))]}
+
+
+def test_plane_inner_rejects_a_result_off_the_grid():
+    one = lambda y, phi: np.ones_like(y)
+    with pytest.raises(DomainError, match=r"\(3,\).*\(9, 4\)"):
+        plane_inner(one, lambda y, phi: np.ones(3), j_cap=2)

@@ -328,6 +328,21 @@ class TestAnalyze:
         with pytest.raises(DomainError):
             analyze(lambda y, phi: y, "both", 2)
 
+    def test_samples_f_once_on_the_grid(self):
+        calls = []
+
+        def f(y, phi):
+            calls.append((np.shape(y), np.shape(phi)))
+            return calZ(SpinIndex(3, -1), (y, phi))
+
+        block = analyze(f, "half", Fraction(5, 2))
+        assert calls == [((1, 5), (11, 1))]
+        assert abs(block.get(3, -1) - 1.0) <= 1e-12
+
+    def test_result_off_the_grid_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"\(3,\).*\(9, 4\)"):
+            analyze(lambda y, phi: np.ones(3), "int", 2)
+
     def test_high_j_block_is_finite_and_exact(self):
         # A plain callable: as_function at this size costs far more than analyze.
         top, low = SpinIndex(300, 40), SpinIndex(12, -4)
@@ -340,6 +355,20 @@ class TestAnalyze:
         others = [abs(v) for key, v in values.items() if key not in ((300, 40), (12, -4))]
         assert max(others) <= 1e-12
         assert all(type(a) is int and type(b) is int for a, b in values)
+
+
+SYNTH_BLOCKS = [
+    random_block("int", 6, seed=11),
+    random_block("half", Fraction(11, 2), seed=12),
+    # sparse: the top stored label sits below j_max
+    CoefficientBlock("int", 6, {(0, 0): 0.5, (2, -2): 1j, (4, 2): -2.0, (6, -6): 0.25}),
+    # half sector at integer j_max: the top label is j = 7/2
+    CoefficientBlock("half", 4, {
+        (s.two_j, s.two_m): complex(s.two_j, -s.two_m)
+        for s in sector_labels("half", 4)
+    }),
+]
+SYNTH_IDS = ["int-6", "half-11/2", "sparse-int-6", "half-at-integer-4"]
 
 
 class TestSynthesize:
@@ -361,21 +390,7 @@ class TestSynthesize:
             2.0 * calZ(SpinIndex(1, -1), (1.3, 0.4))
         )
 
-    @pytest.mark.parametrize(
-        "block",
-        [
-            random_block("int", 6, seed=11),
-            random_block("half", Fraction(11, 2), seed=12),
-            # sparse: the top stored label sits below j_max
-            CoefficientBlock("int", 6, {(0, 0): 0.5, (2, -2): 1j, (4, 2): -2.0, (6, -6): 0.25}),
-            # half sector at integer j_max: the top label is j = 7/2
-            CoefficientBlock("half", 4, {
-                (s.two_j, s.two_m): complex(s.two_j, -s.two_m)
-                for s in sector_labels("half", 4)
-            }),
-        ],
-        ids=["int-6", "half-11/2", "sparse-int-6", "half-at-integer-4"],
-    )
+    @pytest.mark.parametrize("block", SYNTH_BLOCKS, ids=SYNTH_IDS)
     def test_matches_the_per_label_sum(self, block):
         def direct(y, phi):
             return sum(
@@ -396,9 +411,40 @@ class TestSynthesize:
         with pytest.raises(DomainError):
             synthesize(block, (np.array([1.0, -0.5]), 0.0))
 
+    @pytest.mark.parametrize("block", SYNTH_BLOCKS, ids=SYNTH_IDS)
+    def test_grid_matches_the_per_angle_loop(self, block):
+        y = np.array([0.0, 0.3, 1.7, 5.0, 12.5, 30.0])
+        # Enough angles that the coefficient fold is built a few steps at a time.
+        phis = np.linspace(-math.pi, math.pi, 300)
+        want = np.stack([synthesize(block, (y, float(p))) for p in phis])
+        scale = np.max(np.abs(want))
+        by_angle = synthesize(block, (y[None, :], phis[:, None]))
+        assert by_angle.shape == (300, 6)
+        assert np.max(np.abs(by_angle - want)) <= 1e-13 * scale
+        by_radius = synthesize(block, (y[:, None], phis[None, :]))
+        assert by_radius.shape == (6, 300)
+        assert np.max(np.abs(by_radius - want.T)) <= 1e-13 * scale
+        # phi alone as an array: the radial point is shared by every angle.
+        assert synthesize(block, (y[1], phis)).shape == (300,)
+        assert np.max(np.abs(synthesize(block, (y[1], phis)) - want[:, 1])) <= 1e-13 * scale
+
+    def test_y_and_phi_must_form_a_grid(self):
+        block = random_block("int", 2, seed=1)
+        y = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(DomainError, match=r"\(3,\).*\(3,\)"):
+            synthesize(block, (y, np.array([0.1, 0.2, 0.3])))
+        with pytest.raises(DomainError):
+            synthesize(block, (y[:, None], np.zeros((3, 2))))
+
     def test_roundtrip_random_blocks(self):
         # ("half", 4): the sector, not the parity of 2 j_max, sets the m ladder.
-        for sector, j_max, seed in (("int", 6, 3), ("half", Fraction(11, 2), 4), ("half", 4, 5)):
+        for sector, j_max, seed in (
+            ("int", 6, 3),
+            ("half", Fraction(11, 2), 4),
+            ("half", 4, 5),
+            ("int", 64, 6),
+            ("half", Fraction(127, 2), 7),
+        ):
             block = random_block(sector, j_max, seed=seed)
             back = analyze(as_function(block), sector, j_max)
             assert block_gap(back, block) <= 1e-8
