@@ -28,8 +28,8 @@ product where each factor is a normal double and is formed in log space
 elsewhere; a power-of-two exponent per point carries whatever the start or
 the recurrence would push outside the double range, so large labels and
 large y give finite, accurate values.  ``_radial_rows`` runs it for all m
-of a sector at once, one row per k; calL, calL_deriv, synthesize and
-analyze share it.
+of a sector at once, one row per k; calL, calL_deriv, synthesize, analyze
+and gauss_laguerre share it.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
 

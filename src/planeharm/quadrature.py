@@ -3,20 +3,20 @@
 Nodes come from the eigenvalues of the symmetric tridiagonal Jacobi matrix of
 the weight y^alpha e^(-y) (diagonal 2k + alpha + 1, off-diagonal
 sqrt(k(k+alpha))), computed by LAPACK through numpy.linalg.eigvalsh (Golub &
-Welsch, Math. Comp. 23, 1969).  Nodes are then polished by Newton iteration
-on the orthonormal recurrence and the weights computed from the Christoffel
-function, keeping moments of degree <= 2N - 1 exact to near machine precision
-even at high order.  Rules whose weights underflow double precision raise
-DomainError.
+Welsch, Math. Comp. 23, 1969).  The rows f_k^a of basis's radial kernel,
+the orthonormal Laguerre functions of alpha a, give two Newton steps and the
+lifted weights 1 / sum_(k<N) f_k^a(x_i)^2, keeping moments of degree <= 2N - 1
+exact to near machine precision at high order.  Raw weights follow in log
+space; a rule with one whose reciprocal overflows a double raises DomainError.
 
 Each rule is built once per process: gauss_laguerre hands every caller the
 same QuadratureRule for one (order, alpha), with read-only node and weight
 arrays.  A verify run asks for about 3,000 rules of some 250 distinct ones.
 
-plane_inner samples each function once on the (phi, y) grid of n_phi
-equispaced angles times the radial nodes: the callable gets y of shape
-(1, n_radial) and phi of shape (n_phi, 1) and must return something that
-broadcasts to (n_phi, n_radial).
+plane_inner, analyze and parseval_gap sample each function once on the
+(phi, y) grid of _plane_grid: the callable gets y of shape (1, n_radial) and
+phi of shape (n_phi, 1) and must return something that broadcasts to
+(n_phi, n_radial).
 """
 
 from __future__ import annotations
@@ -24,40 +24,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from .basis import _radial_rows
 from .errors import DomainError
 
 __all__ = ["QuadratureRule", "gauss_laguerre", "halfline_inner", "plane_inner"]
-
-
-def _orthonormal_eval(x, order, alpha):
-    """Evaluate the orthonormal-polynomial recurrence of y^alpha e^(-y) at x.
-
-    Returns (p_N(x), p_N'(x), sum_{k<N} p_k(x)^2) for N = order, vectorized
-    over x.  The inverse of the last sum is the Gauss weight at a node
-    (Christoffel function identity).
-    """
-    x = np.asarray(x, dtype=float)
-    p_prev = np.zeros_like(x)
-    dp_prev = np.zeros_like(x)
-    p = np.full_like(x, 1.0 / math.sqrt(math.gamma(alpha + 1)))
-    dp = np.zeros_like(x)
-    csum = p * p
-    for k in range(order):
-        b = math.sqrt((k + 1.0) * (k + 1.0 + alpha))
-        a = 2.0 * k + alpha + 1.0
-        b_prev = math.sqrt(k * (k + alpha)) if k else 0.0
-        p_next = ((x - a) * p - b_prev * p_prev) / b
-        dp_next = ((x - a) * dp + p - b_prev * dp_prev) / b
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-        if k < order - 1:
-            csum = csum + p * p
-    return p, dp, csum
 
 
 @dataclass(frozen=True)
@@ -68,6 +43,7 @@ class QuadratureRule:
     alpha: int
     nodes: np.ndarray
     weights: np.ndarray
+    _lifted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
@@ -76,17 +52,17 @@ class QuadratureRule:
             raise DomainError("nodes must be positive and strictly ascending")
         if not np.all(self.weights > 0):
             raise DomainError("weights must be positive")
+        if self._lifted is None:  # not from the builder: derive, in log space
+            lifted = np.exp(np.log(self.weights) + self.nodes - self.alpha * np.log(self.nodes))
+            object.__setattr__(self, "_lifted", lifted)
 
     def lifted_weights(self) -> np.ndarray:
         """Weights divided by the measure, w_i e^(x_i) x_i^(-alpha).
 
         Turns the rule into one for plain dy integration of functions that
-        already include their y^alpha e^(-y) decay.  Computed in log space so
-        large nodes cannot overflow the intermediate factors.
+        already include their y^alpha e^(-y) decay.
         """
-        return np.exp(
-            np.log(self.weights) + self.nodes - self.alpha * np.log(self.nodes)
-        )
+        return self._lifted
 
     def integrate(self, values) -> float:
         """Sum w_i f(x_i) for sampled polynomial-part values."""
@@ -134,33 +110,45 @@ def gauss_laguerre(order: int, alpha: int) -> QuadratureRule:
     return _cached_rule(order, alpha)
 
 
+def _kernel_rows(x, order, alpha):
+    """f_N^alpha, f_(N-1)^(alpha+1) and sum_(k<N) (f_k^alpha)^2 at x, N = order."""
+    csum = 0.0
+    for k, rows in enumerate(_radial_rows([alpha, alpha + 1], alpha + 2 * order, x)):
+        if k < order:
+            csum = csum + rows[0] ** 2
+        if k == order - 1:
+            f_up = rows[1]
+    return rows[0], f_up, csum
+
+
 @functools.cache
 def _cached_rule(order: int, alpha: int) -> QuadratureRule:
     k = np.arange(order, dtype=float)
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     nodes = np.linalg.eigvalsh(jacobi)
-    # Two Newton polish steps sharpen the LAPACK eigenvalues to the true roots;
-    # the power amplification in high moments (x^k inflates node error k-fold)
-    # otherwise eats the 1e-12 exactness budget at order ~40.  From order 187
-    # (alpha 0) the smallest weight, about e^(-x_max), underflows and the
-    # Christoffel sum overflows; that raises DomainError, not numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            p, dp, _ = _orthonormal_eval(nodes, order, alpha)
-            step = np.where(dp != 0.0, p / np.where(dp != 0.0, dp, 1.0), 0.0)
-            nodes = nodes - step
-        _, _, csum = _orthonormal_eval(nodes, order, alpha)
-    if not np.all(np.isfinite(csum)):
+    # Two Newton polish steps, p_N / p_N' = -sqrt(x) f_N^a / (sqrt(N) f_(N-1)^(a+1))
+    # by d/dy L_N^(a) = -L_(N-1)^(a+1), sharpen the LAPACK eigenvalues; the power
+    # amplification in high moments (x^k inflates node error k-fold) otherwise
+    # eats the 1e-12 exactness budget at order ~40.
+    for _ in range(2):
+        f_n, f_up, _ = _kernel_rows(nodes, order, alpha)
+        nodes = nodes + np.sqrt(nodes) * f_n / (math.sqrt(order) * f_up)
+    _, _, csum = _kernel_rows(nodes, order, alpha)
+    lifted = 1.0 / csum
+    # From order 187 (alpha 0) the smallest raw weight, about e^(-x_max), has
+    # no finite reciprocal; that raises DomainError.
+    log_weights = np.log(lifted) - nodes + alpha * np.log(nodes)
+    if -log_weights.min() > math.log(np.finfo(float).max):
         raise DomainError(
             f"gauss_laguerre(order={order}, alpha={alpha}): the rule's weights "
             "underflow double precision"
         )
-    weights = 1.0 / csum
+    weights = np.exp(log_weights)
     # Every caller shares the rule, so none may write to it.
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(order, alpha, nodes, weights)
+    for array in (nodes, weights, lifted):
+        array.flags.writeable = False
+    return QuadratureRule(order, alpha, nodes, weights, lifted)
 
 
 def _as_half_integer(value) -> Fraction:
@@ -200,6 +188,23 @@ def default_n_phi(j_max) -> int:
     return int(math.ceil(4 * j_max)) + 1
 
 
+def _plane_grid(j_max: Fraction, n_phi, n_radial):
+    """(phis, nodes, lifted weights) of every plane integral at band limit j_max.
+
+    n_phi equispaced angles from -pi (default default_n_phi(j_max)) times the
+    alpha-0 rule of order n_radial (default ceil(j_max) + 2).  One grid for
+    analyze's projections and plane_inner's norms is what makes Parseval hold.
+    """
+    n_phi = default_n_phi(j_max) if n_phi is None else _as_int("n_phi", n_phi)
+    n_radial = int(math.ceil(j_max)) + 2 if n_radial is None else _as_int("n_radial", n_radial)
+    for name, size in (("n_phi", n_phi), ("n_radial", n_radial)):
+        if size < 1:
+            raise DomainError(f"{name} must be >= 1, got {size}")
+    rule = gauss_laguerre(n_radial, 0)
+    phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
+    return phis, rule.nodes, rule.lifted_weights()
+
+
 def _sample_grid(f, x, phis) -> np.ndarray:
     """f sampled once on the (phi, y) grid, as an (n_phi, n_radial) array.
 
@@ -227,19 +232,12 @@ def plane_inner(F, G, j_cap, n_phi: int | None = None, n_radial: int | None = No
     Gauss-Laguerre rule.  F and G are each called once on the whole grid,
     with y of shape (1, n_radial) and phi of shape (n_phi, 1), and their
     results must broadcast to (n_phi, n_radial); otherwise DomainError names
-    both shapes.
+    both shapes.  n_phi and n_radial must be integers >= 1.
     """
     j_cap = _as_half_integer(j_cap)
     if j_cap < 0:
         raise DomainError(f"j_cap must be nonnegative, got {j_cap}")
-    if n_phi is None:
-        n_phi = default_n_phi(j_cap)
-    if n_radial is None:
-        n_radial = int(math.ceil(j_cap)) + 2
-    rule = gauss_laguerre(n_radial, 0)
-    w = rule.lifted_weights()
-    x = rule.nodes
-    phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
+    phis, x, w = _plane_grid(j_cap, n_phi, n_radial)
     fv = _sample_grid(F, x, phis)
     gv = _sample_grid(G, x, phis)
-    return complex(np.sum((np.conjugate(fv) * gv) @ w) / n_phi)
+    return complex(np.sum((np.conjugate(fv) * gv) @ w) / phis.size)

@@ -48,7 +48,7 @@ import numpy as np
 # tracing leaves transform.calL and basis.calL the same object.
 from .basis import PlanePoint, SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
 from .errors import DomainError, SchemaError
-from .quadrature import _as_half_integer, _sample_grid, default_n_phi, gauss_laguerre, plane_inner
+from .quadrature import _as_half_integer, _plane_grid, _sample_grid
 from .rotation import RotationSpec, rotation_matrix
 
 __all__ = [
@@ -254,35 +254,33 @@ def analyze(
 
     f is called once, as f(y, phi) with y of shape (1, n_radial) and phi of
     shape (n_phi, 1), and its result must broadcast to (n_phi, n_radial);
-    otherwise DomainError names both shapes.  The projection is an
-    equispaced angular average against e^(-i m phi) per m, one matrix
-    product over the samples, followed by a radial Gauss-Laguerre sum
-    against each row of the per-m radial recurrence; both grids match
-    plane_inner's, so coefficients of a band-limited f of the sector are
-    exact to roundoff.
+    otherwise DomainError names both shapes.  n_phi and n_radial must be
+    integers >= 1.  The projection is an equispaced angular average against
+    e^(-i m phi) per m, one matrix product over the samples, followed by a
+    radial Gauss-Laguerre sum against each row of the per-m radial
+    recurrence; the grid is plane_inner's, so coefficients of a
+    band-limited f of the sector are exact to roundoff.
     """
+    return _analyze(f, sector, j_max, n_phi, n_radial)[0]
+
+
+def _analyze(f, sector, j_max, n_phi, n_radial):
+    """analyze's block, with the samples and lifted radial weights it used."""
     if sector not in _SECTORS:
         raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
     j_max = _as_half_integer(j_max)
     if j_max < 0:
         raise DomainError(f"j_max must be nonnegative, got {j_max}")
-    if n_phi is None:
-        n_phi = default_n_phi(j_max)
-    if n_radial is None:
-        n_radial = int(math.ceil(j_max)) + 2
-    rule = gauss_laguerre(n_radial, 0)
-    w = rule.lifted_weights()
-    x = rule.nodes
-    phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
+    phis, x, w = _plane_grid(j_max, n_phi, n_radial)
     samples = _sample_grid(f, x, phis)
     two_j_max = int(2 * j_max)
     ladder = _sector_ladder(sector, two_j_max)
     # Angular projections onto m = +|m| and m = -|m|, each times the weights;
     # the +|m| side also carries the sign s_m of its radial function.
     abs_m = 0.5 * np.array(ladder, dtype=float)[:, None]
-    plus = w * (np.exp(-1j * abs_m * phis) @ samples) / n_phi
+    plus = w * (np.exp(-1j * abs_m * phis) @ samples) / phis.size
     plus *= np.array([_sign(v) for v in ladder])[:, None]
-    minus = w * (np.exp(1j * abs_m * phis) @ samples) / n_phi
+    minus = w * (np.exp(1j * abs_m * phis) @ samples) / phis.size
     coeffs: dict[tuple[int, int], complex] = {}
     for k, rows in enumerate(_radial_rows(ladder, two_j_max, x)):
         n = len(rows)
@@ -293,7 +291,7 @@ def analyze(
             coeffs[(two_j, abs2m)] = complex(c_plus[i])
             if abs2m:
                 coeffs[(two_j, -abs2m)] = complex(c_minus[i])
-    return CoefficientBlock(sector, j_max, coeffs)
+    return CoefficientBlock(sector, j_max, coeffs), samples, w
 
 
 # Entries (step x angle x |m|) of the coefficient fold built at once, so a
@@ -408,11 +406,11 @@ def parseval_gap(
     Both the norm integral and the projections use the quadrature sized for
     j_max, so f should be a finite harmonic combination the rule can
     integrate (components above j_max then show up as gap, as intended).
-    f follows analyze's contract: it is called on the whole (phi, y) grid,
-    once by analyze and twice by plane_inner.
+    f follows analyze's contract and is called once: the projections and
+    the norm both come from the same samples.
     """
-    block = analyze(f, sector, j_max, n_phi=n_phi, n_radial=n_radial)
-    norm = plane_inner(f, f, j_max, n_phi=n_phi, n_radial=n_radial).real
+    block, samples, w = _analyze(f, sector, j_max, n_phi, n_radial)
+    norm = float(np.sum((samples.real**2 + samples.imag**2) @ w)) / len(samples)
     return abs(norm - block.norm_sq())
 
 

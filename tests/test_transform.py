@@ -15,6 +15,7 @@ import pytest
 
 from planeharm.basis import PlanePoint, SpinIndex, calZ, sector_labels
 from planeharm.errors import DomainError, SchemaError, UnitarityError
+from planeharm.quadrature import plane_inner
 from planeharm.rotation import (
     RotationSpec,
     expm,
@@ -462,6 +463,38 @@ class TestParseval:
 
     def test_zero_function(self):
         assert parseval_gap(lambda y, phi: np.zeros_like(y), "int", 2) == 0.0
+
+    def test_samples_f_once_on_the_grid(self):
+        block = random_block("int", 3, seed=9)
+        calls = []
+
+        def f(y, phi):
+            calls.append((np.shape(y), np.shape(phi)))
+            return synthesize(block, (y, phi))
+
+        assert parseval_gap(f, "int", 3) <= 1e-10
+        assert calls == [((1, 5), (13, 1))]
+
+
+GRID_USERS = {
+    "analyze": lambda f, **grid: analyze(f, "int", 2, **grid),
+    "plane_inner": lambda f, **grid: plane_inner(f, f, 2, **grid),
+    "parseval_gap": lambda f, **grid: parseval_gap(f, "int", 2, **grid),
+}
+
+
+@pytest.mark.parametrize("user", sorted(GRID_USERS))
+@pytest.mark.parametrize("name", ["n_phi", "n_radial"])
+@pytest.mark.parametrize("bad", [2.5, 9.0, True, "9", 0, -3])
+def test_grid_sizes_must_be_integers_of_at_least_one(user, name, bad):
+    f = as_function(CoefficientBlock("int", 2, {(4, 2): 1.0}))
+    with pytest.raises(DomainError, match=name):
+        GRID_USERS[user](f, **{name: bad})
+
+
+def test_numpy_integer_grid_sizes_are_accepted():
+    f = as_function(random_block("int", 2, seed=1))
+    assert analyze(f, "int", 2, n_phi=np.int64(9), n_radial=np.int32(4)) == analyze(f, "int", 2)
 
 
 class TestRotate:
