@@ -139,11 +139,9 @@ def _cmd_eval(args) -> int:
         _require(args, ("two_j", "two_m"))
         s = SpinIndex(args.two_j, args.two_m)
         phis = _phi_grid(args.phi_steps)
-        rows = []
-        for yv in y:
-            for phi in phis:
-                v = calZ(s, (float(yv), float(phi)))
-                rows.append([s.two_j, s.two_m, float(yv), float(phi), v.real, v.imag])
+        values = calZ(s, (y[:, None], phis[None, :])).ravel().tolist()  # y-major
+        grid = [(float(yv), float(phi)) for yv in y for phi in phis]
+        rows = [[s.two_j, s.two_m, yv, phi, v.real, v.imag] for (yv, phi), v in zip(grid, values)]
         _emit_table(("two_j", "two_m", "y", "phi", "re", "im"), rows, args.format)
     return 0
 

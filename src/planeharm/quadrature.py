@@ -35,7 +35,7 @@ from .errors import DomainError
 __all__ = ["QuadratureRule", "gauss_laguerre", "halfline_inner", "plane_inner"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights for integrating against y^alpha e^(-y) on (0, inf)."""
 
@@ -43,7 +43,7 @@ class QuadratureRule:
     alpha: int
     nodes: np.ndarray
     weights: np.ndarray
-    _lifted: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _lifted: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
@@ -182,9 +182,11 @@ def default_n_phi(j_max) -> int:
 
     Products of two sector functions contain angular frequencies up to
     2*j_max in integer steps, and an n-point equispaced rule integrates
-    e^(i k phi) exactly for 0 < |k| < n.
+    e^(i k phi) exactly for 0 < |k| < n.  A negative j_max raises DomainError.
     """
     j_max = _as_half_integer(j_max)
+    if j_max < 0:
+        raise DomainError(f"j_max must be nonnegative, got {j_max}")
     return int(math.ceil(4 * j_max)) + 1
 
 

@@ -2,7 +2,9 @@
 
 A band-limited function on the half-plane lives in one sector (integer or
 half-integer j) and is described by a CoefficientBlock: a label j_max plus
-one complex coefficient per plane harmonic with j <= j_max.  analyze
+one complex coefficient per plane harmonic with j <= j_max, in one dense
+array with label (two_j, two_m) at two_j*two_j // 4 + (two_j + two_m) // 2,
+so each j-multiplet is a contiguous slice.  analyze
 projects a callable onto that basis with the sector quadrature, synthesize
 evaluates the expansion at points, and rotate conjugates the block by the
 per-j rotation unitaries.  parseval_gap measures how much of a function's
@@ -36,7 +38,6 @@ with j_max written as a fraction in lowest terms ("6", "7/2").
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -68,41 +69,58 @@ def _sector_of_two_j(two_j: int) -> str:
     return "int" if two_j % 2 == 0 else "half"
 
 
+def _index(two_j, two_m):
+    """Position of label (two_j, two_m), ints or arrays, in a block's array."""
+    return two_j * two_j // 4 + (two_j + two_m) // 2
+
+
+def _zeros(sector: str, j_max) -> tuple[int, np.ndarray]:
+    """two_j_max and a zero per label of a valid (sector, j_max), else DomainError."""
+    if sector not in _SECTORS:
+        raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
+    j_max = _as_half_integer(j_max)
+    if j_max < 0:
+        raise DomainError(f"j_max must be nonnegative, got {j_max}")
+    two_j_max = int(2 * j_max)
+    top = two_j_max if _sector_of_two_j(two_j_max) == sector else two_j_max - 1
+    return two_j_max, np.zeros(_index(top, top) + 1, dtype=complex)
+
+
 class CoefficientBlock:
     """Immutable map from sector labels (j, m) with j <= j_max to coefficients.
 
     Keys are (two_j, two_m) pairs of ints; each must be a valid label of the
     stated sector.  Missing labels count as zero, so sparse and dense blocks
-    with the same nonzero entries compare equal.
+    with the same nonzero entries compare equal.  Storage is one read-only
+    array in the order of labels(): (two_j, two_m) at two_j*two_j // 4 +
+    (two_j + two_m) // 2, each j-multiplet a contiguous slice.
     """
 
-    __slots__ = ("_sector", "_two_j_max", "_coeffs")
+    __slots__ = ("_sector", "_two_j_max", "_values")
 
     def __init__(self, sector: str, j_max, coeffs: Mapping | None = None):
-        if sector not in _SECTORS:
-            raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
-        j_max = _as_half_integer(j_max)
-        if j_max < 0:
-            raise DomainError(f"j_max must be nonnegative, got {j_max}")
-        stored: dict[tuple[int, int], complex] = {}
+        two_j_max, values = _zeros(sector, j_max)
         for key, value in (coeffs or {}).items():
             try:
                 two_j, two_m = key
             except (TypeError, ValueError):
                 raise DomainError(f"coefficient key must be a (two_j, two_m) pair, got {key!r}")
             s = SpinIndex(int(two_j), int(two_m))
-            if _sector_of_two_j(s.two_j) != sector:
-                raise DomainError(f"label {key} does not belong to the {sector!r} sector")
-            if Fraction(s.two_j, 2) > j_max:
-                raise DomainError(f"label {key} exceeds j_max={j_max}")
-            c = complex(value)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise DomainError(f"coefficient at label {key} must be finite, got {value!r}")
-            if c != 0:
-                stored[(s.two_j, s.two_m)] = c
-        self._sector = sector
-        self._two_j_max = int(2 * j_max)
-        self._coeffs = stored
+            if _sector_of_two_j(s.two_j) != sector or s.two_j > two_j_max:
+                raise DomainError(f"label {key} is not in sector {sector!r} up to j_max {j_max}")
+            values[_index(s.two_j, s.two_m)] = complex(value)
+        self._finish(sector, two_j_max, values)
+
+    def _finish(self, sector: str, two_j_max: int, values: np.ndarray) -> "CoefficientBlock":
+        """Store values, one per label: finite or DomainError, -0.0 as 0.0, read-only."""
+        self._sector, self._two_j_max = sector, two_j_max
+        if not np.isfinite(values).all():
+            s = self.labels()[np.flatnonzero(~np.isfinite(values))[0]]
+            raise DomainError(f"coefficient at label {(s.two_j, s.two_m)} must be finite")
+        values += 0.0
+        values.flags.writeable = False
+        self._values = values
+        return self
 
     @property
     def sector(self) -> str:
@@ -121,23 +139,26 @@ class CoefficientBlock:
         return sector_labels(self._sector, self.j_max)
 
     def get(self, two_j: int, two_m: int) -> complex:
-        return self._coeffs.get((two_j, two_m), 0j)
+        """The coefficient of (two_j, two_m); 0j for a pair that is not a label here."""
+        in_sector = two_j % 2 == two_m % 2 == (self._sector == "half")
+        if in_sector and abs(two_m) <= two_j <= self._two_j_max:
+            return complex(self._values[int(_index(two_j, two_m))])
+        return 0j
 
     def items(self) -> list[tuple[tuple[int, int], complex]]:
         """Stored nonzero coefficients, sorted by (two_j, two_m)."""
-        return sorted(self._coeffs.items())
+        ladder = _sector_ladder(self._sector, self._two_j_max)
+        keys = ((two_j, two_m) for two_j in ladder for two_m in range(-two_j, two_j + 1, 2))
+        return [(key, c) for key, c in zip(keys, self._values.tolist()) if c]
 
     def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self._coeffs.values()))
+        return float(np.sum(np.abs(self._values) ** 2))
 
     def per_j_norm_sq(self) -> dict[int, float]:
         """Map two_j -> sum of |c|^2 over that j's multiplet (zeros included)."""
-        out: dict[int, float] = {}
-        for label in self.labels():
-            out.setdefault(label.two_j, 0.0)
-        for (two_j, _), c in self._coeffs.items():
-            out[two_j] += abs(c) ** 2
-        return out
+        abs2 = np.abs(self._values) ** 2
+        ladder = _sector_ladder(self._sector, self._two_j_max)
+        return {t: float(np.sum(abs2[_index(t, -t) : _index(t, t) + 1])) for t in ladder}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientBlock):
@@ -145,16 +166,16 @@ class CoefficientBlock:
         return (
             self._sector == other._sector
             and self._two_j_max == other._two_j_max
-            and self._coeffs == other._coeffs
+            and np.array_equal(self._values, other._values)
         )
 
     def __hash__(self):
-        return hash((self._sector, self._two_j_max, frozenset(self._coeffs.items())))
+        return hash((self._sector, self._two_j_max, self._values.tobytes()))
 
     def __repr__(self) -> str:
         return (
             f"CoefficientBlock(sector={self._sector!r}, j_max={self.j_max}, "
-            f"{len(self._coeffs)} nonzero)"
+            f"{np.count_nonzero(self._values)} nonzero)"
         )
 
     def to_dict(self) -> dict:
@@ -266,32 +287,22 @@ def analyze(
 
 def _analyze(f, sector, j_max, n_phi, n_radial):
     """analyze's block, with the samples and lifted radial weights it used."""
-    if sector not in _SECTORS:
-        raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
-    j_max = _as_half_integer(j_max)
-    if j_max < 0:
-        raise DomainError(f"j_max must be nonnegative, got {j_max}")
-    phis, x, w = _plane_grid(j_max, n_phi, n_radial)
+    two_j_max, values = _zeros(sector, j_max)
+    phis, x, w = _plane_grid(Fraction(two_j_max, 2), n_phi, n_radial)
     samples = _sample_grid(f, x, phis)
-    two_j_max = int(2 * j_max)
     ladder = _sector_ladder(sector, two_j_max)
     # Angular projections onto m = +|m| and m = -|m|, each times the weights;
     # the +|m| side also carries the sign s_m of its radial function.
-    abs_m = 0.5 * np.array(ladder, dtype=float)[:, None]
-    plus = w * (np.exp(-1j * abs_m * phis) @ samples) / phis.size
+    abs2m = np.array(ladder)
+    plus = w * (np.exp(-0.5j * abs2m[:, None] * phis) @ samples) / phis.size
     plus *= np.array([_sign(v) for v in ladder])[:, None]
-    minus = w * (np.exp(1j * abs_m * phis) @ samples) / phis.size
-    coeffs: dict[tuple[int, int], complex] = {}
+    minus = w * (np.exp(0.5j * abs2m[:, None] * phis) @ samples) / phis.size
     for k, rows in enumerate(_radial_rows(ladder, two_j_max, x)):
         n = len(rows)
-        c_plus = np.sum(rows * plus[:n], axis=1)
-        c_minus = np.sum(rows * minus[:n], axis=1)
-        for i, abs2m in enumerate(ladder[:n]):
-            two_j = abs2m + 2 * k
-            coeffs[(two_j, abs2m)] = complex(c_plus[i])
-            if abs2m:
-                coeffs[(two_j, -abs2m)] = complex(c_minus[i])
-    return CoefficientBlock(sector, j_max, coeffs), samples, w
+        # m = 0 is written twice, the +|m| projection last.
+        values[_index(abs2m[:n] + 2 * k, -abs2m[:n])] = np.sum(rows * minus[:n], axis=1)
+        values[_index(abs2m[:n] + 2 * k, abs2m[:n])] = np.sum(rows * plus[:n], axis=1)
+    return object.__new__(CoefficientBlock)._finish(sector, two_j_max, values), samples, w
 
 
 # Entries (step x angle x |m|) of the coefficient fold built at once, so a
@@ -329,24 +340,22 @@ def synthesize(block: CoefficientBlock, point):
         )
     flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1, 1)
     acc = np.zeros((2 * phis.size, flat.size))  # real parts, then imaginary parts
-    if block._coeffs:
-        count = len(block._coeffs)
-        keys = np.fromiter(itertools.chain.from_iterable(block._coeffs), np.int64, 2 * count)
-        two_j, two_m = keys[0::2], keys[1::2]
-        abs2m = np.abs(two_m)
-        values = np.fromiter(block._coeffs.values(), complex, count)
-        top = int(two_j.max())
-        values[two_m > 0] *= _sign(top)  # every m > 0 of a sector has this s_m
-        ladder = _sector_ladder(block.sector, top)
+    if np.any(block._values):
+        # The recurrence stops at the top multiplet with a nonzero entry.
+        ladder = np.array(_sector_ladder(block.sector, block.two_j_max))
+        ladder = ladder[_index(ladder, -ladder) <= np.flatnonzero(block._values)[-1]]
+        top = int(ladder[-1])
         # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0 included,
         # by_sign[1] those of e^(-i|m|phi); indexed by (step, |m|).
-        by_sign = np.zeros((2, (top - ladder[0]) // 2 + 1, len(ladder)), dtype=complex)
-        side = (two_m < 0).astype(np.intp)
-        by_sign[side, (two_j - abs2m) // 2, (abs2m - ladder[0]) // 2] = values
-        phase = np.exp(0.5j * phis * np.array(ladder, dtype=float))
+        two_j = ladder + 2 * np.arange(len(ladder))[:, None]
+        keep = np.stack([two_j <= top, (two_j <= top) & (ladder > 0)])
+        slots = np.where(keep, [_index(two_j, ladder), _index(two_j, -ladder)], 0)
+        by_sign = keep * block._values[slots]
+        by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
+        phase = np.exp(0.5j * phis * ladder)
         phase_conj = phase.conj()
         chunk = max(1, _FOLD_ENTRIES // phase.size)
-        for k, rows in enumerate(_radial_rows(ladder, top, flat)):
+        for k, rows in enumerate(_radial_rows(ladder.tolist(), top, flat)):
             n = len(rows)
             if k % chunk == 0:
                 part = by_sign[:, k : k + chunk, None, :n]
@@ -380,18 +389,12 @@ def rotate(block: CoefficientBlock, spec: RotationSpec) -> CoefficientBlock:
     """
     if not isinstance(spec, RotationSpec):
         raise DomainError(f"spec must be a RotationSpec, got {spec!r}")
-    coeffs: dict[tuple[int, int], complex] = {}
-    two_j_start = 0 if block.sector == "int" else 1
-    for two_j in range(two_j_start, block.two_j_max + 1, 2):
-        vec = np.array(
-            [block.get(two_j, -two_j + 2 * i) for i in range(two_j + 1)], dtype=complex
-        )
-        if not np.any(vec):
-            continue
-        out = rotation_matrix(two_j, spec) @ vec
-        for i, c in enumerate(out):
-            coeffs[(two_j, -two_j + 2 * i)] = c
-    return CoefficientBlock(block.sector, block.j_max, coeffs)
+    values = np.zeros_like(block._values)
+    for two_j in _sector_ladder(block.sector, block.two_j_max):
+        part = slice(_index(two_j, -two_j), _index(two_j, two_j) + 1)
+        if np.any(block._values[part]):
+            values[part] = rotation_matrix(two_j, spec) @ block._values[part]
+    return object.__new__(CoefficientBlock)._finish(block.sector, block.two_j_max, values)
 
 
 def parseval_gap(
@@ -416,10 +419,7 @@ def parseval_gap(
 
 def random_block(sector: str, j_max, seed: int = 0) -> CoefficientBlock:
     """Dense block with standard complex normal coefficients, seeded."""
-    labels = sector_labels(sector, _as_half_integer(j_max))
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for label in labels:
-        re, im = rng.standard_normal(2)
-        coeffs[(label.two_j, label.two_m)] = complex(re, im)
-    return CoefficientBlock(sector, j_max, coeffs)
+    two_j_max, values = _zeros(sector, j_max)
+    # The same draws, in label order, as one standard_normal(2) per label.
+    values = np.random.default_rng(seed).standard_normal((values.size, 2)).view(complex)[:, 0]
+    return object.__new__(CoefficientBlock)._finish(sector, two_j_max, values)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from planeharm.basis import SpinIndex, calZ
 from planeharm.cli import main
 from planeharm.transform import CoefficientBlock, random_block, synthesize
 
@@ -66,6 +67,12 @@ class TestEval:
         # y is the outer loop: the first four rows share y = 0.5
         ys = [line.split(",")[2] for line in lines[1:]]
         assert ys == ["0.5"] * 4 + ["1.5"] * 4
+        # Each printed value matches calZ evaluated at its own point.
+        s = SpinIndex(1, 1)
+        for line in lines[1:]:
+            y, phi, re_, im_ = (float(v) for v in line.split(",")[2:])
+            expected = calZ(s, (y, phi))
+            assert abs(complex(re_, im_) - expected) <= 1e-14 * abs(expected)
 
     def test_json_format(self):
         code, out, _ = run_cli(

@@ -161,6 +161,15 @@ def test_repeated_call_returns_the_same_rule():
     assert gauss_laguerre(7, 2) is not gauss_laguerre(7, 3)
 
 
+def test_rules_compare_and_hash_by_identity():
+    nodes, weights = np.array([1.0, 3.0]), np.array([0.5, 0.5])
+    rule = QuadratureRule(2, 0, nodes, weights)
+    assert rule == rule
+    assert rule != QuadratureRule(2, 0, nodes.copy(), weights.copy())
+    assert hash(rule) == hash(rule)
+    assert len({rule, gauss_laguerre(3, 0), gauss_laguerre(3, 0)}) == 2
+
+
 def test_shared_rule_arrays_are_read_only():
     r = gauss_laguerre(5, 1)
     with pytest.raises(ValueError):
@@ -235,6 +244,12 @@ def test_default_n_phi_covers_band_limit():
     assert default_n_phi(1) == 5
     assert default_n_phi(Fraction(3, 2)) == 7
     assert default_n_phi(6) == 25
+
+
+@pytest.mark.parametrize("j_max", [-1, Fraction(-1, 2)])
+def test_default_n_phi_rejects_a_negative_band_limit(j_max):
+    with pytest.raises(DomainError, match="nonnegative"):
+        default_n_phi(j_max)
 
 
 def test_plane_inner_orthonormality_examples():

@@ -212,6 +212,18 @@ class TestCoefficientBlock:
         assert sparse == dense
         assert hash(sparse) == hash(dense)
         assert dense.items() == [((2, 0), (1 + 0j))]
+        negative = CoefficientBlock("int", 1, {(0, 0): -0.0, (2, 2): complex(0, -0.0)})
+        assert negative == CoefficientBlock("int", 1)
+        assert hash(negative) == hash(CoefficientBlock("int", 1))
+
+    @pytest.mark.parametrize(
+        "two_j, two_m",
+        [(1, 1), (3, -1), (2, 4), (4, -6), (2, 1), (4, 3), (6, 0), (8, 2)],
+    )
+    def test_get_outside_the_labels_is_zero(self, two_j, two_m):
+        # Other sector, |m| > j, wrong parity of m, above j_max.
+        block = random_block("int", 2, seed=3)
+        assert block.get(two_j, two_m) == 0j
 
     def test_norms(self):
         block = CoefficientBlock("half", Fraction(3, 2), {(1, 1): 3.0, (3, -1): 4j})
@@ -339,6 +351,10 @@ class TestAnalyze:
         block = analyze(f, "half", Fraction(5, 2))
         assert calls == [((1, 5), (11, 1))]
         assert abs(block.get(3, -1) - 1.0) <= 1e-12
+
+    def test_non_finite_result_is_a_domain_error_naming_the_label(self):
+        with pytest.raises(DomainError, match=r"label \(0, 0\) must be finite"):
+            analyze(lambda y, phi: np.nan, "int", 2)
 
     def test_result_off_the_grid_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"\(3,\).*\(9, 4\)"):
@@ -569,3 +585,53 @@ class TestRandomBlock:
     def test_covers_every_label(self):
         block = random_block("half", Fraction(3, 2), seed=0)
         assert len(block.items()) == len(block.labels()) == 6
+
+    @pytest.mark.parametrize(
+        "sector, j_max, seed", [("int", 6, 11), ("half", Fraction(11, 2), 12)]
+    )
+    def test_matches_one_draw_per_label(self, sector, j_max, seed):
+        rng = np.random.default_rng(seed)
+        expected = {}
+        for label in sector_labels(sector, j_max):
+            re, im = rng.standard_normal(2)
+            expected[(label.two_j, label.two_m)] = complex(re, im)
+        assert random_block(sector, j_max, seed=seed) == CoefficientBlock(sector, j_max, expected)
+
+
+def _public_uses(block):
+    """Call every public method of a block and scribble on whatever it returns."""
+    for label in block.labels():
+        block.get(label.two_j, label.two_m)
+    items = block.items()
+    items[0] = ((0, 0), 99.0)
+    items.clear()
+    per_j = block.per_j_norm_sq()
+    for key in per_j:
+        per_j[key] = -1.0
+    doc = block.to_dict()
+    doc["coeffs"][0]["re"] = 99.0
+    doc["coeffs"].clear()
+    block.norm_sq(), block.to_json(), repr(block), hash(block)
+    for name in ("sector", "j_max", "two_j_max"):
+        with pytest.raises(AttributeError):
+            setattr(block, name, 0)
+    with pytest.raises(AttributeError):
+        block.extra = 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda b: analyze(as_function(b), b.sector, b.j_max),
+        lambda b: rotate(b, RotationSpec(0.4, -1.1, 2.3)),
+    ],
+    ids=["analyze", "rotate"],
+)
+@pytest.mark.parametrize("sector, j_max", [("int", 3), ("half", Fraction(5, 2))])
+def test_returned_blocks_cannot_be_changed_through_public_methods(make, sector, j_max):
+    block = make(random_block(sector, j_max, seed=21))
+    copy = CoefficientBlock(block.sector, block.j_max, dict(block.items()))
+    before = hash(block)
+    _public_uses(block)
+    assert block == copy
+    assert hash(block) == before == hash(copy)
