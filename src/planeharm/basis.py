@@ -86,11 +86,7 @@ class SpinIndex:
 
     @classmethod
     def from_jm(cls, j, m) -> "SpinIndex":
-        j = Fraction(j)
-        m = Fraction(m)
-        if (2 * j).denominator != 1 or (2 * m).denominator != 1:
-            raise DomainError(f"j and m must be half-integers, got j={j}, m={m}")
-        return cls(int(2 * j), int(2 * m))
+        return cls(int(2 * _as_half_integer(j)), int(2 * _as_half_integer(m)))
 
     @property
     def j(self) -> Fraction:
@@ -120,11 +116,33 @@ class PlanePoint:
             raise DomainError(f"need phi in [-pi, pi], got phi={self.phi}")
 
 
+def _as_half_integer(value) -> Fraction:
+    """value as an exact Fraction if it is a half-integer, else DomainError."""
+    try:
+        v = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        v = None
+    if v is None or (2 * v).denominator != 1:
+        raise DomainError(f"expected a half-integer, got {value!r}")
+    return v
+
+
+def _as_cap(name: str, value) -> Fraction:
+    """A band limit such as j_max: a nonnegative half-integer, else DomainError."""
+    cap = _as_half_integer(value)
+    if cap < 0:
+        raise DomainError(f"{name} must be nonnegative, got {cap}")
+    return cap
+
+
 def sector_labels(sector: str, j_max) -> list[SpinIndex]:
-    """All labels of one parity sector with j <= j_max, sorted by (j, m)."""
+    """All labels of one parity sector with j <= j_max, sorted by (j, m).
+
+    j_max must be a nonnegative half-integer, else DomainError.
+    """
     if sector not in ("int", "half"):
         raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
-    two_j_max = int(2 * Fraction(j_max))
+    two_j_max = int(2 * _as_cap("j_max", j_max))
     start = 0 if sector == "int" else 1
     out = []
     for two_j in range(start, two_j_max + 1, 2):

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import _radial_rows
+from .basis import _as_cap, _as_half_integer, _radial_rows
 from .errors import DomainError
 
 __all__ = ["QuadratureRule", "gauss_laguerre", "halfline_inner", "plane_inner"]
@@ -151,13 +151,6 @@ def _cached_rule(order: int, alpha: int) -> QuadratureRule:
     return QuadratureRule(order, alpha, nodes, weights, lifted)
 
 
-def _as_half_integer(value) -> Fraction:
-    v = Fraction(value)
-    if (2 * v).denominator != 1:
-        raise DomainError(f"expected a half-integer, got {value!r}")
-    return v
-
-
 def halfline_inner(f, g, m, j_cap) -> float:
     """Radial inner product integral(0..inf) f(y) g(y) dy for a fixed-m sector.
 
@@ -184,10 +177,7 @@ def default_n_phi(j_max) -> int:
     2*j_max in integer steps, and an n-point equispaced rule integrates
     e^(i k phi) exactly for 0 < |k| < n.  A negative j_max raises DomainError.
     """
-    j_max = _as_half_integer(j_max)
-    if j_max < 0:
-        raise DomainError(f"j_max must be nonnegative, got {j_max}")
-    return int(math.ceil(4 * j_max)) + 1
+    return int(math.ceil(4 * _as_cap("j_max", j_max))) + 1
 
 
 def _plane_grid(j_max: Fraction, n_phi, n_radial):
@@ -236,10 +226,7 @@ def plane_inner(F, G, j_cap, n_phi: int | None = None, n_radial: int | None = No
     results must broadcast to (n_phi, n_radial); otherwise DomainError names
     both shapes.  n_phi and n_radial must be integers >= 1.
     """
-    j_cap = _as_half_integer(j_cap)
-    if j_cap < 0:
-        raise DomainError(f"j_cap must be nonnegative, got {j_cap}")
-    phis, x, w = _plane_grid(j_cap, n_phi, n_radial)
+    phis, x, w = _plane_grid(_as_cap("j_cap", j_cap), n_phi, n_radial)
     fv = _sample_grid(F, x, phis)
     gv = _sample_grid(G, x, phis)
     return complex(np.sum((np.conjugate(fv) * gv) @ w) / phis.size)

@@ -45,11 +45,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .basis import _as_cap, _as_half_integer
+
 # calL is bound here only for perfbench/selftest.py, which checks that
 # tracing leaves transform.calL and basis.calL the same object.
 from .basis import PlanePoint, SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
 from .errors import DomainError, SchemaError
-from .quadrature import _as_half_integer, _plane_grid, _sample_grid
+from .quadrature import _plane_grid, _sample_grid
 from .rotation import RotationSpec, rotation_matrix
 
 __all__ = [
@@ -78,10 +80,7 @@ def _zeros(sector: str, j_max) -> tuple[int, np.ndarray]:
     """two_j_max and a zero per label of a valid (sector, j_max), else DomainError."""
     if sector not in _SECTORS:
         raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
-    j_max = _as_half_integer(j_max)
-    if j_max < 0:
-        raise DomainError(f"j_max must be nonnegative, got {j_max}")
-    two_j_max = int(2 * j_max)
+    two_j_max = int(2 * _as_cap("j_max", j_max))
     top = two_j_max if _sector_of_two_j(two_j_max) == sector else two_j_max - 1
     return two_j_max, np.zeros(_index(top, top) + 1, dtype=complex)
 
@@ -208,15 +207,16 @@ class CoefficientBlock:
         if not isinstance(j_max_raw, str):
             raise SchemaError(f"j_max: expected a fraction string, got {j_max_raw!r}")
         try:
-            j_max = _as_half_integer(Fraction(j_max_raw))
-        except (ValueError, ZeroDivisionError, DomainError):
+            j_max = _as_half_integer(j_max_raw)
+        except DomainError:
             raise SchemaError(f"j_max: expected a half-integer fraction, got {j_max_raw!r}")
         if j_max < 0:
             raise SchemaError(f"j_max: must be nonnegative, got {j_max_raw!r}")
         entries = obj["coeffs"]
         if not isinstance(entries, list):
             raise SchemaError(f"coeffs: expected a list, got {type(entries).__name__}")
-        coeffs: dict[tuple[int, int], complex] = {}
+        two_j_max, values = _zeros(sector, j_max)
+        seen = set()
         for pos, entry in enumerate(entries):
             where = f"coeffs[{pos}]"
             if not isinstance(entry, dict):
@@ -234,21 +234,24 @@ class CoefficientBlock:
                 value = entry[field]
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise SchemaError(f"{where}.{field}: expected a number, got {value!r}")
-                if not math.isfinite(value):
-                    raise SchemaError(f"{where}.{field}: expected a finite number, got {value!r}")
-            key = (entry["two_j"], entry["two_m"])
-            if key in coeffs:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int past the double range
+                    finite, value = False, f"an int of {value.bit_length()} bits"
+                if not finite:
+                    raise SchemaError(f"{where}.{field}: expected a finite number, got {value}")
+            two_j, two_m = key = (entry["two_j"], entry["two_m"])
+            if key in seen:
                 raise SchemaError(f"{where}: duplicate label {key}")
-            try:
-                s = SpinIndex(*key)
-            except DomainError as exc:
-                raise SchemaError(f"{where}: {exc}")
-            if _sector_of_two_j(s.two_j) != sector:
+            seen.add(key)
+            if abs(two_m) > two_j or (two_j - two_m) % 2:
+                raise SchemaError(f"{where}: label {key} needs |m| <= j and j - m an integer")
+            if _sector_of_two_j(two_j) != sector:
                 raise SchemaError(f"{where}: label {key} does not belong to the {sector!r} sector")
-            if Fraction(s.two_j, 2) > j_max:
+            if two_j > two_j_max:
                 raise SchemaError(f"{where}: label {key} exceeds j_max={j_max}")
-            coeffs[key] = complex(entry["re"], entry["im"])
-        return cls(sector, j_max, coeffs)
+            values[_index(two_j, two_m)] = complex(entry["re"], entry["im"])
+        return object.__new__(cls)._finish(sector, two_j_max, values)
 
     @classmethod
     def from_json(cls, text: str) -> "CoefficientBlock":
@@ -256,6 +259,8 @@ class CoefficientBlock:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"document: invalid JSON ({exc.msg} at char {exc.pos})")
+        except ValueError as exc:  # an integer literal past the interpreter's digit limit
+            raise SchemaError(f"document: {exc}")
         return cls.from_dict(obj)
 
 

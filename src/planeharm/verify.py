@@ -1,13 +1,18 @@
 """Executable verification of every identity the package implements.
 
-Each check measures a worst-case residual over a pinned grid and compares
-it against the centralized tolerance table below.  Erratum checks invert
-the usual sense: they pass when the documented discrepancy reproduces and
-the corrected statement verifies, so a silently "fixed" source formula
-would fail the suite just as loudly as a broken implementation.
+Each check is declared once, by an @_check line on its function that gives
+its id, the identity it tests and its default tolerance; DEFAULT_TOLERANCES
+and SUITES are derived from those declarations.  A check measures a
+worst-case residual over a pinned grid and compares it against its
+tolerance.  Erratum checks, marked [erratum], are exactly the checks that
+errata.ERRATA names.  They invert the usual sense: they pass when the
+documented discrepancy reproduces and the corrected statement verifies, so a
+silently "fixed" source formula would fail the suite just as loudly as a
+broken implementation.
 
 Checks are grouped into suites (laguerre, basis, algebra, quadrature,
-transform); reports are sorted by check id and render as text or JSON.
+transform) by the prefix of their id; reports are sorted by check id and
+render as text or JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import actions, errata
 from .algebra import OperatorExpr, build_operator, normal_form, verify_e_correction
-from .basis import SpinIndex, calL, calL_deriv, calZ, ode_residual, sector_labels
+from .basis import SpinIndex, _as_cap, calL, calL_deriv, calZ, ode_residual, sector_labels
 from .errors import DomainError
 from .exact import ExactPolynomial
 from .laguerre import (
@@ -33,7 +38,7 @@ from .laguerre import (
     laguerre_reflect,
     recurrence_check,
 )
-from .quadrature import _as_half_integer, gauss_laguerre, halfline_inner, plane_inner
+from .quadrature import _as_int, gauss_laguerre, halfline_inner, plane_inner
 from .rotation import RotationSpec, rotation_matrix
 from .transform import analyze, as_function, parseval_gap, random_block, rotate
 
@@ -49,46 +54,6 @@ __all__ = [
 _N_GRID = range(0, 13)
 _A_GRID = range(-6, 7)
 _Y_GRID = (0.1, 1.0, 5.0, 20.0)
-
-# Central tolerance table; the single source of truth for pass thresholds.
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "laguerre.oracle": 1e-12,
-    "laguerre.reflection": 1e-12,
-    "laguerre.first-order-recurrences": 1e-10,
-    "laguerre.composed-recurrences": 1e-10,
-    "laguerre.derivatives": 1e-6,
-    "basis.ode": 1e-9,
-    "basis.radial-orthonormality": 1e-10,
-    "basis.symmetry-sign": 1e-12,
-    "basis.plane-gram": 1e-10,
-    "algebra.ladder": 1e-9,
-    "algebra.annihilation": 1e-9,
-    "algebra.su2-on-basis": 1e-8,
-    "algebra.casimir": 1e-8,
-    "algebra.hermiticity": 1e-8,
-    "algebra.closure-residuals": 1e-8,
-    "algebra.engine-determinism": 0.0,
-    "quadrature.moments": 1e-12,
-    "quadrature.weight-sum": 1e-12,
-    "quadrature.interlacing": 0.0,
-    "quadrature.plane-vs-halfline": 1e-13,
-    "transform.roundtrip": 1e-8,
-    "transform.parseval": 1e-10,
-    "transform.rotation-unitarity": 1e-8,
-    "transform.rotation-group-law": 1e-8,
-    "transform.double-cover": 1e-12,
-    "transform.per-j-norms": 1e-10,
-    "transform.equivariance": 1e-7,
-    "transform.dmatrix-values": 1e-12,
-}
-
-_ERRATUM_CHECKS = frozenset(
-    {
-        "laguerre.composed-recurrences",
-        "basis.symmetry-sign",
-        "algebra.closure-residuals",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -168,11 +133,29 @@ def _sector_sweep(j_max: Fraction) -> list[SpinIndex]:
     return labels
 
 
+# Every check, in declaration order: id -> (identity, default tolerance, fn).
+# fn(j_max, seed) returns (residual, note, reproduced); reproduced is False
+# only when a check that errata.ERRATA names finds its documented failure
+# gone, and such a check then fails whatever its residual.
+_CHECKS: dict[str, tuple[str, float, Callable]] = {}
+
+
+def _check(check_id: str, tolerance: float, identity: str):
+    """Declare the decorated function as check check_id; its suite is the id's prefix."""
+
+    def register(fn: Callable) -> Callable:
+        _CHECKS[check_id] = (identity, tolerance, fn)
+        return fn
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # laguerre suite
 
 
-def _check_oracle(j_max, seed, tol):
+@_check("laguerre.oracle", 1e-12, "recurrence evaluation equals the exact rational series")
+def _check_oracle(j_max, seed):
     worst = 0.0
     for n in _N_GRID:
         for a in _A_GRID:
@@ -183,10 +166,13 @@ def _check_oracle(j_max, seed, tol):
                 worst = max(worst, _guarded(got - ref, ref))
                 if a >= 0 and ref != 0.0:
                     worst = max(worst, abs(got - ref) / abs(ref))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_reflection(j_max, seed, tol):
+@_check(
+    "laguerre.reflection", 1e-12, "negative-alpha values match the reflection to positive alpha"
+)
+def _check_reflection(j_max, seed):
     worst = 0.0
     for n in _N_GRID:
         for a in range(-min(6, n), 1):
@@ -194,10 +180,11 @@ def _check_reflection(j_max, seed, tol):
                 direct = laguerre_eval(n, a, y)
                 reflected = laguerre_reflect(n, a, y)
                 worst = max(worst, _guarded(direct - reflected, direct))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_first_order(j_max, seed, tol):
+@_check("laguerre.first-order-recurrences", 1e-10, "all four first-order differential recurrences")
+def _check_first_order(j_max, seed):
     worst = 0.0
     for name in FIRST_ORDER_RELATIONS:
         for n in _N_GRID:
@@ -205,32 +192,14 @@ def _check_first_order(j_max, seed, tol):
                 for y in _Y_GRID:
                     c = recurrence_check(name, n, a, y)
                     worst = max(worst, c.relative_residual)
-    return worst, ""
+    return worst, "", True
 
 
-def _check_derivatives(j_max, seed, tol):
-    # Richardson-extrapolated central differences; tolerance is absolute
-    # where |L| is O(1) and scales with the function where it is huge.
-    h = 1e-6
-    worst = 0.0
-    for n in _N_GRID:
-        for a in _A_GRID:
-            for y in _Y_GRID:
-                d_h = (laguerre_eval(n, a, y + h) - laguerre_eval(n, a, y - h)) / (2 * h)
-                d_h2 = (
-                    laguerre_eval(n, a, y + h / 2) - laguerre_eval(n, a, y - h / 2)
-                ) / h
-                fd = (4.0 * d_h2 - d_h) / 3.0
-                scale = max(
-                    1.0,
-                    abs(laguerre_eval(n, a, y + h)),
-                    abs(laguerre_eval(n, a, y - h)),
-                )
-                worst = max(worst, abs(laguerre_deriv(n, a, y) - fd) / scale)
-    return worst, ""
-
-
-def _check_composed(j_max, seed, tol):
+@_check(
+    "laguerre.composed-recurrences", 1e-10,
+    "composed two-step recurrences, printed vs corrected forms",
+)
+def _check_composed(j_max, seed):
     # Erratum check: both printed forms must fail at their pinned points and
     # broadly on the grid, while the corrected forms pass everywhere.
     pin_lower = recurrence_check("lower-n-raise-alpha2", 1, 0, 1.0, form="printed")
@@ -269,11 +238,37 @@ def _check_composed(j_max, seed, tol):
     return corrected_worst, note, reproduced
 
 
+@_check(
+    "laguerre.derivatives", 1e-6, "analytic derivatives match extrapolated central differences"
+)
+def _check_derivatives(j_max, seed):
+    # Richardson-extrapolated central differences; tolerance is absolute
+    # where |L| is O(1) and scales with the function where it is huge.
+    h = 1e-6
+    worst = 0.0
+    for n in _N_GRID:
+        for a in _A_GRID:
+            for y in _Y_GRID:
+                d_h = (laguerre_eval(n, a, y + h) - laguerre_eval(n, a, y - h)) / (2 * h)
+                d_h2 = (
+                    laguerre_eval(n, a, y + h / 2) - laguerre_eval(n, a, y - h / 2)
+                ) / h
+                fd = (4.0 * d_h2 - d_h) / 3.0
+                scale = max(
+                    1.0,
+                    abs(laguerre_eval(n, a, y + h)),
+                    abs(laguerre_eval(n, a, y - h)),
+                )
+                worst = max(worst, abs(laguerre_deriv(n, a, y) - fd) / scale)
+    return worst, "", True
+
+
 # ---------------------------------------------------------------------------
 # basis suite
 
 
-def _check_ode(j_max, seed, tol):
+@_check("basis.ode", 1e-9, "radial functions satisfy their second-order differential equation")
+def _check_ode(j_max, seed):
     worst = 0.0
     for s in _sector_sweep(j_max):
         order = (s.two_j - abs(s.two_m)) // 2 + 2
@@ -283,10 +278,14 @@ def _check_ode(j_max, seed, tol):
         ddf = calL_deriv(s, y, 2)
         scale = np.maximum(1.0, np.maximum(np.abs(f), np.abs(y * ddf)))
         worst = max(worst, float(np.max(np.abs(ode_residual(s, y)) / scale)))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_radial_orthonormality(j_max, seed, tol):
+@_check(
+    "basis.radial-orthonormality", 1e-10,
+    "fixed-m radial functions are orthonormal on the half-line",
+)
+def _check_radial_orthonormality(j_max, seed):
     worst = 0.0
     two_j_cap = int(2 * j_max)
     for two_m in range(-two_j_cap, two_j_cap + 1):
@@ -300,10 +299,11 @@ def _check_radial_orthonormality(j_max, seed, tol):
                 gram = halfline_inner(fa, fb, Fraction(two_m, 2), j_max)
                 target = 1.0 if tja == tjb else 0.0
                 worst = max(worst, abs(gram - target))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_symmetry_sign(j_max, seed, tol):
+@_check("basis.symmetry-sign", 1e-12, "m-reflection symmetry carries the sign (-1)^(2m)")
+def _check_symmetry_sign(j_max, seed):
     y = np.array(_Y_GRID)
     signed_worst = 0.0
     unsigned_gap = 0.0
@@ -332,7 +332,8 @@ def _check_symmetry_sign(j_max, seed, tol):
     return signed_worst, note, reproduced
 
 
-def _check_plane_gram(j_max, seed, tol):
+@_check("basis.plane-gram", 1e-10, "plane harmonics have an identity Gram matrix within a sector")
+def _check_plane_gram(j_max, seed):
     worst = 0.0
     for sector in ("int", "half"):
         j_eff = min(j_max, Fraction(6))
@@ -346,46 +347,56 @@ def _check_plane_gram(j_max, seed, tol):
                 got = column.get(a.two_j, a.two_m)
                 target = 1.0 if a == b else 0.0
                 worst = max(worst, abs(got - target))
-    return worst, ""
+    return worst, "", True
 
 
 # ---------------------------------------------------------------------------
 # algebra suite
 
 
-def _check_ladder(j_max, seed, tol):
+@_check("algebra.ladder", 1e-9, "ladder actions map basis functions to their neighbors")
+def _check_ladder(j_max, seed):
     worst = 0.0
     for s in _sector_sweep(j_max):
         for direction in ("+", "-"):
             worst = max(worst, actions.ladder_residual(s, direction))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_annihilation(j_max, seed, tol):
+@_check("algebra.annihilation", 1e-9, "ladders annihilate the edge labels m = +-j")
+def _check_annihilation(j_max, seed):
     worst = 0.0
     for s in _sector_sweep(j_max):
         if abs(s.two_m) == s.two_j:
             worst = max(worst, actions.annihilation_residual(s))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_su2(j_max, seed, tol):
+@_check(
+    "algebra.su2-on-basis", 1e-8, "commutators [K+,K-] = 2K3 and [K3,K+-] = +-K+- on the basis"
+)
+def _check_su2(j_max, seed):
     worst = 0.0
     for s in _sector_sweep(j_max):
         worst = max(worst, actions.su2_commutator_residual(s))
         for direction in ("+", "-"):
             worst = max(worst, actions.k3_ladder_residual(s, direction))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_casimir(j_max, seed, tol):
+@_check("algebra.casimir", 1e-8, "Casimir combination acts as j(j+1)")
+def _check_casimir(j_max, seed):
     worst = 0.0
     for s in _sector_sweep(j_max):
         worst = max(worst, actions.casimir_residual(s))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_hermiticity(j_max, seed, tol):
+@_check(
+    "algebra.hermiticity", 1e-8,
+    "raising and lowering are mutual adjoints in the radial inner product",
+)
+def _check_hermiticity(j_max, seed):
     j_cap = min(j_max, Fraction(6))
     two_j_cap = int(2 * j_cap)
     worst = 0.0
@@ -394,10 +405,14 @@ def _check_hermiticity(j_max, seed, tol):
             worst = max(worst, actions.hermiticity_gap(two_m, j_cap, seed=seed))
         except DomainError:
             continue
-    return worst, ""
+    return worst, "", True
 
 
-def _check_closure(j_max, seed, tol):
+@_check(
+    "algebra.closure-residuals", 1e-8,
+    "formal closure identities leave pinned residuals; actions satisfy them",
+)
+def _check_closure(j_max, seed):
     report = verify_e_correction()
     bracket_pin = errata.get("closure-bracket-residual").frozen[0][1]
     casimir_pin = errata.get("closure-casimir-residual").frozen[0][1]
@@ -425,7 +440,8 @@ def _word_expr(word: tuple[str, ...]) -> OperatorExpr:
     return expr
 
 
-def _check_determinism(j_max, seed, tol):
+@_check("algebra.engine-determinism", 0.0, "rewriting is deterministic and idempotent")
+def _check_determinism(j_max, seed):
     # Two independent reductions of the same inputs must agree byte for
     # byte, and normal_form must be idempotent on random expressions.
     words = [
@@ -453,14 +469,15 @@ def _check_determinism(j_max, seed, tol):
     ops = [build_operator(n).serialize() for n in ("E", "K+", "K-", "K3")]
     ops_again = [build_operator(n).serialize() for n in ("E", "K+", "K-", "K3")]
     mismatch += sum(1 for a, b in zip(ops, ops_again) if a != b)
-    return float(mismatch), ""
+    return float(mismatch), "", True
 
 
 # ---------------------------------------------------------------------------
 # quadrature suite
 
 
-def _check_moments(j_max, seed, tol):
+@_check("quadrature.moments", 1e-12, "rules integrate monomials below degree 2N exactly")
+def _check_moments(j_max, seed):
     worst = 0.0
     for alpha in (0, 1, 2, 3, 5):
         for order in range(1, 41):
@@ -471,20 +488,22 @@ def _check_moments(j_max, seed, tol):
                 got = float(np.dot(rule.weights, powers))
                 worst = max(worst, abs(got - target) / target)
                 powers = powers * rule.nodes
-    return worst, ""
+    return worst, "", True
 
 
-def _check_weight_sum(j_max, seed, tol):
+@_check("quadrature.weight-sum", 1e-12, "weights sum to Gamma(alpha+1)")
+def _check_weight_sum(j_max, seed):
     worst = 0.0
     for alpha in (0, 1, 2, 3, 5):
         target = math.exp(math.lgamma(alpha + 1))
         for order in range(1, 41):
             rule = gauss_laguerre(order, alpha)
             worst = max(worst, abs(float(np.sum(rule.weights)) - target) / target)
-    return worst, ""
+    return worst, "", True
 
 
-def _check_interlacing(j_max, seed, tol):
+@_check("quadrature.interlacing", 0.0, "nodes are positive, sorted, and interlace the next order")
+def _check_interlacing(j_max, seed):
     violations = 0
     for alpha in (0, 1, 2, 3, 5):
         previous = None
@@ -500,10 +519,13 @@ def _check_interlacing(j_max, seed, tol):
                     if not (x[i] < xv < x[i + 1]):
                         violations += 1
             previous = x
-    return float(violations), ""
+    return float(violations), "", True
 
 
-def _check_plane_vs_halfline(j_max, seed, tol):
+@_check(
+    "quadrature.plane-vs-halfline", 1e-13, "plane inner products reduce to radial ones at equal m"
+)
+def _check_plane_vs_halfline(j_max, seed):
     worst = 0.0
     j_eff = min(j_max, Fraction(6))
     for sector in ("int", "half"):
@@ -526,7 +548,7 @@ def _check_plane_vs_halfline(j_max, seed, tol):
                         j_eff,
                     )
                     worst = max(worst, abs(planar - radial))
-    return worst, ""
+    return worst, "", True
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +567,8 @@ def _transform_cases(j_max, seed):
     return cases
 
 
-def _check_roundtrip(j_max, seed, tol):
+@_check("transform.roundtrip", 1e-8, "analyze inverts synthesize on band-limited blocks")
+def _check_roundtrip(j_max, seed):
     worst = 0.0
     for sector, j_eff, block in _transform_cases(j_max, seed):
         back = analyze(as_function(block), sector, j_eff)
@@ -554,10 +577,14 @@ def _check_roundtrip(j_max, seed, tol):
                 worst,
                 abs(back.get(label.two_j, label.two_m) - block.get(label.two_j, label.two_m)),
             )
-    return worst, ""
+    return worst, "", True
 
 
-def _check_parseval(j_max, seed, tol):
+@_check(
+    "transform.parseval", 1e-10,
+    "coefficient energy equals the function norm for band-limited input",
+)
+def _check_parseval(j_max, seed):
     worst = 0.0
     notes = []
     for sector, j_eff, block in _transform_cases(j_max, seed):
@@ -570,7 +597,7 @@ def _check_parseval(j_max, seed, tol):
             f"band-limited gaps <= {worst:.3e}; truncating a unit-norm "
             f"harmonic below its j reports gap {truncation:.6f}"
         )
-    return worst, "\n".join(notes)
+    return worst, "\n".join(notes), True
 
 
 def _random_specs(seed, count=4):
@@ -578,7 +605,8 @@ def _random_specs(seed, count=4):
     return [RotationSpec(*rng.uniform(-2 * math.pi, 2 * math.pi, size=3)) for _ in range(count)]
 
 
-def _check_rotation_unitarity(j_max, seed, tol):
+@_check("transform.rotation-unitarity", 1e-8, "rotation matrices are unitary")
+def _check_rotation_unitarity(j_max, seed):
     worst = 0.0
     for two_j in range(0, int(2 * j_max) + 1):
         for spec in _random_specs(seed + two_j):
@@ -586,10 +614,11 @@ def _check_rotation_unitarity(j_max, seed, tol):
             worst = max(
                 worst, float(np.max(np.abs(u.conj().T @ u - np.eye(two_j + 1))))
             )
-    return worst, ""
+    return worst, "", True
 
 
-def _check_group_law(j_max, seed, tol):
+@_check("transform.rotation-group-law", 1e-8, "sequential rotations equal the composed unitary")
+def _check_group_law(j_max, seed):
     worst = 0.0
     specs = _random_specs(seed, count=6)
     for sector, j_eff, block in _transform_cases(j_max, seed):
@@ -604,20 +633,22 @@ def _check_group_law(j_max, seed, tol):
                 out = u @ vec
                 for i, c in enumerate(out):
                     worst = max(worst, abs(twice.get(two_j, -two_j + 2 * i) - c))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_double_cover(j_max, seed, tol):
+@_check("transform.double-cover", 1e-12, "a full turn multiplies each j-block by (-1)^(2j)")
+def _check_double_cover(j_max, seed):
     worst = 0.0
     full_turn = RotationSpec(0.0, 2.0 * math.pi, 0.0)
     for two_j in range(0, int(2 * j_max) + 1):
         u = rotation_matrix(two_j, full_turn)
         sign = -1.0 if two_j % 2 else 1.0
         worst = max(worst, float(np.max(np.abs(u - sign * np.eye(two_j + 1)))))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_per_j_norms(j_max, seed, tol):
+@_check("transform.per-j-norms", 1e-10, "rotations preserve each j-multiplet's energy")
+def _check_per_j_norms(j_max, seed):
     worst = 0.0
     for sector, j_eff, block in _transform_cases(j_max, seed):
         for spec in _random_specs(seed + 17, count=3):
@@ -626,10 +657,14 @@ def _check_per_j_norms(j_max, seed, tol):
             after = rotated.per_j_norm_sq()
             for two_j in before:
                 worst = max(worst, abs(before[two_j] - after[two_j]))
-    return worst, ""
+    return worst, "", True
 
 
-def _check_equivariance(j_max, seed, tol):
+@_check(
+    "transform.equivariance", 1e-7,
+    "analyzing a rotated function equals rotating its coefficients",
+)
+def _check_equivariance(j_max, seed):
     worst = 0.0
     spec = _random_specs(seed + 5, count=1)[0]
     for sector, j_eff, block in _transform_cases(min(j_max, Fraction(4)), seed):
@@ -641,10 +676,13 @@ def _check_equivariance(j_max, seed, tol):
                 worst,
                 abs(lhs.get(label.two_j, label.two_m) - rhs.get(label.two_j, label.two_m)),
             )
-    return worst, ""
+    return worst, "", True
 
 
-def _check_dmatrix_values(j_max, seed, tol):
+@_check(
+    "transform.dmatrix-values", 1e-12, "rotation matrices match closed forms at spins 1/2 and 1"
+)
+def _check_dmatrix_values(j_max, seed):
     worst = 0.0
     for b in (0.0, 0.3, 1.0, -1.7, 2.9):
         c, s = math.cos(b / 2.0), math.sin(b / 2.0)
@@ -662,133 +700,17 @@ def _check_dmatrix_values(j_max, seed, tol):
         )
         got = rotation_matrix(2, RotationSpec(0.0, b, 0.0))
         worst = max(worst, float(np.max(np.abs(got - oracle_one))))
-    return worst, ""
+    return worst, "", True
 
 
 # ---------------------------------------------------------------------------
 # registry and driver
 
-_CHECKS: dict[str, tuple[str, Callable]] = {
-    "laguerre.oracle": (
-        "recurrence evaluation equals the exact rational series",
-        _check_oracle,
-    ),
-    "laguerre.reflection": (
-        "negative-alpha values match the reflection to positive alpha",
-        _check_reflection,
-    ),
-    "laguerre.first-order-recurrences": (
-        "all four first-order differential recurrences",
-        _check_first_order,
-    ),
-    "laguerre.composed-recurrences": (
-        "composed two-step recurrences, printed vs corrected forms",
-        _check_composed,
-    ),
-    "laguerre.derivatives": (
-        "analytic derivatives match extrapolated central differences",
-        _check_derivatives,
-    ),
-    "basis.ode": (
-        "radial functions satisfy their second-order differential equation",
-        _check_ode,
-    ),
-    "basis.radial-orthonormality": (
-        "fixed-m radial functions are orthonormal on the half-line",
-        _check_radial_orthonormality,
-    ),
-    "basis.symmetry-sign": (
-        "m-reflection symmetry carries the sign (-1)^(2m)",
-        _check_symmetry_sign,
-    ),
-    "basis.plane-gram": (
-        "plane harmonics have an identity Gram matrix within a sector",
-        _check_plane_gram,
-    ),
-    "algebra.ladder": (
-        "ladder actions map basis functions to their neighbors",
-        _check_ladder,
-    ),
-    "algebra.annihilation": (
-        "ladders annihilate the edge labels m = +-j",
-        _check_annihilation,
-    ),
-    "algebra.su2-on-basis": (
-        "commutators [K+,K-] = 2K3 and [K3,K+-] = +-K+- on the basis",
-        _check_su2,
-    ),
-    "algebra.casimir": (
-        "Casimir combination acts as j(j+1)",
-        _check_casimir,
-    ),
-    "algebra.hermiticity": (
-        "raising and lowering are mutual adjoints in the radial inner product",
-        _check_hermiticity,
-    ),
-    "algebra.closure-residuals": (
-        "formal closure identities leave pinned residuals; actions satisfy them",
-        _check_closure,
-    ),
-    "algebra.engine-determinism": (
-        "rewriting is deterministic and idempotent",
-        _check_determinism,
-    ),
-    "quadrature.moments": (
-        "rules integrate monomials below degree 2N exactly",
-        _check_moments,
-    ),
-    "quadrature.weight-sum": (
-        "weights sum to Gamma(alpha+1)",
-        _check_weight_sum,
-    ),
-    "quadrature.interlacing": (
-        "nodes are positive, sorted, and interlace the next order",
-        _check_interlacing,
-    ),
-    "quadrature.plane-vs-halfline": (
-        "plane inner products reduce to radial ones at equal m",
-        _check_plane_vs_halfline,
-    ),
-    "transform.roundtrip": (
-        "analyze inverts synthesize on band-limited blocks",
-        _check_roundtrip,
-    ),
-    "transform.parseval": (
-        "coefficient energy equals the function norm for band-limited input",
-        _check_parseval,
-    ),
-    "transform.rotation-unitarity": (
-        "rotation matrices are unitary",
-        _check_rotation_unitarity,
-    ),
-    "transform.rotation-group-law": (
-        "sequential rotations equal the composed unitary",
-        _check_group_law,
-    ),
-    "transform.double-cover": (
-        "a full turn multiplies each j-block by (-1)^(2j)",
-        _check_double_cover,
-    ),
-    "transform.per-j-norms": (
-        "rotations preserve each j-multiplet's energy",
-        _check_per_j_norms,
-    ),
-    "transform.equivariance": (
-        "analyzing a rotated function equals rotating its coefficients",
-        _check_equivariance,
-    ),
-    "transform.dmatrix-values": (
-        "rotation matrices match closed forms at spins 1/2 and 1",
-        _check_dmatrix_values,
-    ),
-}
+DEFAULT_TOLERANCES: dict[str, float] = {cid: tol for cid, (_, tol, _) in _CHECKS.items()}
 
 SUITES: dict[str, tuple[str, ...]] = {
-    "laguerre": tuple(k for k in _CHECKS if k.startswith("laguerre.")),
-    "basis": tuple(k for k in _CHECKS if k.startswith("basis.")),
-    "algebra": tuple(k for k in _CHECKS if k.startswith("algebra.")),
-    "quadrature": tuple(k for k in _CHECKS if k.startswith("quadrature.")),
-    "transform": tuple(k for k in _CHECKS if k.startswith("transform.")),
+    suite: tuple(cid for cid in _CHECKS if cid.startswith(suite + "."))
+    for suite in dict.fromkeys(cid.partition(".")[0] for cid in _CHECKS)
 }
 SUITES["all"] = tuple(_CHECKS)
 
@@ -808,9 +730,10 @@ def run_suite(
         raise DomainError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
         )
-    j_max = _as_half_integer(j_max)
-    if j_max < 0:
-        raise DomainError(f"j_max must be nonnegative, got {j_max}")
+    j_max = _as_cap("j_max", j_max)
+    seed = _as_int("seed", seed)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     tols = dict(DEFAULT_TOLERANCES)
     for key, value in (tolerances or {}).items():
         if key not in tols:
@@ -818,25 +741,16 @@ def run_suite(
         tols[key] = float(value)
     results = []
     for check_id in sorted(SUITES[suite]):
-        identity, fn = _CHECKS[check_id]
-        tol = tols[check_id]
-        outcome = fn(j_max, seed, tol)
-        if len(outcome) == 3:
-            residual, note, reproduced = outcome
-            passed = bool(reproduced) and bool(residual <= tol)
-            erratum = True
-        else:
-            residual, note = outcome
-            passed = bool(residual <= tol)
-            erratum = check_id in _ERRATUM_CHECKS
+        identity, _, fn = _CHECKS[check_id]
+        residual, note, reproduced = fn(j_max, seed)
         results.append(
             CheckResult(
                 id=check_id,
                 identity=identity,
                 residual=float(residual),
-                threshold=tol,
-                passed=passed,
-                erratum=erratum,
+                threshold=tols[check_id],
+                passed=bool(reproduced) and bool(residual <= tols[check_id]),
+                erratum=bool(errata.for_check(check_id)),
                 note=note,
             )
         )

@@ -72,6 +72,14 @@ def test_sector_labels_counts_and_order():
         sector_labels("both", 2)
 
 
+@pytest.mark.parametrize(
+    "sector, j_max", [("int", 0.3), ("half", 1.2), ("int", -2), ("int", "x"), ("half", None)]
+)
+def test_sector_labels_rejects_a_j_max_that_is_no_nonnegative_half_integer(sector, j_max):
+    with pytest.raises(DomainError):
+        sector_labels(sector, j_max)
+
+
 def test_sector_mixing_guard():
     require_same_sector(SpinIndex(2, 0), SpinIndex(4, 2))
     with pytest.raises(SectorMixingError):

@@ -146,6 +146,12 @@ class TestVerify:
         assert code == 0
         assert "j_max: 3/2" in out
 
+    @pytest.mark.parametrize("flag, value", [("--j-max", "x"), ("--seed", "-1")])
+    def test_bad_j_max_or_seed_is_usage_error(self, flag, value):
+        code, out, err = run_cli("verify", "--suite", "laguerre", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and value in err
+
 
 class TestTransform:
     def test_roundtrip_from_stdin(self):

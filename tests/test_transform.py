@@ -276,6 +276,8 @@ class TestBlockJson:
             (lambda d: d["coeffs"][0].pop("re"), "coeffs[0].re"),
             (lambda d: d["coeffs"][0].update(re="x"), "coeffs[0].re"),
             (lambda d: d["coeffs"][0].update(re=math.inf), "coeffs[0].re"),
+            (lambda d: d["coeffs"][0].update(re=10**400), "coeffs[0].re"),
+            (lambda d: d["coeffs"][0].update(im=-(10**5000)), "coeffs[0].im"),
             (lambda d: d["coeffs"][0].update(two_j=1.5), "coeffs[0].two_j"),
             (lambda d: d["coeffs"][0].update(junk=0), "coeffs[0].junk"),
         ],
@@ -313,6 +315,8 @@ class TestBlockJson:
             CoefficientBlock.from_json("{not json")
         with pytest.raises(SchemaError):
             CoefficientBlock.from_json("[1, 2]")
+        with pytest.raises(SchemaError):  # past the interpreter's integer digit limit
+            CoefficientBlock.from_json("[" + "1" * 5000 + "]")
 
 
 class TestAnalyze:
@@ -340,6 +344,11 @@ class TestAnalyze:
     def test_bad_sector(self):
         with pytest.raises(DomainError):
             analyze(lambda y, phi: y, "both", 2)
+
+    @pytest.mark.parametrize("j_max", ["x", None, "1/0", math.inf])
+    def test_j_max_that_does_not_parse(self, j_max):
+        with pytest.raises(DomainError, match="half-integer"):
+            analyze(lambda y, phi: y, "int", j_max)
 
     def test_samples_f_once_on_the_grid(self):
         calls = []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from planeharm import errata
 from planeharm.errors import DomainError
 from planeharm.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
@@ -63,6 +64,11 @@ def test_erratum_flag_marks_exactly_the_documented_checks(full_report):
     assert flagged == ERRATUM_IDS
 
 
+def test_erratum_flag_comes_from_the_errata_catalog(full_report):
+    flagged = {c.id for c in full_report.checks if c.erratum}
+    assert flagged == {e.check_id for e in errata.ERRATA}
+
+
 def test_trivial_depth_passes(full_report):
     report = run_suite("all", j_max=0, seed=0)
     assert report.overall_pass
@@ -102,6 +108,18 @@ def test_unknown_tolerance_id_rejected():
 def test_negative_j_max_rejected():
     with pytest.raises(DomainError):
         run_suite("laguerre", j_max=-1)
+
+
+@pytest.mark.parametrize("j_max", ["x", None, "1/0"])
+def test_j_max_that_is_no_half_integer_rejected(j_max):
+    with pytest.raises(DomainError):
+        run_suite("laguerre", j_max=j_max)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+def test_seed_that_is_no_nonnegative_integer_rejected(seed):
+    with pytest.raises(DomainError, match="seed"):
+        run_suite("transform", j_max=1, seed=seed)
 
 
 def test_json_shape(full_report):
