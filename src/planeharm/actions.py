@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import OperatorExpr
-from .basis import PlanePoint, SpinIndex, calL, calL_deriv
+from .basis import PlanePoint, SpinIndex, _radial_jet, calL
 from .errors import DomainError
 from .quadrature import gauss_laguerre
 
@@ -58,18 +58,19 @@ def apply_to_basis(expr: OperatorExpr, s: SpinIndex, point):
     y, phi = _split_point(point)
     if np.any(y < 0):
         raise DomainError("apply_to_basis needs y >= 0")
-    j = 0.5 * s.two_j
-    m = 0.5 * s.two_m
-    total = np.zeros(y.shape, dtype=complex)
-    for mono, coeff in expr.terms.items():
+    for mono in expr.terms:
         if mono.d > 2:
             raise DomainError(
                 f"term {mono} has derivative order {mono.d} > 2; not applicable"
             )
         if mono.b and np.any(y == 0):
             raise DomainError("an Yinv power survives at y = 0")
-        radial = calL_deriv(s, y, mono.d) if mono.d else calL(s, y)
-        val = (m**mono.p) * (j**mono.q) * np.asarray(radial, dtype=complex)
+    jet = _radial_jet(s, y, expr.max_derivative_order())
+    j = 0.5 * s.two_j
+    m = 0.5 * s.two_m
+    total = np.zeros(y.shape, dtype=complex)
+    for mono, coeff in expr.terms.items():
+        val = (m**mono.p) * (j**mono.q) * np.asarray(jet[mono.d], dtype=complex)
         if mono.a or mono.b:
             val = val * y ** (mono.a - mono.b)
         if mono.two_dm:
@@ -132,7 +133,8 @@ def apply_ladder(name: str, s: SpinIndex, y):
     """Values of K+- calL_j^m at y > 0."""
     y = np.asarray(y, dtype=float)
     op = ladder_form(name, s)
-    return op.a_coeff * calL_deriv(s, y, 1) + op.zeroth(y) * calL(s, y)
+    f, df = _radial_jet(s, y, 1)
+    return op.a_coeff * df + op.zeroth(y) * f
 
 
 def _default_nodes(s: SpinIndex) -> np.ndarray:
@@ -188,9 +190,7 @@ def pair_action(outer: str, inner: str, s: SpinIndex, y):
         # Inner op left the multiplet: K_outer of the zero function.
         return np.zeros_like(y)
     op2 = ladder_form(outer, mid)
-    f = calL(s, y)
-    df = calL_deriv(s, y, 1)
-    ddf = calL_deriv(s, y, 2)
+    f, df, ddf = _radial_jet(s, y, 2)
     b1 = op1.zeroth(y)
     db1 = -op1.beta / y**2
     b2 = op2.zeroth(y)

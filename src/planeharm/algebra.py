@@ -323,11 +323,7 @@ class OperatorExpr:
         other = _coerce_expr(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, QQi(0)) + coeff
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
+            out[mono] = out.get(mono, QQi(0)) + coeff
         return OperatorExpr(out)
 
     __radd__ = __add__
@@ -353,11 +349,7 @@ class OperatorExpr:
                 tag = m1.two_dm + m2.two_dm
                 for word, coeff in reduce_word(m1.word() + m2.word()).items():
                     mono = _monomial_from_word(word, tag)
-                    acc = out.get(mono, QQi(0)) + c12 * coeff
-                    if acc.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = acc
+                    out[mono] = out.get(mono, QQi(0)) + c12 * coeff
         return OperatorExpr(out)
 
     def __rmul__(self, other):
@@ -416,11 +408,7 @@ def normal_form(expr: OperatorExpr, rules: RewriteRuleSet = DEFAULT_RULES) -> Op
     for mono, coeff in expr._terms.items():
         for word, wcoeff in reduce_word(mono.word(), rules).items():
             key = _monomial_from_word(word, mono.two_dm)
-            acc = out.get(key, QQi(0)) + coeff * wcoeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            out[key] = out.get(key, QQi(0)) + coeff * wcoeff
     return OperatorExpr(out)
 
 

@@ -28,8 +28,9 @@ product where each factor is a normal double and is formed in log space
 elsewhere; a power-of-two exponent per point carries whatever the start or
 the recurrence would push outside the double range, so large labels and
 large y give finite, accurate values.  ``_radial_rows`` runs it for all m
-of a sector at once, one row per k; calL, calL_deriv, synthesize, analyze
-and gauss_laguerre share it.
+of a sector at once, one row per k; synthesize, analyze and gauss_laguerre
+share it, and ``_radial_jet`` reads calL, calL' and calL'' of one label off
+one call for calL, calL_deriv, ode_residual and the ladder actions.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
 
@@ -117,9 +118,9 @@ class PlanePoint:
 
 
 def _as_half_integer(value) -> Fraction:
-    """value as an exact Fraction if it is a half-integer, else DomainError."""
+    """value as an exact Fraction if it is a half-integer and not a bool, else DomainError."""
     try:
-        v = Fraction(value)
+        v = None if isinstance(value, bool) else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         v = None
     if v is None or (2 * v).denominator != 1:
@@ -279,65 +280,74 @@ def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
             return
 
 
-def calL(s: SpinIndex, y):
-    """Normalized radial function calL_j^m at y >= 0.
-
-    Orthonormal on the half-line at fixed m:
-    integral(0..inf) calL_j^m calL_j'^m dy = delta_{j j'}.
-    """
-    y = np.asarray(y, dtype=float)
-    for rows in _radial_rows([abs(s.two_m)], s.two_j, y.reshape(-1)):
-        pass
-    val = (_sign(s.two_m) * rows[0]).reshape(y.shape)
-    return val if val.ndim else float(val)
-
-
-def calL_deriv(s: SpinIndex, y, order: int = 1):
-    """First or second y-derivative of calL_j^m, in closed form, for y > 0.
+def _radial_jet(s: SpinIndex, y, order: int) -> list[np.ndarray]:
+    """[calL, calL', calL''][: order + 1] of one label at y, from one kernel call.
 
     With a = 2|m|, k = j - |m| and f_k^a(y) = y^(a/2) e^(-y/2) p_k^a(y) the
     radial rows of alpha a, d/dy L_k^(a) = -L_(k-1)^(a+1) turns the
     derivatives of the orthonormal polynomial into rows of alpha a + 1 and
     a + 2: y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
     y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  One kernel call
-    gives the rows; the derivatives of y^(a/2) e^(-y/2) are added in closed
-    form.  A derivative past the double range (order 2 at |m| = 1/2 below
-    y ~ 1e-205) raises DomainError naming the label, the order and y.
+    over alphas a .. a + order gives the rows; the derivatives of
+    y^(a/2) e^(-y/2) are added in closed form.  Each entry has y's shape.
+    Derivatives need y > 0, and one past the double range (order 2 at
+    |m| = 1/2 below y ~ 1e-205) raises DomainError naming the label, the
+    order and y.
     """
-    if order not in (0, 1, 2):
-        raise DomainError(f"order must be 0, 1, or 2, got {order}")
-    if order == 0:
-        return calL(s, y)
-    shape = np.shape(y)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if np.any(y <= 0):
+    y = np.asarray(y, dtype=float)
+    shape, y = y.shape, y.reshape(-1)
+    if order and np.any(y <= 0):
         raise DomainError("calL_deriv needs y > 0")
     a = abs(s.two_m)
     k = (s.two_j - a) // 2
     f0 = f1 = f2 = 0.0  # f_k^a, f_(k-1)^(a+1), f_(k-2)^(a+2); 0 below degree 0
-    for step, rows in enumerate(_radial_rows([a, a + 1, a + 2][: order + 1], s.two_j, y)):
+    for step, rows in enumerate(_radial_rows(list(range(a, a + order + 1)), s.two_j, y)):
         if step == k - 2 and order == 2:
             f2 = rows[2]
-        if step == k - 1:
+        if step == k - 1 and order:
             f1 = rows[1]
         f0 = rows[0]
-    b = 0.5 * a
-    # Near y = 0 the derivatives can grow without bound (like y^(-3/2)/4 for
-    # order 2 at |m| = 1/2); a value past the double range is a DomainError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1 = -math.sqrt(k) * f1 / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
-        if order == 1:
-            val = d1 - 0.5 * f0 + b * f0 / y
-        else:
-            d2 = math.sqrt(k * (k - 1)) * f2 / y  # y^(a/2) e^(-y/2) p_k''
-            val = d2 - d1 + 0.25 * f0 + b * (2.0 * d1 - f0) / y + b * (b - 1) * f0 / y / y
-    finite = np.isfinite(val)
-    if not finite.all():
-        raise DomainError(
-            f"calL_deriv(two_j={s.two_j}, two_m={s.two_m}, order={order}) leaves the "
-            f"double range at y = {float(y[~finite][0])!r}"
-        )
-    val = (_sign(s.two_m) * val).reshape(shape)
+    jet = [f0]
+    if order:
+        b = 0.5 * a
+        # Near y = 0 a derivative can pass the double range (like y^(-3/2)/4
+        # for order 2 at |m| = 1/2), which is a DomainError; order 1 stays
+        # finite for every y > 0, so only the top order is checked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = -math.sqrt(k) * f1 / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
+            jet.append(d1 - 0.5 * f0 + b * f0 / y)
+            if order == 2:
+                d2 = math.sqrt(k * (k - 1)) * f2 / y  # y^(a/2) e^(-y/2) p_k''
+                jet.append(
+                    d2 - d1 + 0.25 * f0 + b * (2.0 * d1 - f0) / y + b * (b - 1) * f0 / y / y
+                )
+        finite = np.isfinite(jet[-1])
+        if not finite.all():
+            raise DomainError(
+                f"calL_deriv(two_j={s.two_j}, two_m={s.two_m}, order={order}) leaves the "
+                f"double range at y = {float(y[~finite][0])!r}"
+            )
+    return [(_sign(s.two_m) * val).reshape(shape) for val in jet]
+
+
+def calL(s: SpinIndex, y):
+    """Normalized radial function calL_j^m at y >= 0.
+
+    Orthonormal on the half-line at fixed m:
+    integral(0..inf) calL_j^m calL_j'^m dy = delta_{j j'}.
+    """
+    val = _radial_jet(s, y, 0)[0]
+    return val if val.ndim else float(val)
+
+
+def calL_deriv(s: SpinIndex, y, order: int = 1):
+    """calL_j^m (order 0, y >= 0) or its first or second y-derivative (y > 0).
+
+    The derivatives are in closed form on the radial rows; see _radial_jet.
+    """
+    if order not in (0, 1, 2):
+        raise DomainError(f"order must be 0, 1, or 2, got {order}")
+    val = _radial_jet(s, y, order)[order]
     return val if val.ndim else float(val)
 
 
@@ -369,9 +379,7 @@ def ode_residual(s: SpinIndex, y):
         raise DomainError("ode_residual needs y > 0")
     j = 0.5 * s.two_j
     m = 0.5 * s.two_m
-    f = calL(s, y)
-    df = calL_deriv(s, y, 1)
-    ddf = calL_deriv(s, y, 2)
+    f, df, ddf = _radial_jet(s, y, 2)
     val = y * ddf + df - (m * m / y) * f - 0.25 * y * f + (j + 0.5) * f
     return val if val.ndim else float(val)
 

@@ -26,7 +26,7 @@ from .errors import DomainError, SchemaError
 from .laguerre import laguerre_eval
 from .quadrature import gauss_laguerre
 from .rotation import RotationSpec
-from .transform import CoefficientBlock, analyze, as_function, rotate, synthesize
+from .transform import CoefficientBlock, _max_gap, analyze, as_function, rotate, synthesize
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -186,13 +186,8 @@ def _cmd_transform(args) -> int:
         if args.format == "csv":
             raise DomainError("--mode roundtrip reports JSON; drop --format csv")
         back = analyze(as_function(block), block.sector, block.j_max)
-        error = 0.0
-        for label in block.labels():
-            error = max(
-                error,
-                abs(back.get(label.two_j, label.two_m) - block.get(label.two_j, label.two_m)),
-            )
-        print(json.dumps({"max_coefficient_error": error, "block": back.to_dict()}, indent=2))
+        report = {"max_coefficient_error": _max_gap(back, block), "block": back.to_dict()}
+        print(json.dumps(report, indent=2))
         return 0
     y = _y_grid(args)
     phis = _phi_grid(args.phi_steps)

@@ -76,16 +76,10 @@ def ladder_matrix(two_j: int, direction: str) -> np.ndarray:
     _check_two_j(two_j)
     if direction not in ("+", "-"):
         raise DomainError(f"direction must be '+' or '-', got {direction!r}")
-    dim = two_j + 1
-    out = np.zeros((dim, dim))
     j = two_j / 2.0
-    for i in range(dim):
-        m = -j + i
-        if direction == "+" and i + 1 < dim:
-            out[i + 1, i] = math.sqrt((j - m) * (j + m + 1.0))
-        elif direction == "-" and i - 1 >= 0:
-            out[i - 1, i] = math.sqrt((j + m) * (j - m + 1.0))
-    return out
+    m = np.arange(two_j) - j  # every m but the top one
+    raising = np.diag(np.sqrt((j - m) * (j + m + 1.0)), -1)
+    return raising if direction == "+" else raising.T.copy()
 
 
 def j3_matrix(two_j: int) -> np.ndarray:

@@ -264,6 +264,14 @@ class CoefficientBlock:
         return cls.from_dict(obj)
 
 
+def _max_gap(a: CoefficientBlock, b: CoefficientBlock) -> float:
+    """max |a - b| over the labels of two blocks of one sector and j_max; 0.0 if none.
+
+    Python's abs on purpose: np.abs of a complex can differ from it in the last bit.
+    """
+    return max(map(abs, (a._values - b._values).tolist()), default=0.0)
+
+
 def _sector_ladder(sector: str, two_j_max: int) -> list[int]:
     """The 2|m| values of a sector up to two_j_max, ascending."""
     return list(range(0 if sector == "int" else 1, two_j_max + 1, 2))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import actions, errata
 from .algebra import OperatorExpr, build_operator, normal_form, verify_e_correction
-from .basis import SpinIndex, _as_cap, calL, calL_deriv, calZ, ode_residual, sector_labels
+from .basis import SpinIndex, _as_cap, _radial_jet, calL, calZ, ode_residual, sector_labels
 from .errors import DomainError
 from .exact import ExactPolynomial
 from .laguerre import (
@@ -40,7 +40,7 @@ from .laguerre import (
 )
 from .quadrature import _as_int, gauss_laguerre, halfline_inner, plane_inner
 from .rotation import RotationSpec, rotation_matrix
-from .transform import analyze, as_function, parseval_gap, random_block, rotate
+from .transform import _max_gap, analyze, as_function, parseval_gap, random_block, rotate
 
 __all__ = [
     "CheckResult",
@@ -274,8 +274,7 @@ def _check_ode(j_max, seed):
         order = (s.two_j - abs(s.two_m)) // 2 + 2
         rule = gauss_laguerre(order, abs(s.two_m))
         y = rule.nodes
-        f = calL(s, y)
-        ddf = calL_deriv(s, y, 2)
+        f, _, ddf = _radial_jet(s, y, 2)
         scale = np.maximum(1.0, np.maximum(np.abs(f), np.abs(y * ddf)))
         worst = max(worst, float(np.max(np.abs(ode_residual(s, y)) / scale)))
     return worst, "", True
@@ -571,12 +570,7 @@ def _transform_cases(j_max, seed):
 def _check_roundtrip(j_max, seed):
     worst = 0.0
     for sector, j_eff, block in _transform_cases(j_max, seed):
-        back = analyze(as_function(block), sector, j_eff)
-        for label in block.labels():
-            worst = max(
-                worst,
-                abs(back.get(label.two_j, label.two_m) - block.get(label.two_j, label.two_m)),
-            )
+        worst = max(worst, _max_gap(analyze(as_function(block), sector, j_eff), block))
     return worst, "", True
 
 
@@ -671,11 +665,7 @@ def _check_equivariance(j_max, seed):
         rotated_function = as_function(rotate(block, spec))
         lhs = analyze(rotated_function, sector, j_eff)
         rhs = rotate(analyze(as_function(block), sector, j_eff), spec)
-        for label in block.labels():
-            worst = max(
-                worst,
-                abs(lhs.get(label.two_j, label.two_m) - rhs.get(label.two_j, label.two_m)),
-            )
+        worst = max(worst, _max_gap(lhs, rhs))
     return worst, "", True
 
 

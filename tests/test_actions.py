@@ -26,7 +26,9 @@ from planeharm.actions import (
     su2_commutator_residual,
 )
 from planeharm.algebra import build_operator, commutator
-from planeharm.basis import SpinIndex, calL, sector_labels
+from planeharm import basis, quadrature, transform
+from planeharm.basis import SpinIndex, calL, calL_deriv, ode_residual, sector_labels
+from planeharm.verify import run_suite
 from planeharm.errors import DomainError
 
 YGRID = np.array([0.2, 1.0, 3.7, 11.0])
@@ -78,6 +80,47 @@ class TestApplyToBasis:
     def test_scalar_point_returns_scalar(self):
         val = apply_to_basis(build_operator("K3"), SpinIndex(2, 2), (1.0, 0.3))
         assert isinstance(val, complex)
+
+
+class TestOneKernelPass:
+    """Each entry point reads calL and its derivatives off one radial jet."""
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch, modules=(basis,)):
+        calls = []
+        kernel = basis._radial_rows
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, "_radial_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda s, y: calL(s, y),
+            lambda s, y: calL_deriv(s, y, 2),
+            lambda s, y: ode_residual(s, y),
+            lambda s, y: apply_ladder("K+", s, y),
+            lambda s, y: pair_action("K-", "K+", s, y),
+            lambda s, y: apply_to_basis(build_operator("E"), s, (y, 0.4)),
+        ],
+        ids=["calL", "calL_deriv-2", "ode_residual", "apply_ladder", "pair_action", "apply_E"],
+    )
+    def test_one_kernel_call_per_label(self, monkeypatch, evaluate):
+        calls = self.count_kernel_calls(monkeypatch)
+        evaluate(SpinIndex(5, 1), YGRID)  # an interior label: both ladders act
+        assert len(calls) == 1
+
+    def test_verify_suite_kernel_calls(self, monkeypatch):
+        # One kernel call per entry point made 10,618 here; the jet saves a third.
+        calls = self.count_kernel_calls(monkeypatch, (basis, quadrature, transform))
+        quadrature._cached_rule.cache_clear()
+        run_suite("all", 8, 1)
+        assert len(calls) <= 7_432
 
 
 class TestLadderForms:

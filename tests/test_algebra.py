@@ -164,6 +164,18 @@ class TestExpressions:
         assert build_operator("E").max_derivative_order() == 2
         assert build_operator("K3").max_derivative_order() == 0
 
+    def test_cancelled_terms_are_not_stored(self):
+        d, y = sym("D"), sym("Y")
+        # -D Y + Y D = -1: the Y D terms cancel inside the product.
+        product = (d + y) * (d - y)
+        assert coeffs(product) == {
+            (0, 0, 2, 0, 0, 0): 1,
+            (2, 0, 0, 0, 0, 0): -1,
+            (0, 0, 0, 0, 0, 0): -1,
+        }
+        assert coeffs(product + y * y + 1) == {(0, 0, 2, 0, 0, 0): 1}
+        assert coeffs(normal_form(product - d * d)) == coeffs(-(y * y) - 1)
+
     def test_normal_form_is_identity_on_canonical(self):
         kp = build_operator("K+")
         assert normal_form(kp) == kp

@@ -73,7 +73,8 @@ def test_sector_labels_counts_and_order():
 
 
 @pytest.mark.parametrize(
-    "sector, j_max", [("int", 0.3), ("half", 1.2), ("int", -2), ("int", "x"), ("half", None)]
+    "sector, j_max",
+    [("int", 0.3), ("half", 1.2), ("int", -2), ("int", "x"), ("half", None), ("int", True)],
 )
 def test_sector_labels_rejects_a_j_max_that_is_no_nonnegative_half_integer(sector, j_max):
     with pytest.raises(DomainError):

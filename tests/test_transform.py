@@ -26,6 +26,7 @@ from planeharm.rotation import (
 )
 from planeharm.transform import (
     CoefficientBlock,
+    _max_gap,
     analyze,
     as_function,
     parseval_gap,
@@ -111,6 +112,17 @@ class TestGenerators:
         assert np.count_nonzero(plus) == 2
         minus = ladder_matrix(2, "-")
         assert np.allclose(minus, plus.T)
+
+    def test_ladder_entries_are_the_exact_square_roots(self):
+        for two_j in range(12):
+            j = two_j / 2.0
+            plus, minus = ladder_matrix(two_j, "+"), ladder_matrix(two_j, "-")
+            for i in range(two_j):
+                m = -j + i
+                assert plus[i + 1, i] == math.sqrt((j - m) * (j + m + 1.0))
+                assert minus[i, i + 1] == math.sqrt((j + m + 1.0) * (j - m))
+            assert np.count_nonzero(plus) == np.count_nonzero(minus) == two_j
+            assert minus.flags.c_contiguous
 
     def test_j3_ascending(self):
         assert np.allclose(np.diag(j3_matrix(3)), [-1.5, -0.5, 0.5, 1.5])
@@ -236,6 +248,8 @@ class TestCoefficientBlock:
             CoefficientBlock("integer", 2)
         with pytest.raises(DomainError):
             CoefficientBlock("int", -1)
+        with pytest.raises(DomainError, match="half-integer"):
+            CoefficientBlock("int", True)
         with pytest.raises(DomainError):
             CoefficientBlock("int", 2, {(1, 1): 1.0})  # half label in int sector
         with pytest.raises(DomainError):
@@ -244,6 +258,13 @@ class TestCoefficientBlock:
             CoefficientBlock("int", 2, {(2, 1): 1.0})  # parity mismatch
         with pytest.raises(DomainError):
             CoefficientBlock("int", 2, {"x": 1.0})
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 3), ("half", Fraction(5, 2)), ("half", 0)])
+    def test_max_gap_is_the_largest_per_label_difference(self, sector, j_max):
+        a, b = random_block(sector, j_max, seed=1), random_block(sector, j_max, seed=2)
+        per_label = [abs(a.get(s.two_j, s.two_m) - b.get(s.two_j, s.two_m)) for s in a.labels()]
+        assert _max_gap(a, b) == max(per_label, default=0.0)
+        assert _max_gap(a, a) == 0.0
 
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(DomainError):

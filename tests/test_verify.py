@@ -110,7 +110,7 @@ def test_negative_j_max_rejected():
         run_suite("laguerre", j_max=-1)
 
 
-@pytest.mark.parametrize("j_max", ["x", None, "1/0"])
+@pytest.mark.parametrize("j_max", ["x", None, "1/0", True])
 def test_j_max_that_is_no_half_integer_rejected(j_max):
     with pytest.raises(DomainError):
         run_suite("laguerre", j_max=j_max)
