@@ -6,7 +6,8 @@ erratum notes, ``transform`` round-trips or samples a coefficient block,
 ``rotate`` applies Euler angles to a block, and ``quadrature`` emits rule
 nodes and weights as plot-ready data.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or format error.
+Exit codes: 0 success, 1 verification failure, 2 usage or format error or
+a typed numerical error (UnitarityError).
 All output is deterministic given the flags; the only randomized command
 (verify) draws from a generator seeded by --seed, default 0.
 """
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from .basis import SpinIndex, calL, calZ
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, UnitarityError
 from .laguerre import laguerre_eval
 from .quadrature import gauss_laguerre
 from .rotation import RotationSpec
@@ -248,7 +249,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (DomainError, SchemaError) as exc:
+    except (DomainError, SchemaError, UnitarityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -8,10 +8,19 @@ matrices in that basis (ascending m) and assembles the z-y-z rotation
 
 from diagonal phases and the LAPACK eigenbasis of the real symmetric
 Jx = (J+ + J-)/2, which a diagonal phase turns into Jy (Feng, Wang, Yang &
-Jin, Phys. Rev. E 92, 043307, 2015).
+Jin, Phys. Rev. E 92, 043307, 2015).  Jx commutes with the reversal
+m -> -m, so it splits into a reversal-symmetric and a reversal-antisymmetric
+tridiagonal half of order about j.  Each half is diagonalized on its own
+and the two are folded back together, so the work is two half-size
+eigenproblems and two half-size products instead of full-size ones.
 
-Unitarity of the result is checked, never repaired: a matrix that drifts
-past the tolerance raises rather than being silently re-orthogonalized.
+Unitarity is checked, never repaired, and the check reads the computed
+eigenvectors rather than the product.  With W = P V, Lambda =
+diag(expm1(-i b m)) and E = V^T V - I, the identity |1 + Lambda_k| = 1
+gives U* U - I = D_c* W Lambda* E Lambda W* D_c in exact arithmetic on the
+computed V, so max|U* U - I| <= 4 ||E||_2 (1 + ||E||_2) <= 4 r (1 + r) for
+every angle, where r is the largest row sum of |E| over both halves.  A bound above 1e-12
+raises rather than being silently re-orthogonalized.
 """
 
 from __future__ import annotations
@@ -125,27 +134,84 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
+def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two parity halves of Jx as (exact eigenvalues, eigenvectors).
+
+    In the folded basis (e_k + e_(n-1-k)) / sqrt(2) and
+    (e_k - e_(n-1-k)) / sqrt(2), k < n // 2 ascending, with n = 2j+1 and the
+    middle e_(n//2) appended to the symmetric half when n is odd, Jx is
+    block diagonal with two real symmetric tridiagonal halves that keep the
+    ladder couplings beta_k of the lower half.  The centre differs: for odd
+    n the symmetric half couples its last row to the middle by sqrt(2) beta;
+    for even n the middle pair puts +beta and -beta on the last diagonal
+    entry of the symmetric and antisymmetric half.  The symmetric half has
+    the eigenvalues mu with j - mu even, the antisymmetric half those with
+    j - mu odd.  Both lists come in ascending order, as eigh returns its
+    columns, so the exact mu stand in for the rounded eigenvalues.
+    """
+    n = two_j + 1
+    h, odd = divmod(n, 2)
+    k = np.arange(1.0, h + 1.0)
+    beta = np.sqrt(k * (n - k)) / 2.0  # beta[k-1] couples m = -j+k-1 and -j+k
+    if odd:
+        beta[-1:] *= math.sqrt(2.0)  # only the symmetric half reaches the middle m = 0
+    m = np.arange(n) - two_j / 2.0
+    halves = []
+    for sign, mu in ((1.0, m[two_j % 2 :: 2]), (-1.0, m[1 - two_j % 2 :: 2])):
+        half = np.zeros((mu.size, mu.size))
+        i = np.arange(mu.size - 1)
+        half[i, i + 1] = half[i + 1, i] = beta[: mu.size - 1]
+        if not odd:
+            half[-1, -1] = sign * beta[-1]
+        halves.append((mu, np.linalg.eigh(half)[1]))
+    return halves
+
+
 def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
     """Unitary of the rotation spec on the spin-j block, ascending m.
 
     Computed as diag(e^(-i a m)) [I + P V diag(expm1(-i b m)) V^T P*]
     diag(e^(-i c m)), where V diagonalizes the real symmetric Jx, whose
     eigenvalues are exactly m = -j..j, and P = diag(e^(-i pi m/2)) turns Jx
-    into Jy.  The expm1 form keeps the identity rotation exact.  Raises
-    UnitarityError if the product deviates from unitarity by more than
-    1e-12 in the max norm of U* U - I.
+    into Jy.  V is taken from the two parity halves of Jx (_jx_halves), so
+    V diag(expm1) V^T is folded from two half-size products
+    G = u diag(expm1(-i b mu)) u^T: its quarter blocks are (G_s +- G_a)/2,
+    plus the sqrt(1/2)-scaled middle row and column when 2j+1 is odd.  The
+    expm1 form keeps the identity rotation exact.  Raises UnitarityError
+    if the eigenvectors' defect r (largest row sum of |u^T u - I| over both
+    halves) gives a bound 4 r (1 + r) on max|U* U - I| above 1e-12, a bound
+    that holds for every angle (see the module docstring).
     """
     _check_two_j(two_j)
     if not isinstance(spec, RotationSpec):
         raise DomainError(f"spec must be a RotationSpec, got {spec!r}")
-    m = np.arange(two_j + 1) - two_j / 2.0
-    jx = (ladder_matrix(two_j, "+") + ladder_matrix(two_j, "-")) / 2.0
-    pv = np.exp(-0.5j * math.pi * m)[:, None] * np.linalg.eigh(jx)[1]
-    u = (pv * np.expm1(-1j * spec.b * m)) @ pv.conj().T + np.eye(two_j + 1)
-    u = np.exp(-1j * spec.a * m)[:, None] * u * np.exp(-1j * spec.c * m)
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(two_j + 1)))
-    if defect > _UNITARITY_TOL:
+    halves = _jx_halves(two_j)
+    r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in halves)
+    bound = 4.0 * r * (1.0 + r)
+    if bound > _UNITARITY_TOL:
         raise UnitarityError(
-            f"rotation matrix for two_j={two_j} deviates from unitarity by {defect:.3e}"
+            f"rotation matrix for two_j={two_j}: eigenvector defect bounds "
+            f"max|U* U - I| by {bound:.3e} > {_UNITARITY_TOL:g}"
         )
-    return u
+    # Halves of G_s and G_a, so that the quarter blocks are a sum and a difference.
+    g_s, g_a = ((u * (0.5 * np.expm1(-1j * spec.b * mu))) @ u.T for mu, u in halves)
+    n = two_j + 1
+    h, odd = divmod(n, 2)
+    out = np.empty((n, n), dtype=complex)
+    out[:h, :h] = g_s[:h, :h] + g_a
+    out[:h, n - h :] = (g_s[:h, :h] - g_a)[:, ::-1]
+    if odd:
+        centre = math.sqrt(2.0) * g_s[h, :h]
+        out[h, :h] = out[:h, h] = centre
+        out[h, h + 1 :] = centre[::-1]
+        out[h, h] = 2.0 * g_s[h, h]
+    out[n - h :] = out[:h][::-1, ::-1]  # the fold is symmetric under m -> -m on both sides
+    # P up to a constant phase that cancels against P*: its entries 1, -i, -1, i
+    # multiply exactly, so P adds no rounding to D_a and D_c.
+    m = np.arange(n) - two_j / 2.0
+    p = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
+    left, right = np.exp(-1j * spec.a * m), np.exp(-1j * spec.c * m)
+    out *= (left * p)[:, None]
+    out *= right * p.conj()
+    out[np.diag_indices(n)] += left * right
+    return out

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from planeharm.basis import SpinIndex, calZ
@@ -264,6 +265,22 @@ class TestRotate:
         lines = out.splitlines()
         assert lines[0] == "two_j,two_m,re,im"
         assert lines[1].startswith("2,0,1")
+
+    def test_unitarity_failure_is_a_typed_error(self, monkeypatch):
+        # Eigenvectors stretched by 1e-3 fail the rotation's unitarity gate.
+        real_eigh = np.linalg.eigh
+
+        def eigh(a):
+            w, v = real_eigh(a)
+            return w, 1.001 * v
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        block = CoefficientBlock("int", 1, {(2, 0): 1.0})
+        code, out, err = run_cli("rotate", "--euler", "0.1,0.2,0.3", stdin_text=block.to_json())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rotation matrix for two_j=2: ")
+        assert "unexpected" not in err
 
     def test_malformed_euler(self):
         code, _, err = run_cli("rotate", "--euler", "1,2", stdin_text="{}")

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from planeharm import rotation
 from planeharm.basis import PlanePoint, SpinIndex, calZ, sector_labels
 from planeharm.errors import DomainError, SchemaError, UnitarityError
 from planeharm.quadrature import plane_inner
@@ -206,6 +207,124 @@ class TestRotationMatrix:
             u = rotation_matrix(two_j, RotationSpec(a, b, c))
             defect = np.max(np.abs(u.conj().T @ u - np.eye(two_j + 1)))
             assert defect < 1e-12
+
+
+REAL_EIGH = np.linalg.eigh
+DELTAS = [10.0**-k for k in range(16, 8, -1)]
+
+
+def perturbed_eigh(kind: str, delta: float):
+    """np.linalg.eigh with its eigenvectors spoiled by delta, the same way on every call.
+
+    "scale" stretches one column by 1 + delta, "noise" adds delta times a
+    fixed normal draw, and "givens" turns two columns by the angle delta,
+    which keeps them orthonormal.
+    """
+
+    def eigh(a):
+        w, v = REAL_EIGH(a)
+        v = v.copy()
+        if kind == "scale":
+            v[:, 0] *= 1.0 + delta
+        elif kind == "noise":
+            v += delta * np.random.default_rng(0).standard_normal(v.shape)
+        else:
+            c, s = math.cos(delta), math.sin(delta)
+            v[:, :2] = v[:, :2] @ np.array([[c, -s], [s, c]])
+        return w, v
+
+    return eigh
+
+
+def top_multiplet(two_j: int, seed: int) -> CoefficientBlock:
+    gen = np.random.default_rng(seed)
+    values = gen.standard_normal(two_j + 1) + 1j * gen.standard_normal(two_j + 1)
+    sector = "half" if two_j % 2 else "int"
+    labels = range(-two_j, two_j + 1, 2)
+    return CoefficientBlock(sector, Fraction(two_j, 2), {(two_j, m): x for m, x in zip(labels, values)})
+
+
+class TestRotationGate:
+    """The gate reads the eigenvectors of the Jx halves, not U* U."""
+
+    @pytest.mark.parametrize("kind", ["scale", "noise", "givens"])
+    def test_raises_or_returns_a_unitary(self, kind, monkeypatch):
+        angles = np.random.default_rng(4).uniform(-7.0, 7.0, size=(20, 3))
+        for delta in DELTAS:
+            monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(kind, delta))
+            for two_j in (6, 9, 40):
+                raised = 0
+                for a, b, c in angles:
+                    try:
+                        u = rotation_matrix(two_j, RotationSpec(a, b, c))
+                    except UnitarityError as exc:
+                        assert f"two_j={two_j}" in str(exc) and "1e-12" in str(exc)
+                        raised += 1
+                        continue
+                    assert np.max(np.abs(u.conj().T @ u - np.eye(two_j + 1))) <= 1e-12
+                # The gate does not depend on the angles.
+                assert raised in (0, len(angles))
+                if kind == "givens":
+                    assert not raised, (two_j, delta)
+                elif delta >= 1e-11:
+                    assert raised, (kind, two_j, delta)
+
+    @pytest.mark.parametrize("kind", ["scale", "noise", "givens"])
+    def test_rotate_raises_where_rotation_matrix_raises(self, kind, monkeypatch):
+        spec = RotationSpec(0.4, -1.3, 2.2)
+        for delta in DELTAS:
+            monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(kind, delta))
+            for two_j in (6, 9, 40):
+                block = top_multiplet(two_j, seed=two_j)
+                try:
+                    u = rotation_matrix(two_j, spec)
+                except UnitarityError:
+                    with pytest.raises(UnitarityError):
+                        rotate(block, spec)
+                    continue
+                vec = np.array([block.get(two_j, m) for m in range(-two_j, two_j + 1, 2)])
+                got = rotate(block, spec)
+                assert [got.get(two_j, m) for m in range(-two_j, two_j + 1, 2)] == list(u @ vec)
+
+
+class TestRotationHalves:
+    def test_half_eigenvalues_round_to_their_exact_set(self, monkeypatch):
+        seen = []
+
+        def eigh(a):
+            w, v = REAL_EIGH(a)
+            seen.append(w)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for two_j in range(0, 301):
+            seen.clear()
+            halves = rotation._jx_halves(two_j)
+            assert len(seen) == len(halves) == 2
+            for (mu, _), w in zip(halves, seen):
+                assert np.array_equal(np.rint(2.0 * w), 2.0 * mu), two_j
+            (mu_s, _), (mu_a, _) = halves
+            j = two_j / 2.0
+            assert np.all((j - mu_s) % 2 == 0) and np.all((j - mu_a) % 2 == 1)
+            assert sorted(np.concatenate([mu_s, mu_a])) == list(np.arange(two_j + 1) - j)
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 128), ("half", Fraction(257, 2))])
+    def test_rotate_at_scale(self, sector, j_max):
+        # The oracle is the complex eigendecomposition of Jy, as in the
+        # benchmark's top-multiplet check, not the folded halves of Jx.
+        a, b, c = 0.9, -2.3, 1.7
+        block = random_block(sector, j_max, seed=21)
+        two_j = block.two_j_max
+        ms = np.arange(two_j + 1) - two_j / 2.0
+        w, v = np.linalg.eigh(jy_matrix(two_j))
+        u = np.exp(-1j * a * ms)[:, None] * ((v * np.exp(-1j * b * w)) @ v.conj().T) * np.exp(-1j * c * ms)
+        labels = range(-two_j, two_j + 1, 2)
+        want = u @ np.array([block.get(two_j, m) for m in labels])
+        rotated = rotate(block, RotationSpec(a, b, c))
+        got = np.array([rotated.get(two_j, m) for m in labels])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        back = rotate(rotated, RotationSpec(-c, -b, -a))
+        assert block_gap(back, block) <= 1e-12
 
 
 class TestCoefficientBlock:
