@@ -40,13 +40,6 @@ __all__ = [
 ]
 
 
-def _split_point(point):
-    if isinstance(point, PlanePoint):
-        return np.asarray(point.y, dtype=float), point.phi
-    y, phi = point
-    return np.asarray(y, dtype=float), float(phi)
-
-
 def apply_to_basis(expr: OperatorExpr, s: SpinIndex, point):
     """Evaluate expr acting on the plane harmonic calZ_j^m at a point.
 
@@ -55,7 +48,8 @@ def apply_to_basis(expr: OperatorExpr, s: SpinIndex, point):
     multiplies by y^(a-b).  A phase tag t contributes e^{i (t/2) phi}.
     ``point`` is a PlanePoint or a (y, phi) pair; y may be an ndarray.
     """
-    y, phi = _split_point(point)
+    y, phi = (point.y, point.phi) if isinstance(point, PlanePoint) else point
+    y, phi = np.asarray(y, dtype=float), float(phi)
     if np.any(y < 0):
         raise DomainError("apply_to_basis needs y >= 0")
     for mono in expr.terms:
@@ -129,17 +123,30 @@ def _shifted_label(s: SpinIndex, two_dm: int) -> SpinIndex | None:
     return SpinIndex(s.two_j, two_m)
 
 
+def _ladder_on_jet(name: str, s: SpinIndex, y, jet):
+    """K+- calL_j^m at y from the jet [calL, calL', ...] of (j, m) there."""
+    op = ladder_form(name, s)
+    return op.a_coeff * jet[1] + op.zeroth(y) * jet[0]
+
+
 def apply_ladder(name: str, s: SpinIndex, y):
     """Values of K+- calL_j^m at y > 0."""
     y = np.asarray(y, dtype=float)
-    op = ladder_form(name, s)
-    f, df = _radial_jet(s, y, 1)
-    return op.a_coeff * df + op.zeroth(y) * f
+    return _ladder_on_jet(name, s, y, _radial_jet(s, y, 1))
 
 
 def _default_nodes(s: SpinIndex) -> np.ndarray:
     order = (s.two_j - abs(s.two_m)) // 2 + 2
     return gauss_laguerre(order, abs(s.two_m)).nodes
+
+
+def _ladder_step(s: SpinIndex, direction: str, y):
+    """(jet [calL, calL'] of (j, m), K+- calL_j^m, shifted label or None) at y."""
+    if direction not in ("+", "-"):
+        raise DomainError(f"direction must be '+' or '-', got {direction!r}")
+    jet = _radial_jet(s, y, 1)
+    step = _ladder_on_jet("K" + direction, s, y, jet)
+    return jet, step, _shifted_label(s, 2 if direction == "+" else -2)
 
 
 def ladder_residual(s: SpinIndex, direction: str) -> float:
@@ -149,21 +156,15 @@ def ladder_residual(s: SpinIndex, direction: str) -> float:
     the two side magnitudes and the basis scale (so edge labels, where the
     RHS is identically zero, measure annihilation quality).
     """
-    name = "K+" if direction == "+" else "K-" if direction == "-" else None
-    if name is None:
-        raise DomainError(f"direction must be '+' or '-', got {direction!r}")
     y = _default_nodes(s)
-    lhs = apply_ladder(name, s, y)
-    target = _shifted_label(s, 2 if direction == "+" else -2)
+    jet, lhs, target = _ladder_step(s, direction, y)
     rhs = (
-        ladder_coefficient(name, s) * calL(target, y)
+        ladder_coefficient("K" + direction, s) * calL(target, y)
         if target is not None
         else np.zeros_like(y)
     )
-    scale = max(
-        np.max(np.abs(lhs)), np.max(np.abs(rhs)), np.max(np.abs(calL(s, y)))
-    )
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), np.max(np.abs(jet[0])))
+    return _relative_defect(lhs, rhs, scale, s)
 
 
 def annihilation_residual(s: SpinIndex) -> float:
@@ -174,60 +175,81 @@ def annihilation_residual(s: SpinIndex) -> float:
     return ladder_residual(s, direction)
 
 
-def pair_action(outer: str, inner: str, s: SpinIndex, y):
-    """Values of K_outer K_inner calL_j^m, tracking the intermediate label.
+def _pair_on_jet(outer: str, inner: str, s: SpinIndex, y, jet):
+    """K_outer K_inner calL_j^m at y from the jet [calL, calL', calL''] of (j, m).
 
     The inner operator maps the m-sector, so the outer coefficients are read
     at the shifted label.  With O_i = A_i d/dy + B_i(y), B_i = beta_i/y +
     gamma_i:
 
         O2 O1 f = A2 A1 f'' + (A2 B1 + B2 A1) f' + (A2 B1' + B2 B1) f.
+
+    A value past the double range (y**2 underflows below y ~ 1e-154) raises
+    DomainError naming the operators, the label and the first such y.
     """
-    y = np.asarray(y, dtype=float)
     op1 = ladder_form(inner, s)
     mid = _shifted_label(s, op1.two_dm)
     if mid is None:
         # Inner op left the multiplet: K_outer of the zero function.
         return np.zeros_like(y)
     op2 = ladder_form(outer, mid)
-    f, df, ddf = _radial_jet(s, y, 2)
-    b1 = op1.zeroth(y)
-    db1 = -op1.beta / y**2
-    b2 = op2.zeroth(y)
-    return (
-        op2.a_coeff * op1.a_coeff * ddf
-        + (op2.a_coeff * b1 + b2 * op1.a_coeff) * df
-        + (op2.a_coeff * db1 + b2 * b1) * f
-    )
+    f, df, ddf = jet
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b1 = op1.zeroth(y)
+        db1 = -op1.beta / y**2
+        b2 = op2.zeroth(y)
+        val = (
+            op2.a_coeff * op1.a_coeff * ddf
+            + (op2.a_coeff * b1 + b2 * op1.a_coeff) * df
+            + (op2.a_coeff * db1 + b2 * b1) * f
+        )
+    bad = ~np.isfinite(val)
+    if bad.any():
+        raise DomainError(
+            f"{outer} {inner} at two_j={s.two_j}, two_m={s.two_m} leaves the double range "
+            f"at y = {float(y[bad][0])!r}"
+        )
+    return val
+
+
+def pair_action(outer: str, inner: str, s: SpinIndex, y):
+    """Values of K_outer K_inner calL_j^m at y > 0, tracking the intermediate label."""
+    y = np.asarray(y, dtype=float)
+    return _pair_on_jet(outer, inner, s, y, _radial_jet(s, y, 2))
+
+
+def _relative_defect(lhs, rhs, scale, s: SpinIndex) -> float:
+    """max |lhs - rhs| / scale, or DomainError when that is not finite."""
+    with np.errstate(all="ignore"):
+        value = float(np.max(np.abs(lhs - rhs)) / scale)
+    if not math.isfinite(value):
+        raise DomainError(f"relative defect {value} at two_j={s.two_j}, two_m={s.two_m}")
+    return value
 
 
 def su2_commutator_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of [K+, K-] calL = 2m calL under label tracking."""
-    if y is None:
-        y = _default_nodes(s)
-    y = np.asarray(y, dtype=float)
+    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
     m = 0.5 * s.two_m
-    f = calL(s, y)
-    lhs = pair_action("K+", "K-", s, y) - pair_action("K-", "K+", s, y)
-    rhs = 2.0 * m * f
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(f)))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    jet = _radial_jet(s, y, 2)
+    lhs = _pair_on_jet("K+", "K-", s, y, jet) - _pair_on_jet("K-", "K+", s, y, jet)
+    rhs = 2.0 * m * jet[0]
+    scale = max(np.max(np.abs(rhs)), np.max(np.abs(jet[0])))
+    return _relative_defect(lhs, rhs, scale, s)
 
 
 def casimir_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of (K3^2 + {K+,K-}/2) calL = j(j+1) calL."""
-    if y is None:
-        y = _default_nodes(s)
-    y = np.asarray(y, dtype=float)
+    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
     j = 0.5 * s.two_j
     m = 0.5 * s.two_m
-    f = calL(s, y)
-    lhs = m * m * f + 0.5 * (
-        pair_action("K+", "K-", s, y) + pair_action("K-", "K+", s, y)
+    jet = _radial_jet(s, y, 2)
+    lhs = m * m * jet[0] + 0.5 * (
+        _pair_on_jet("K+", "K-", s, y, jet) + _pair_on_jet("K-", "K+", s, y, jet)
     )
-    rhs = j * (j + 1.0) * f
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(f)))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    rhs = j * (j + 1.0) * jet[0]
+    scale = max(np.max(np.abs(rhs)), np.max(np.abs(jet[0])))
+    return _relative_defect(lhs, rhs, scale, s)
 
 
 def k3_ladder_residual(s: SpinIndex, direction: str, y=None) -> float:
@@ -237,28 +259,25 @@ def k3_ladder_residual(s: SpinIndex, direction: str, y=None) -> float:
     before it returns m, so the commutator is (m +- 1 - m) K+- calL and the
     identity holds exactly whenever the label shift is tracked.
     """
-    name = "K+" if direction == "+" else "K-" if direction == "-" else None
-    if name is None:
-        raise DomainError(f"direction must be '+' or '-', got {direction!r}")
-    if y is None:
-        y = _default_nodes(s)
-    y = np.asarray(y, dtype=float)
-    step = apply_ladder(name, s, y)
-    target = _shifted_label(s, 2 if direction == "+" else -2)
+    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
+    jet, step, target = _ladder_step(s, direction, y)
     m_after = 0.5 * target.two_m if target is not None else 0.0
     m = 0.5 * s.two_m
     lhs = m_after * step - m * step
     rhs = step if direction == "+" else -step
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(calL(s, y))), 1e-300)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    scale = max(np.max(np.abs(rhs)), np.max(np.abs(jet[0])), 1e-300)
+    return _relative_defect(lhs, rhs, scale, s)
 
 
-def hermiticity_gap(two_m: int, j_cap, seed: int = 0, order: int = 30) -> float:
+_HERMITICITY_ORDER = 30  # of hermiticity_gap's alpha-0 rule
+
+
+def hermiticity_gap(two_m: int, j_cap, seed: int = 0) -> float:
     """|<K+ f, g> - <f, K- g>| for random f, g in finite radial spans.
 
     f lives in the m sector with j <= j_cap, g in the m+1 sector; both
-    integrals use one plain-exponent rule dense enough for the polynomial
-    content of the integrands.
+    integrals use one plain-exponent rule of order _HERMITICITY_ORDER, dense
+    enough for the polynomial content of the integrands.
     """
     two_j_cap = int(2 * Fraction(j_cap))
     f_js = [tj for tj in range(abs(two_m), two_j_cap + 1, 2)]
@@ -268,22 +287,22 @@ def hermiticity_gap(two_m: int, j_cap, seed: int = 0, order: int = 30) -> float:
     rng = np.random.default_rng(seed)
     fc = rng.standard_normal(len(f_js))
     gc = rng.standard_normal(len(g_js))
-    rule = gauss_laguerre(order, 0)
+    rule = gauss_laguerre(_HERMITICITY_ORDER, 0)
     y = rule.nodes
     w = rule.lifted_weights()
 
-    f_vals = sum(
-        c * calL(SpinIndex(tj, two_m), y) for c, tj in zip(fc, f_js)
-    )
-    g_vals = sum(
-        c * calL(SpinIndex(tj, two_m + 2), y) for c, tj in zip(gc, g_js)
-    )
-    kplus_f = sum(
-        c * apply_ladder("K+", SpinIndex(tj, two_m), y) for c, tj in zip(fc, f_js)
-    )
-    kminus_g = sum(
-        c * apply_ladder("K-", SpinIndex(tj, two_m + 2), y) for c, tj in zip(gc, g_js)
-    )
+    def span(coeffs, two_js, two_m_span, name):
+        # sum c calL and sum c K calL over one span, from one jet per label.
+        vals = ladder = 0
+        for c, tj in zip(coeffs, two_js):
+            s = SpinIndex(tj, two_m_span)
+            jet = _radial_jet(s, y, 1)
+            vals = vals + c * jet[0]
+            ladder = ladder + c * _ladder_on_jet(name, s, y, jet)
+        return vals, ladder
+
+    f_vals, kplus_f = span(fc, f_js, two_m, "K+")
+    g_vals, kminus_g = span(gc, g_js, two_m + 2, "K-")
     left = float(np.dot(w, kplus_f * g_vals))
     right = float(np.dot(w, f_vals * kminus_g))
     return abs(left - right) / max(1.0, abs(left), abs(right))

@@ -49,13 +49,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, SectorMixingError
-from .laguerre import LaguerreIndex
 
 __all__ = [
     "SpinIndex",
     "PlanePoint",
-    "spin_to_index",
-    "index_to_spin",
     "calL",
     "calL_deriv",
     "calZ",
@@ -150,26 +147,6 @@ def sector_labels(sector: str, j_max) -> list[SpinIndex]:
         for two_m in range(-two_j, two_j + 1, 2):
             out.append(SpinIndex(two_j, two_m))
     return out
-
-
-def spin_to_index(s: SpinIndex) -> LaguerreIndex:
-    """(j, m) -> (n, alpha) = (j + m, -2m)."""
-    return LaguerreIndex((s.two_j + s.two_m) // 2, -s.two_m)
-
-
-def index_to_spin(idx: LaguerreIndex) -> SpinIndex:
-    """(n, alpha) -> (j, m) = (n + alpha/2, -alpha/2).
-
-    Defined exactly when the result is a valid spin label, which requires
-    2n + alpha >= |alpha| on top of n >= 0.
-    """
-    two_j = 2 * idx.n + idx.alpha
-    two_m = -idx.alpha
-    if two_j < 0 or abs(two_m) > two_j:
-        raise DomainError(
-            f"(n={idx.n}, alpha={idx.alpha}) has no spin label: |m| <= j fails"
-        )
-    return SpinIndex(two_j, two_m)
 
 
 _LN2 = math.log(2.0)

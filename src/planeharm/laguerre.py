@@ -25,7 +25,6 @@ __all__ = [
     "laguerre_eval",
     "laguerre_deriv",
     "laguerre_reflect",
-    "factorial_ratio_sqrt",
     "FIRST_ORDER_RELATIONS",
     "COMPOSED_RELATIONS",
     "RecurrenceCheck",
@@ -40,8 +39,8 @@ class LaguerreIndex:
 
     Any integer superscript is admissible: the degree recurrence and the
     explicit series define the same degree-n polynomial for every alpha.
-    The subset that corresponds to a spin label (2n + alpha >= |alpha|) is
-    enforced by ``basis.index_to_spin``, not here.
+    Spin labels correspond to the subset with 2n + alpha >= |alpha|, through
+    (j, m) = (n + alpha/2, -alpha/2); ``basis.SpinIndex`` checks those.
     """
 
     n: int
@@ -119,22 +118,6 @@ def laguerre_reflect(n: int, alpha: int, y):
     y = np.asarray(y, dtype=float)
     val = ratio * (-y) ** k * laguerre_eval(n - k, k, y)
     return val if val.ndim else float(val)
-
-
-def factorial_ratio_sqrt(j, m) -> float:
-    """sqrt((j+m)! / (j-m)!) for half-integer j, m with j - |m| a nonneg integer.
-
-    Computed through log-gamma so large labels do not overflow.
-    """
-    j = Fraction(j)
-    m = Fraction(m)
-    up = j + m
-    down = j - m
-    if up.denominator != 1 or down.denominator != 1:
-        raise DomainError(f"j+m and j-m must be integers, got j={j}, m={m}")
-    if up < 0 or down < 0:
-        raise DomainError(f"need |m| <= j, got j={j}, m={m}")
-    return math.exp(0.5 * (math.lgamma(int(up) + 1) - math.lgamma(int(down) + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ different (wrong) values, and one test documents that gap on purpose.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planeharm.actions import (
     annihilation_residual,
@@ -26,7 +29,7 @@ from planeharm.actions import (
     su2_commutator_residual,
 )
 from planeharm.algebra import build_operator, commutator
-from planeharm import basis, quadrature, transform
+from planeharm import basis, quadrature, transform, verify
 from planeharm.basis import SpinIndex, calL, calL_deriv, ode_residual, sector_labels
 from planeharm.verify import run_suite
 from planeharm.errors import DomainError
@@ -115,12 +118,37 @@ class TestOneKernelPass:
         evaluate(SpinIndex(5, 1), YGRID)  # an interior label: both ladders act
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "evaluate, expected",
+        [
+            (lambda s: su2_commutator_residual(s), 1),
+            (lambda s: casimir_residual(s), 1),
+            (lambda s: k3_ladder_residual(s, "+"), 1),
+            (lambda s: k3_ladder_residual(s, "-"), 1),
+            # Its own jet, plus calL of the shifted target label.
+            (lambda s: ladder_residual(s, "+"), 2),
+            (lambda s: ladder_residual(s, "-"), 2),
+        ],
+        ids=["su2", "casimir", "k3-up", "k3-down", "ladder-up", "ladder-down"],
+    )
+    def test_one_jet_per_residual(self, monkeypatch, evaluate, expected):
+        calls = self.count_kernel_calls(monkeypatch)
+        evaluate(SpinIndex(5, 1))  # an interior label: both ladders act
+        assert len(calls) == expected
+
+    def test_hermiticity_gap_one_jet_per_span_label(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        hermiticity_gap(1, 6, seed=0)  # f: j = 1/2 .. 11/2 at m = 1/2; g: 3/2 .. 11/2
+        assert len(calls) == 6 + 5
+
     def test_verify_suite_kernel_calls(self, monkeypatch):
-        # One kernel call per entry point made 10,618 here; the jet saves a third.
-        calls = self.count_kernel_calls(monkeypatch, (basis, quadrature, transform))
+        # One kernel call per entry point made 10,618 here, one jet per
+        # entry point 7,160; one jet per residual and one Gram matrix per
+        # |m| column make 4,144.
+        calls = self.count_kernel_calls(monkeypatch, (basis, quadrature, transform, verify))
         quadrature._cached_rule.cache_clear()
         run_suite("all", 8, 1)
-        assert len(calls) <= 7_432
+        assert len(calls) <= 4_300
 
 
 class TestLadderForms:
@@ -228,3 +256,48 @@ class TestFormalVersusPointwise:
     def test_pair_action_direction_argument(self):
         with pytest.raises(DomainError):
             pair_action("K+", "K?", SpinIndex(2, 0), YGRID)
+
+
+@st.composite
+def labels_and_points(draw):
+    two_j = draw(st.integers(0, 24))
+    two_m = draw(st.sampled_from(range(-two_j, two_j + 1, 2)))
+    exponents = draw(st.lists(st.floats(-300.0, 3.0), min_size=1, max_size=4))
+    y = np.clip(10.0 ** np.array(exponents), 1e-300, 1e3)
+    return SpinIndex(two_j, two_m), y
+
+
+class TestTypedAtEveryY:
+    """Every action that takes y is finite there or raises DomainError."""
+
+    @staticmethod
+    def finite_or_domain_error(evaluate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value = evaluate()
+            except DomainError:
+                return
+        assert np.all(np.isfinite(value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(labels_and_points())
+    def test_actions_and_residuals(self, case):
+        s, y = case
+        for name in ("K+", "K-"):
+            self.finite_or_domain_error(lambda: apply_ladder(name, s, y))
+            for inner in ("K+", "K-"):
+                self.finite_or_domain_error(lambda: pair_action(name, inner, s, y))
+        for name in ("E", "K+", "K-", "K3", "J+", "J-"):
+            expr = build_operator(name)
+            self.finite_or_domain_error(lambda: apply_to_basis(expr, s, (y, 0.3)))
+        self.finite_or_domain_error(lambda: su2_commutator_residual(s, y))
+        self.finite_or_domain_error(lambda: casimir_residual(s, y))
+        for direction in ("+", "-"):
+            self.finite_or_domain_error(lambda: k3_ladder_residual(s, direction, y))
+
+    def test_pair_action_names_the_first_bad_point(self):
+        with pytest.raises(DomainError, match=r"K\+ K- at two_j=2, two_m=0 .* y = 1e-300"):
+            pair_action("K+", "K-", SpinIndex(2, 0), [1e-300, 1.0])
+        with pytest.raises(DomainError, match="two_j=4, two_m=2"):
+            pair_action("K+", "K-", SpinIndex(4, 2), [1e-300, 1.0])

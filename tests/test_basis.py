@@ -1,4 +1,4 @@
-"""Radial functions, plane harmonics, label maps, and the radial equation."""
+"""Radial functions, plane harmonics, labels, and the radial equation."""
 
 import math
 import warnings
@@ -14,14 +14,11 @@ from planeharm.basis import (
     calL,
     calL_deriv,
     calZ,
-    index_to_spin,
     ode_residual,
     require_same_sector,
     sector_labels,
-    spin_to_index,
 )
 from planeharm.errors import DomainError, SectorMixingError
-from planeharm.laguerre import LaguerreIndex
 from planeharm.quadrature import gauss_laguerre, halfline_inner
 
 YS = np.linspace(0.1, 30.0, 40)
@@ -85,30 +82,6 @@ def test_sector_mixing_guard():
     require_same_sector(SpinIndex(2, 0), SpinIndex(4, 2))
     with pytest.raises(SectorMixingError):
         require_same_sector(SpinIndex(2, 0), SpinIndex(3, 1))
-
-
-# -------------------------------------------------------------- label maps
-
-
-def test_label_map_examples():
-    assert index_to_spin(LaguerreIndex(1, -1)) == SpinIndex(1, 1)
-    assert spin_to_index(SpinIndex(4, -2)) == LaguerreIndex(1, 2)
-    assert index_to_spin(LaguerreIndex(3, 2)) == SpinIndex(8, -2)
-
-
-def test_label_maps_are_inverse_bijections():
-    for sector, j_max in (("int", 6), ("half", Fraction(11, 2))):
-        for s in sector_labels(sector, j_max):
-            idx = spin_to_index(s)
-            assert idx.n >= 0 and 2 * idx.n + idx.alpha >= abs(idx.alpha)
-            assert index_to_spin(idx) == s
-
-
-def test_label_map_rejects_indices_outside_spin_domain():
-    with pytest.raises(DomainError):
-        index_to_spin(LaguerreIndex(1, -3))
-    with pytest.raises(DomainError):
-        index_to_spin(LaguerreIndex(0, -1))
 
 
 # ---------------------------------------------------------- radial values

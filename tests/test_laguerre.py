@@ -20,7 +20,6 @@ from planeharm.laguerre import (
     COMPOSED_RELATIONS,
     FIRST_ORDER_RELATIONS,
     LaguerreIndex,
-    factorial_ratio_sqrt,
     laguerre_deriv,
     laguerre_eval,
     laguerre_reflect,
@@ -308,22 +307,6 @@ def test_printed_form_divides_by_zero_at_alpha_minus_one():
 def test_unknown_relation_rejected():
     with pytest.raises(DomainError):
         recurrence_residual("raise-q", 1, 0, 1.0)
-
-
-# ------------------------------------------------------- norm prefactors
-
-
-def test_factorial_ratio_sqrt_values():
-    assert factorial_ratio_sqrt(3, 0) == 1.0
-    assert factorial_ratio_sqrt(Fraction(1, 2), Fraction(1, 2)) == 1.0
-    assert factorial_ratio_sqrt(2, 2) == pytest.approx(math.sqrt(24.0), rel=1e-14)
-
-
-def test_factorial_ratio_sqrt_domain():
-    with pytest.raises(DomainError):
-        factorial_ratio_sqrt(1, 0.25)
-    with pytest.raises(DomainError):
-        factorial_ratio_sqrt(1, 2)
 
 
 # --------------------------------------------------------------- property

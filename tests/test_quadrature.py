@@ -204,7 +204,7 @@ def test_verify_run_builds_each_distinct_rule_once():
     quadrature._cached_rule.cache_clear()
     run_suite("all", 8)
     info = quadrature._cached_rule.cache_info()
-    assert (info.misses, info.hits + info.misses) == (248, 3162)
+    assert (info.misses, info.hits + info.misses) == (248, 2654)
 
 
 # ------------------------------------------------------- inner products

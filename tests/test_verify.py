@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeharm import errata
+from planeharm import errata, verify
 from planeharm.errors import DomainError
 from planeharm.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
@@ -160,3 +160,21 @@ def test_seed_recorded():
     report = run_suite("transform", j_max=2, seed=42)
     assert report.seed == 42
     assert report.overall_pass
+
+
+def test_radial_orthonormality_catches_one_scaled_row(full_report, monkeypatch):
+    # Intact, the Gram matrices are the identity to roundoff.
+    intact = {c.id: c for c in full_report.checks}["basis.radial-orthonormality"]
+    assert intact.residual <= 1e-15
+    # Scale calL_3^(+-1) (2|m| = 2, step k = 2) by 1 + 1e-6 inside the check only.
+    kernel = verify._radial_rows
+
+    def scaled(abs2ms, two_j_max, y):
+        for k, rows in enumerate(kernel(abs2ms, two_j_max, y)):
+            yield rows * (1 + 1e-6) if (abs2ms, k) == ([2], 2) else rows
+
+    monkeypatch.setattr(verify, "_radial_rows", scaled)
+    checks = {c.id: c for c in run_suite("basis", 8).checks}
+    assert not checks["basis.radial-orthonormality"].passed
+    assert checks["basis.radial-orthonormality"].residual > 1e-6
+    assert all(c.passed for cid, c in checks.items() if cid != "basis.radial-orthonormality")
