@@ -128,7 +128,8 @@ def _cmd_eval(args) -> int:
     y = _y_grid(args)
     if args.what == "laguerre":
         _require(args, ("n", "alpha"))
-        rows = [[args.n, args.alpha, yv, laguerre_eval(args.n, args.alpha, yv)] for yv in y]
+        values = laguerre_eval(args.n, args.alpha, y).tolist()
+        rows = [[args.n, args.alpha, yv, v] for yv, v in zip(y, values)]
         _emit_table(("n", "alpha", "y", "value"), rows, args.format)
     elif args.what == "calL":
         _require(args, ("two_j", "two_m"))

@@ -8,6 +8,11 @@ differential recurrences.  The exact-rational twin of this module lives in
 
 Conventions: L_0^(a) = 1, L_1^(a) = 1 + a - y, so L_n^(a)(0) = C(n+a, n).
 Degree -1 polynomials appearing in shifted relations are 0 by convention.
+
+laguerre_eval, laguerre_deriv and recurrence_check broadcast an integer-dtype
+alpha array against y, so one call covers a whole (alpha, y) grid; scalar
+inputs give floats.  A y that is not finite, or a result that leaves the
+double range, raises DomainError naming (n, alpha) and the first such y.
 """
 
 from __future__ import annotations
@@ -53,49 +58,80 @@ class LaguerreIndex:
             raise DomainError(f"degree must be nonnegative, got n={self.n}")
 
 
-def laguerre_eval(n: int, alpha: int, y):
+def _index(n: int, alpha):
+    """Check a degree and a superscript; alpha is an int or an integer-dtype array."""
+    if not isinstance(alpha, np.ndarray):
+        LaguerreIndex(n, alpha)
+        return alpha
+    if alpha.dtype.kind not in "iu":
+        raise DomainError(f"an alpha array must have an integer dtype, got {alpha.dtype}")
+    LaguerreIndex(n, 0)
+    return alpha.astype(np.int64, copy=False)
+
+
+def _finite(name: str, n: int, alpha, y: np.ndarray, value):
+    """value as a float or an array; DomainError at its first non-finite point."""
+    bad = ~(np.isfinite(value) & np.isfinite(y))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        a = int(np.broadcast_to(alpha, bad.shape).flat[i])
+        yi = float(np.broadcast_to(y, bad.shape).flat[i])
+        what = "y is not finite" if not math.isfinite(yi) else "the value leaves the double range"
+        raise DomainError(f"{name}(n={n}, alpha={a}): {what} at y={yi!r}")
+    return value if np.ndim(value) else float(value)
+
+
+def laguerre_eval(n: int, alpha, y):
     """Evaluate L_n^(alpha) at y by the ascending three-term recurrence.
 
     Parameters
     ----------
     n : int
         Degree, n >= 0.
-    alpha : int
-        Superscript, any integer.
+    alpha : int or integer ndarray
+        Superscript, any integer; an array broadcasts against y.
     y : float or ndarray
-        Evaluation points.
+        Evaluation points, finite.
 
     Returns
     -------
     float or ndarray
-        L_n^(alpha)(y), shaped like y.
+        L_n^(alpha)(y), shaped like alpha and y broadcast together; a float
+        when both are scalars.
+
+    Raises
+    ------
+    DomainError
+        When a y is not finite or a value leaves the double range, naming
+        the first such point.
     """
-    LaguerreIndex(n, alpha)
+    alpha = _index(n, alpha)
     y = np.asarray(y, dtype=float)
-    prev = np.ones_like(y)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - y
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - y) * cur - (k + alpha) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
+    cur = np.ones(np.broadcast_shapes(np.shape(alpha), y.shape))
+    with np.errstate(all="ignore"):
+        if n > 0:
+            prev, cur = cur, 1.0 + alpha - y
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1 + alpha - y) * cur - (k + alpha) * prev) / (k + 1)
+    return _finite("laguerre_eval", n, alpha, y, cur)
 
 
-def laguerre_deriv(n: int, alpha: int, y, order: int = 1):
+def laguerre_deriv(n: int, alpha, y, order: int = 1):
     """Derivative of L_n^(alpha) of the given order, in closed form.
 
     Uses d/dy L_n^(a) = -L_{n-1}^(a+1) repeatedly:
     d^k/dy^k L_n^(a) = (-1)^k L_{n-k}^(a+k), and 0 once k exceeds n.
+    alpha and y broadcast as in laguerre_eval.
     """
     if order < 0:
         raise DomainError(f"derivative order must be nonnegative, got {order}")
-    LaguerreIndex(n, alpha)
+    alpha = _index(n, alpha)
     if order > n:
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        return out if out.ndim else 0.0
+        y = np.asarray(y, dtype=float)
+        zero = np.zeros(np.broadcast_shapes(np.shape(alpha), y.shape))
+        return _finite("laguerre_deriv", n, alpha, y, zero)
     sign = -1.0 if order % 2 else 1.0
-    val = laguerre_eval(n - order, alpha + order, y)
-    return sign * val
+    return sign * laguerre_eval(n - order, alpha + order, y)
 
 
 def laguerre_reflect(n: int, alpha: int, y):
@@ -116,8 +152,11 @@ def laguerre_reflect(n: int, alpha: int, y):
         raise DomainError(f"reflection needs |alpha| <= n, got n={n}, alpha={alpha}")
     ratio = float(Fraction(math.factorial(n - k), math.factorial(n)))
     y = np.asarray(y, dtype=float)
-    val = ratio * (-y) ** k * laguerre_eval(n - k, k, y)
-    return val if val.ndim else float(val)
+    with np.errstate(all="ignore"):
+        # np.power rather than **, so a scalar y takes the same power kernel
+        # as an array.
+        val = ratio * np.power(-y, k) * laguerre_eval(n - k, k, y)
+    return _finite("laguerre_reflect", n, alpha, y, val)
 
 
 # ---------------------------------------------------------------------------
@@ -151,89 +190,113 @@ COMPOSED_RELATIONS = ("lower-n-raise-alpha2", "raise-n-lower-alpha2")
 
 @dataclass(frozen=True)
 class RecurrenceCheck:
-    """Both sides of a recurrence at a point, with a cancellation-free scale."""
+    """Both sides of a recurrence, with a cancellation-free scale.
+
+    The fields are floats at a point and arrays over a broadcast grid.
+    """
 
     relation: str
     form: str
-    lhs: float
-    rhs: float
-    scale: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    scale: float | np.ndarray
 
     @property
-    def residual(self) -> float:
+    def residual(self):
         return abs(self.lhs - self.rhs)
 
     @property
-    def relative_residual(self) -> float:
-        return self.residual / max(self.scale, 1.0)
+    def relative_residual(self):
+        rel = self.residual / np.maximum(self.scale, 1.0)
+        return rel if np.ndim(rel) else float(rel)
 
 
-def _shifted(n: int, alpha: int, y):
+def _shifted(n: int, alpha, y):
     """L_{n}^{(alpha)} with the degree -1 convention."""
     if n < 0:
         return 0.0
     return laguerre_eval(n, alpha, y)
 
 
-def recurrence_check(
-    relation: str, n: int, alpha: int, y: float, form: str = "corrected"
-) -> RecurrenceCheck:
-    """Evaluate one differential recurrence at a point.
+def _two_sum(a, b):
+    """a + b rounded, and the exact error of that rounding (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
 
-    ``form`` is meaningful only for the composed relations ("printed" or
-    "corrected"); first-order relations have a single form.
+
+def _cascade_sum(terms):
+    """Sum of two or three terms by a TwoSum cascade with one final correction.
+
+    It equals math.fsum of the terms on the verify grid and, unlike it, acts
+    elementwise on arrays.
     """
-    LaguerreIndex(n, alpha)
-    y = float(y)
+    total, err = _two_sum(terms[0], terms[1])
+    for t in terms[2:]:
+        total, e = _two_sum(total, t)
+        err = err + e
+    return total + err
+
+
+def _sides(relation: str, form: str, n: int, alpha, y):
+    """The LHS terms and the RHS of one recurrence, as listed above."""
     L = laguerre_eval(n, alpha, y)
     dL = laguerre_deriv(n, alpha, y)
-
-    if relation in FIRST_ORDER_RELATIONS:
-        form = "printed"
-        if relation == "raise-n":
-            terms = [y * dL, (n + 1 + alpha - y) * L]
-            rhs = (n + 1) * _shifted(n + 1, alpha, y)
-        elif relation == "lower-n":
-            terms = [-y * dL, n * L]
-            rhs = (n + alpha) * _shifted(n - 1, alpha, y)
-        elif relation == "raise-alpha":
-            terms = [-dL, L]
-            rhs = _shifted(n, alpha + 1, y)
-        else:  # lower-alpha
-            terms = [y * dL, alpha * L]
-            rhs = (n + alpha) * _shifted(n, alpha - 1, y)
-    elif relation == "lower-n-raise-alpha2":
+    if relation == "raise-n":
+        return [y * dL, (n + 1 + alpha - y) * L], (n + 1) * _shifted(n + 1, alpha, y)
+    if relation == "lower-n":
+        return [-y * dL, n * L], (n + alpha) * _shifted(n - 1, alpha, y)
+    if relation == "raise-alpha":
+        return [-dL, L], _shifted(n, alpha + 1, y)
+    if relation == "lower-alpha":
+        return [y * dL, alpha * L], (n + alpha) * _shifted(n, alpha - 1, y)
+    if relation == "lower-n-raise-alpha2":
         target = _shifted(n - 1, alpha + 2, y)
         if form == "printed":
-            if alpha == -1:
-                raise DomainError("printed form divides by alpha + 1 = 0")
-            terms = [dL, (n / (alpha + 1)) * L]
-            rhs = -(alpha / (alpha + 1)) * target
-        elif form == "corrected":
-            terms = [(alpha + 1) * dL, n * L]
-            rhs = -y * target
-        else:
-            raise DomainError(f"unknown form {form!r}")
-    elif relation == "raise-n-lower-alpha2":
-        target = _shifted(n + 1, alpha - 2, y)
-        if form == "printed":
-            terms = [y * (alpha - 1) * dL, -y * (n + 1.5 * alpha) * L, alpha * (alpha - 1) * L]
-            rhs = (n + 1.5 * alpha) * (alpha + 1) * target
-        elif form == "corrected":
-            terms = [y * (alpha - 1) * dL, -y * (n + alpha) * L, alpha * (alpha - 1) * L]
-            rhs = (n + 1) * (n + alpha) * target
-        else:
-            raise DomainError(f"unknown form {form!r}")
-    else:
+            return [dL, (n / (alpha + 1)) * L], -(alpha / (alpha + 1)) * target
+        return [(alpha + 1) * dL, n * L], -y * target
+    # raise-n-lower-alpha2
+    target = _shifted(n + 1, alpha - 2, y)
+    if form == "printed":
+        terms = [y * (alpha - 1) * dL, -y * (n + 1.5 * alpha) * L, alpha * (alpha - 1) * L]
+        return terms, (n + 1.5 * alpha) * (alpha + 1) * target
+    terms = [y * (alpha - 1) * dL, -y * (n + alpha) * L, alpha * (alpha - 1) * L]
+    return terms, (n + 1) * (n + alpha) * target
+
+
+def recurrence_check(
+    relation: str, n: int, alpha, y, form: str = "corrected"
+) -> RecurrenceCheck:
+    """Evaluate one differential recurrence at y.
+
+    ``form`` is meaningful only for the composed relations ("printed" or
+    "corrected"); first-order relations have a single form.  alpha and y
+    broadcast as in laguerre_eval; the printed lower-n-raise-alpha2 form
+    raises DomainError when any alpha is -1.
+    """
+    alpha = _index(n, alpha)
+    y = np.asarray(y, dtype=float)
+    if relation in FIRST_ORDER_RELATIONS:
+        form = "printed"
+    elif relation not in COMPOSED_RELATIONS:
         raise DomainError(f"unknown relation {relation!r}")
+    elif form not in ("printed", "corrected"):
+        raise DomainError(f"unknown form {form!r}")
+    elif relation == "lower-n-raise-alpha2" and form == "printed" and np.any(alpha == -1):
+        raise DomainError("printed form divides by alpha + 1 = 0")
+    # Products of finite values may still overflow; that raises below.
+    with np.errstate(all="ignore"):
+        terms, rhs = _sides(relation, form, n, alpha, y)
+        scale = np.abs(rhs)
+        for t in terms:
+            scale = np.maximum(scale, np.abs(t))
+        lhs = _cascade_sum(terms)
+    _finite("recurrence_check", n, alpha, y, np.maximum(np.abs(lhs), scale))
+    sides = np.broadcast_arrays(lhs, rhs, scale)
+    lhs, rhs, scale = (v if v.ndim else float(v) for v in sides)
+    return RecurrenceCheck(relation, form, lhs, rhs, scale)
 
-    lhs = math.fsum(terms)
-    scale = max([abs(t) for t in terms] + [abs(rhs)])
-    return RecurrenceCheck(relation, form, lhs, float(rhs), scale)
 
-
-def recurrence_residual(
-    relation: str, n: int, alpha: int, y: float, form: str = "corrected"
-) -> float:
+def recurrence_residual(relation: str, n: int, alpha, y, form: str = "corrected"):
     """|LHS - RHS| of the selected recurrence at y."""
     return recurrence_check(relation, n, alpha, y, form).residual

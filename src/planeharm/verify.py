@@ -53,9 +53,10 @@ __all__ = [
 ]
 
 # Laguerre verification grid: every (n, alpha, y) with n <= 12, |alpha| <= 6.
+# The checks evaluate each n on the whole _ALPHAS x _YS grid in one call.
 _N_GRID = range(0, 13)
-_A_GRID = range(-6, 7)
-_Y_GRID = (0.1, 1.0, 5.0, 20.0)
+_ALPHAS = np.arange(-6, 7)
+_YS = np.array([0.1, 1.0, 5.0, 20.0])
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _guarded(diff: float, ref: float) -> float:
-    # Relative where the reference is O(1) or larger, absolute below that;
-    # avoids rewarding or punishing catastrophic cancellation near roots.
-    return abs(diff) / max(1.0, abs(ref))
+def _guarded(diff: np.ndarray, ref: np.ndarray) -> float:
+    # The worst |diff|, relative where the reference is O(1) or larger and
+    # absolute below that; avoids rewarding or punishing catastrophic
+    # cancellation near roots.
+    return float(np.max(np.abs(diff) / np.maximum(1.0, np.abs(ref))))
 
 
 def _sector_sweep(j_max: Fraction) -> list[SpinIndex]:
@@ -159,15 +161,14 @@ def _check(check_id: str, tolerance: float, identity: str):
 @_check("laguerre.oracle", 1e-12, "recurrence evaluation equals the exact rational series")
 def _check_oracle(j_max, seed):
     worst = 0.0
+    y_exact = [Fraction(y).limit_denominator(10**6) for y in _YS]
     for n in _N_GRID:
-        for a in _A_GRID:
-            exact = ExactPolynomial.laguerre(n, a)
-            for y in _Y_GRID:
-                ref = float(exact(Fraction(y).limit_denominator(10**6)))
-                got = laguerre_eval(n, a, y)
-                worst = max(worst, _guarded(got - ref, ref))
-                if a >= 0 and ref != 0.0:
-                    worst = max(worst, abs(got - ref) / abs(ref))
+        got = laguerre_eval(n, _ALPHAS[:, None], _YS)
+        exact = [ExactPolynomial.laguerre(n, int(a)) for a in _ALPHAS]
+        ref = np.array([[float(p(y)) for y in y_exact] for p in exact])
+        worst = max(worst, _guarded(got - ref, ref))
+        rel = (_ALPHAS >= 0)[:, None] & (ref != 0.0)
+        worst = max(worst, float(np.max(np.abs(got - ref)[rel] / np.abs(ref[rel]))))
     return worst, "", True
 
 
@@ -177,11 +178,10 @@ def _check_oracle(j_max, seed):
 def _check_reflection(j_max, seed):
     worst = 0.0
     for n in _N_GRID:
-        for a in range(-min(6, n), 1):
-            for y in _Y_GRID:
-                direct = laguerre_eval(n, a, y)
-                reflected = laguerre_reflect(n, a, y)
-                worst = max(worst, _guarded(direct - reflected, direct))
+        alphas = range(-min(6, n), 1)
+        direct = laguerre_eval(n, np.array(alphas)[:, None], _YS)
+        reflected = np.array([laguerre_reflect(n, a, _YS) for a in alphas])
+        worst = max(worst, _guarded(direct - reflected, direct))
     return worst, "", True
 
 
@@ -190,10 +190,8 @@ def _check_first_order(j_max, seed):
     worst = 0.0
     for name in FIRST_ORDER_RELATIONS:
         for n in _N_GRID:
-            for a in _A_GRID:
-                for y in _Y_GRID:
-                    c = recurrence_check(name, n, a, y)
-                    worst = max(worst, c.relative_residual)
+            c = recurrence_check(name, n, _ALPHAS[:, None], _YS)
+            worst = max(worst, float(np.max(c.relative_residual)))
     return worst, "", True
 
 
@@ -217,19 +215,20 @@ def _check_composed(j_max, seed):
     corrected_worst = 0.0
     for name in COMPOSED_RELATIONS:
         for n in _N_GRID:
-            for a in _A_GRID:
-                bad = False
-                for y in _Y_GRID:
-                    try:
-                        printed = recurrence_check(name, n, a, y, form="printed")
-                        if printed.relative_residual > 1e-6:
-                            bad = True
-                    except DomainError:
-                        bad = True
-                    c = recurrence_check(name, n, a, y)
-                    corrected_worst = max(corrected_worst, c.relative_residual)
-                total += 1
-                fail_count += bad
+            # An (n, alpha) pair fails when the printed form misses at some y
+            # or cannot be evaluated there (it divides by alpha + 1 = 0).
+            try:
+                printed = recurrence_check(name, n, _ALPHAS[:, None], _YS, form="printed")
+                bad = (printed.relative_residual > 1e-6).any(axis=1)
+            except DomainError:
+                ok = _ALPHAS != -1
+                printed = recurrence_check(name, n, _ALPHAS[ok][:, None], _YS, form="printed")
+                bad = ~ok
+                bad[ok] = (printed.relative_residual > 1e-6).any(axis=1)
+            c = recurrence_check(name, n, _ALPHAS[:, None], _YS)
+            corrected_worst = max(corrected_worst, float(np.max(c.relative_residual)))
+            total += len(_ALPHAS)
+            fail_count += int(bad.sum())
     reproduced = reproduced and fail_count > total // 2
     rhs_pin = pin_lower.rhs if pin_lower.rhs != 0 else 0.0
     note = (
@@ -247,21 +246,15 @@ def _check_derivatives(j_max, seed):
     # Richardson-extrapolated central differences; tolerance is absolute
     # where |L| is O(1) and scales with the function where it is huge.
     h = 1e-6
+    a = _ALPHAS[:, None]
     worst = 0.0
     for n in _N_GRID:
-        for a in _A_GRID:
-            for y in _Y_GRID:
-                d_h = (laguerre_eval(n, a, y + h) - laguerre_eval(n, a, y - h)) / (2 * h)
-                d_h2 = (
-                    laguerre_eval(n, a, y + h / 2) - laguerre_eval(n, a, y - h / 2)
-                ) / h
-                fd = (4.0 * d_h2 - d_h) / 3.0
-                scale = max(
-                    1.0,
-                    abs(laguerre_eval(n, a, y + h)),
-                    abs(laguerre_eval(n, a, y - h)),
-                )
-                worst = max(worst, abs(laguerre_deriv(n, a, y) - fd) / scale)
+        up, down = laguerre_eval(n, a, _YS + h), laguerre_eval(n, a, _YS - h)
+        d_h = (up - down) / (2 * h)
+        d_h2 = (laguerre_eval(n, a, _YS + h / 2) - laguerre_eval(n, a, _YS - h / 2)) / h
+        fd = (4.0 * d_h2 - d_h) / 3.0
+        scale = np.maximum(1.0, np.maximum(np.abs(up), np.abs(down)))
+        worst = max(worst, float(np.max(np.abs(laguerre_deriv(n, a, _YS) - fd) / scale)))
     return worst, "", True
 
 
@@ -299,7 +292,7 @@ def _check_radial_orthonormality(j_max, seed):
 
 @_check("basis.symmetry-sign", 1e-12, "m-reflection symmetry carries the sign (-1)^(2m)")
 def _check_symmetry_sign(j_max, seed):
-    y = np.array(_Y_GRID)
+    y = _YS
     signed_worst = 0.0
     unsigned_gap = 0.0
     half_seen = False
@@ -460,12 +453,11 @@ def _check_moments(j_max, seed):
     for alpha in (0, 1, 2, 3, 5):
         for order in range(1, 41):
             rule = gauss_laguerre(order, alpha)
-            powers = np.ones_like(rule.nodes)
-            for k in range(0, 2 * order):
-                target = math.exp(math.lgamma(k + alpha + 1))
-                got = float(np.dot(rule.weights, powers))
-                worst = max(worst, abs(got - target) / target)
-                powers = powers * rule.nodes
+            # Row k holds x^k, built as ((x * x) * x) ... one factor at a time.
+            powers = np.ones((2 * order, order))
+            powers[1:] = np.cumprod(np.broadcast_to(rule.nodes, (2 * order - 1, order)), axis=0)
+            target = np.array([math.exp(math.lgamma(k + alpha + 1)) for k in range(2 * order)])
+            worst = max(worst, float(np.max(np.abs(powers @ rule.weights - target) / target)))
     return worst, "", True
 
 

@@ -47,6 +47,14 @@ class TestEval:
         assert (code, err) == (0, "")
         assert out.splitlines() == ["n,alpha,y,value", "1,2,1.0,2.0"]
 
+    def test_laguerre_outside_double_range_is_an_error(self):
+        code, out, err = run_cli(
+            "eval", "--what", "laguerre", "--n", "600", "--alpha", "0",
+            "--y-min", "2000", "--y-max", "2000", "--y-steps", "1", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "n=600, alpha=0" in err and "y=2000.0" in err
+
     def test_call_csv_row(self):
         code, out, _ = run_cli(
             "eval", "--what", "calL", "--two-j", "2", "--two-m", "0",
@@ -104,6 +112,15 @@ class TestVerify:
         code, out, err = run_cli("verify", "--suite", "laguerre", "--j-max", "2")
         assert (code, err) == (0, "")
         assert out.rstrip().endswith("overall: pass")
+
+    def test_readme_example_is_real_output(self):
+        command = "$ planeharm verify --suite laguerre --j-max 2"
+        readme = (ROOT / "README.md").read_text().splitlines()
+        start = readme.index(command) + 1
+        block = readme[start:readme.index("```", start)]
+        code, out, _ = run_cli(*command.split()[2:])
+        assert code == 0
+        assert out.splitlines() == block
 
     def test_forced_failure_exit_one(self):
         code, out, _ = run_cli(

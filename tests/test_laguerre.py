@@ -10,6 +10,7 @@ claim is upgraded to an exact rational identity instead.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,6 +303,8 @@ def test_printed_composed_relations_fail():
 def test_printed_form_divides_by_zero_at_alpha_minus_one():
     with pytest.raises(DomainError):
         recurrence_check("lower-n-raise-alpha2", 2, -1, 1.0, form="printed")
+    with pytest.raises(DomainError):
+        recurrence_check("lower-n-raise-alpha2", 2, np.arange(-2, 2)[:, None], YGRID, "printed")
 
 
 def test_unknown_relation_rejected():
@@ -333,3 +336,108 @@ def test_eval_tracks_oracle_everywhere(n, a, y):
 def test_first_order_relations_hold_at_random_points(relation, n, a, y):
     chk = recurrence_check(relation, n, a, y)
     assert chk.relative_residual <= 1e-10
+
+
+# ------------------------------------------------------- arrays and scalars
+
+# The verify grid plus a wider one: larger degrees, superscripts and points.
+WIDE_N = sorted(set(NGRID) | {17, 24})
+WIDE_A = np.arange(-6, 13)
+WIDE_Y = np.array(YGRID + (0.0, 1e-3, 0.37, 2.5, 11.0, 33.0, 60.0))
+VARIANTS = [(r, "corrected") for r in FIRST_ORDER_RELATIONS] + [
+    (r, f) for r in COMPOSED_RELATIONS for f in ("printed", "corrected")
+]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def scalar_grid(fn, alphas, ys):
+    return np.array([[fn(int(a), float(y)) for y in ys] for a in alphas])
+
+
+@pytest.mark.parametrize("n", WIDE_N)
+def test_array_eval_and_deriv_equal_scalar_loop(n):
+    grid = WIDE_A[:, None], WIDE_Y[None, :]
+    assert same_bits(
+        laguerre_eval(n, *grid), scalar_grid(lambda a, y: laguerre_eval(n, a, y), WIDE_A, WIDE_Y)
+    )
+    for order in (1, 2):
+        assert same_bits(
+            laguerre_deriv(n, *grid, order=order),
+            scalar_grid(lambda a, y: laguerre_deriv(n, a, y, order), WIDE_A, WIDE_Y),
+        )
+
+
+@pytest.mark.parametrize("relation, form", VARIANTS)
+def test_array_recurrence_check_equals_scalar_checks(relation, form):
+    alphas = WIDE_A
+    if (relation, form) == ("lower-n-raise-alpha2", "printed"):
+        alphas = alphas[alphas != -1]
+    for n in WIDE_N:
+        grid = recurrence_check(relation, n, alphas[:, None], WIDE_Y, form)
+        points = [[recurrence_check(relation, n, int(a), float(y), form) for y in WIDE_Y]
+                  for a in alphas]
+        assert (grid.relation, grid.form) == (points[0][0].relation, points[0][0].form)
+        for field in ("lhs", "rhs", "scale", "residual", "relative_residual"):
+            expected = [[getattr(c, field) for c in row] for row in points]
+            assert all(isinstance(v, float) for row in expected for v in row)
+            assert same_bits(getattr(grid, field), expected), (n, field)
+
+
+@pytest.mark.parametrize("form", ("printed", "corrected"))
+def test_three_term_lhs_equals_fsum(form):
+    for n in WIDE_N:
+        for a in WIDE_A:
+            a = int(a)
+            for y in WIDE_Y:
+                y = float(y)
+                L, dL = laguerre_eval(n, a, y), laguerre_deriv(n, a, y)
+                shift = n + 1.5 * a if form == "printed" else n + a
+                terms = [y * (a - 1) * dL, -y * shift * L, a * (a - 1) * L]
+                chk = recurrence_check("raise-n-lower-alpha2", n, a, y, form)
+                assert chk.lhs == math.fsum(terms), (n, a, y)
+
+
+@pytest.mark.parametrize("alpha", [np.array([0.0, 1.0]), np.array([True, False])])
+def test_non_integer_alpha_array_rejected(alpha):
+    for evaluate in (
+        lambda: laguerre_eval(2, alpha, 1.0),
+        lambda: laguerre_deriv(2, alpha, 1.0),
+        lambda: recurrence_check("raise-n", 2, alpha, 1.0),
+    ):
+        with pytest.raises(DomainError):
+            evaluate()
+
+
+# ------------------------------------------------------------ double range
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_value_outside_double_range_raises_naming_the_point():
+    with pytest.raises(DomainError, match=r"n=600, alpha=0\).*y=2000\.0"):
+        laguerre_eval(600, 0, 2000.0)
+    with pytest.raises(DomainError, match=r"alpha=3\).*y=2000\.0"):
+        laguerre_eval(600, np.array([[3], [0]]), np.array([1.0, 2000.0]))
+    with pytest.raises(DomainError, match=r"y=2000\.0"):
+        laguerre_deriv(601, 0, [1.0, 2000.0])
+    with pytest.raises(DomainError, match=r"laguerre_reflect\(n=200, alpha=-150\)"):
+        laguerre_reflect(200, -150, 1e5)
+    # L_300(1500) is finite, but y (alpha - 1) L' is not.
+    with pytest.raises(DomainError, match=r"recurrence_check\(n=300, alpha=0\).*y=1500\.0"):
+        recurrence_check("raise-n-lower-alpha2", 300, 0, 1500.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_y_raises(bad):
+    for evaluate in (
+        lambda: laguerre_eval(0, 1, bad),
+        lambda: laguerre_eval(3, 1, [0.5, bad]),
+        lambda: laguerre_deriv(0, 1, bad),
+        lambda: laguerre_reflect(2, -1, bad),
+    ):
+        with pytest.raises(DomainError, match="y is not finite"):
+            evaluate()

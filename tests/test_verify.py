@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeharm import errata, verify
+from planeharm import errata, laguerre, verify
 from planeharm.errors import DomainError
 from planeharm.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
@@ -178,3 +178,19 @@ def test_radial_orthonormality_catches_one_scaled_row(full_report, monkeypatch):
     assert not checks["basis.radial-orthonormality"].passed
     assert checks["basis.radial-orthonormality"].residual > 1e-6
     assert all(c.passed for cid, c in checks.items() if cid != "basis.radial-orthonormality")
+
+
+def test_laguerre_suite_evaluates_whole_grids(monkeypatch):
+    # One laguerre_eval call per (relation, n, form) on the (alpha, y) grid,
+    # not one per point: 467 calls, where a point at a time makes 21,574.
+    calls = []
+    evaluate = laguerre.laguerre_eval
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    for module in (laguerre, verify):
+        monkeypatch.setattr(module, "laguerre_eval", counted)
+    assert run_suite("laguerre", 8, 0).overall_pass
+    assert len(calls) <= 1000
