@@ -9,6 +9,7 @@ made to be fast.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError
@@ -19,14 +20,15 @@ def binomial_general(top: int, k: int) -> Fraction:
 
     Defined through the falling factorial, C(top, k) = top (top-1) ...
     (top-k+1) / k!, which is the form the series below needs when the
-    superscript is negative.
+    superscript is negative.  Computed in integers: math.comb(top, k) for
+    top >= 0, and the upper negation C(top, k) = (-1)^k C(k-top-1, k)
+    otherwise.
     """
     if k < 0:
         return Fraction(0)
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(top - i, i + 1)
-    return num
+    if top >= 0:
+        return Fraction(math.comb(top, k))
+    return Fraction((-1) ** k * math.comb(k - top - 1, k))
 
 
 class ExactPolynomial:

@@ -6,13 +6,18 @@ matrices in that basis (ascending m) and assembles the z-y-z rotation
 
     D(a, b, c) = exp(-i a J3) exp(-i b Jy) exp(-i c J3)
 
-from diagonal phases and the LAPACK eigenbasis of the real symmetric
+from diagonal phases and the eigenbasis of the real symmetric tridiagonal
 Jx = (J+ + J-)/2, which a diagonal phase turns into Jy (Feng, Wang, Yang &
-Jin, Phys. Rev. E 92, 043307, 2015).  Jx commutes with the reversal
-m -> -m, so it splits into a reversal-symmetric and a reversal-antisymmetric
-tridiagonal half of order about j.  Each half is diagonalized on its own
-and the two are folded back together, so the work is two half-size
-eigenproblems and two half-size products instead of full-size ones.
+Jin, Phys. Rev. E 92, 043307, 2015).  The eigenvectors of Jx solve a
+three-term recurrence in m; they are Krawtchouk polynomials, the entries of
+d^j(pi/2) (Koornwinder, SIAM J. Math. Anal. 13, 1982).  The recurrence runs
+inward from the edge m = -j for all 2j+1 exact eigenvalues at once, with
+power-of-two rescaling against overflow, so a multiplet costs O(j^2) rather
+than a dense eigensolve.  Jx commutes with the reversal m -> -m, so each
+eigenvector is reversal-symmetric or reversal-antisymmetric, and the
+recurrence only has to reach the middle row.  The two parity halves are
+folded back together, so the assembly is two half-size products instead of
+full-size ones.
 
 Unitarity is checked, never repaired, and the check reads the computed
 eigenvectors rather than the product.  With W = P V, Lambda =
@@ -42,6 +47,8 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-12
+# Recurrence columns are scaled down past this, so their squares sum without overflow.
+_RESCALE_ABOVE = 2.0**256
 
 
 @dataclass(frozen=True)
@@ -137,33 +144,52 @@ def expm(matrix: np.ndarray) -> np.ndarray:
 def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The two parity halves of Jx as (exact eigenvalues, eigenvectors).
 
-    In the folded basis (e_k + e_(n-1-k)) / sqrt(2) and
+    The eigenvectors are folded onto (e_k + e_(n-1-k)) / sqrt(2) and
     (e_k - e_(n-1-k)) / sqrt(2), k < n // 2 ascending, with n = 2j+1 and the
-    middle e_(n//2) appended to the symmetric half when n is odd, Jx is
-    block diagonal with two real symmetric tridiagonal halves that keep the
-    ladder couplings beta_k of the lower half.  The centre differs: for odd
-    n the symmetric half couples its last row to the middle by sqrt(2) beta;
-    for even n the middle pair puts +beta and -beta on the last diagonal
-    entry of the symmetric and antisymmetric half.  The symmetric half has
-    the eigenvalues mu with j - mu even, the antisymmetric half those with
-    j - mu odd.  Both lists come in ascending order, as eigh returns its
-    columns, so the exact mu stand in for the rounded eigenvalues.
+    middle e_(n//2) appended to the symmetric half when n is odd.  The
+    eigenvector for mu has the parity (-1)^(j - mu) under m -> -m, so the
+    symmetric half holds the mu with j - mu even and the antisymmetric half
+    those with j - mu odd, each in ascending order.
+
+    Row i = m + j of Jx v = mu v reads
+    beta_(i-1) v_(i-1) + beta_i v_(i+1) = mu v_i with
+    beta_i = sqrt((i+1)(n-1-i)) / 2, so each column follows from v_0 = 1 at
+    the edge m = -j.  Inward from the edge the eigenvector is the dominant
+    solution, so the recurrence is stable; it runs for all n exact mu at once
+    and stops at the middle row, which is all the fold needs.  Columns grow
+    by up to about 2^j.  A cheap bound on the last two rows is carried
+    along, and once it passes 2^256 every column is scaled by the power of
+    two that brings those rows below 1, which is exact.  Each folded column
+    is normalized at the end.
     """
     n = two_j + 1
     h, odd = divmod(n, 2)
-    k = np.arange(1.0, h + 1.0)
-    beta = np.sqrt(k * (n - k)) / 2.0  # beta[k-1] couples m = -j+k-1 and -j+k
-    if odd:
-        beta[-1:] *= math.sqrt(2.0)  # only the symmetric half reaches the middle m = 0
-    m = np.arange(n) - two_j / 2.0
+    rows = h + odd  # v_0 .. v_(h-1), and the middle v_h when n is odd
+    k = np.arange(1.0, rows)
+    beta = np.sqrt(k * (n - k)) / 2.0  # beta[i] couples rows i and i+1
+    mu = np.arange(n) - two_j / 2.0
+    # v_(i+1) = a[i] v_i - c[i] v_(i-1)
+    a, c = mu / beta[:, None], np.append(0.0, beta[:-1] / beta[1:])
+    # |v_(i+1)| <= growth[i] max(|v_i|, |v_(i-1)|), and every growth[i] >= 1.
+    growth = (0.5 * two_j / beta + c).tolist()
+    v = np.empty((rows, n))
+    v[0] = 1.0
+    top = 1.0  # bounds the last two rows
+    for i in range(rows - 1):
+        row = np.multiply(a[i], v[i], out=v[i + 1])
+        if i:
+            row -= c[i] * v[i - 1]
+        top *= growth[i]
+        if top > _RESCALE_ABOVE:
+            # Bring the last two rows of every column below 1.
+            shift = np.maximum(np.frexp(np.maximum(np.abs(v[i]), np.abs(row)))[1], 0)
+            v[: i + 2] = np.ldexp(v[: i + 2], -shift)
+            top = 1.0
+    v[h:] *= math.sqrt(0.5)  # folded, the rows k < h read sqrt(2) v_k and the middle v_h
     halves = []
-    for sign, mu in ((1.0, m[two_j % 2 :: 2]), (-1.0, m[1 - two_j % 2 :: 2])):
-        half = np.zeros((mu.size, mu.size))
-        i = np.arange(mu.size - 1)
-        half[i, i + 1] = half[i + 1, i] = beta[: mu.size - 1]
-        if not odd:
-            half[-1, -1] = sign * beta[-1]
-        halves.append((mu, np.linalg.eigh(half)[1]))
+    for cols, size in ((slice(two_j % 2, None, 2), rows), (slice(1 - two_j % 2, None, 2), h)):
+        u = v[:size, cols]
+        halves.append((mu[cols], u / np.linalg.norm(u, axis=0)))
     return halves
 
 

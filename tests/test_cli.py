@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from planeharm import rotation
 from planeharm.basis import SpinIndex, calZ
 from planeharm.cli import main
 from planeharm.transform import CoefficientBlock, random_block, synthesize
@@ -285,13 +285,12 @@ class TestRotate:
 
     def test_unitarity_failure_is_a_typed_error(self, monkeypatch):
         # Eigenvectors stretched by 1e-3 fail the rotation's unitarity gate.
-        real_eigh = np.linalg.eigh
+        real_jx_halves = rotation._jx_halves
 
-        def eigh(a):
-            w, v = real_eigh(a)
-            return w, 1.001 * v
+        def jx_halves(two_j):
+            return [(mu, 1.001 * u) for mu, u in real_jx_halves(two_j)]
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(rotation, "_jx_halves", jx_halves)
         block = CoefficientBlock("int", 1, {(2, 0): 1.0})
         code, out, err = run_cli("rotate", "--euler", "0.1,0.2,0.3", stdin_text=block.to_json())
         assert code == 2

@@ -55,6 +55,15 @@ def test_point_values():
     assert laguerre_eval(2, 0, 2.0) == pytest.approx(-1.0, abs=1e-15)
 
 
+def test_binomial_general_is_the_falling_factorial():
+    for top in range(-20, 20):
+        for k in range(15):
+            falling = math.prod(Fraction(top - i, i + 1) for i in range(k))
+            got = binomial_general(top, k)
+            assert isinstance(got, Fraction) and got == falling, (top, k)
+        assert binomial_general(top, -1) == 0
+
+
 def test_value_at_zero_is_binomial():
     for n in NGRID:
         for a in AGRID:

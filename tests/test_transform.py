@@ -209,31 +209,33 @@ class TestRotationMatrix:
             assert defect < 1e-12
 
 
-REAL_EIGH = np.linalg.eigh
+REAL_JX_HALVES = rotation._jx_halves
 DELTAS = [10.0**-k for k in range(16, 8, -1)]
 
 
-def perturbed_eigh(kind: str, delta: float):
-    """np.linalg.eigh with its eigenvectors spoiled by delta, the same way on every call.
+def perturbed_halves(kind: str, delta: float):
+    """rotation._jx_halves with each half's eigenvectors spoiled by delta, the same way on every call.
 
     "scale" stretches one column by 1 + delta, "noise" adds delta times a
     fixed normal draw, and "givens" turns two columns by the angle delta,
     which keeps them orthonormal.
     """
 
-    def eigh(a):
-        w, v = REAL_EIGH(a)
-        v = v.copy()
+    def spoil(u):
+        u = u.copy()
         if kind == "scale":
-            v[:, 0] *= 1.0 + delta
+            u[:, 0] *= 1.0 + delta
         elif kind == "noise":
-            v += delta * np.random.default_rng(0).standard_normal(v.shape)
+            u += delta * np.random.default_rng(0).standard_normal(u.shape)
         else:
             c, s = math.cos(delta), math.sin(delta)
-            v[:, :2] = v[:, :2] @ np.array([[c, -s], [s, c]])
-        return w, v
+            u[:, :2] = u[:, :2] @ np.array([[c, -s], [s, c]])
+        return u
 
-    return eigh
+    def jx_halves(two_j):
+        return [(mu, spoil(u)) for mu, u in REAL_JX_HALVES(two_j)]
+
+    return jx_halves
 
 
 def top_multiplet(two_j: int, seed: int) -> CoefficientBlock:
@@ -251,7 +253,7 @@ class TestRotationGate:
     def test_raises_or_returns_a_unitary(self, kind, monkeypatch):
         angles = np.random.default_rng(4).uniform(-7.0, 7.0, size=(20, 3))
         for delta in DELTAS:
-            monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(kind, delta))
+            monkeypatch.setattr(rotation, "_jx_halves", perturbed_halves(kind, delta))
             for two_j in (6, 9, 40):
                 raised = 0
                 for a, b, c in angles:
@@ -273,7 +275,7 @@ class TestRotationGate:
     def test_rotate_raises_where_rotation_matrix_raises(self, kind, monkeypatch):
         spec = RotationSpec(0.4, -1.3, 2.2)
         for delta in DELTAS:
-            monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(kind, delta))
+            monkeypatch.setattr(rotation, "_jx_halves", perturbed_halves(kind, delta))
             for two_j in (6, 9, 40):
                 block = top_multiplet(two_j, seed=two_j)
                 try:
@@ -288,25 +290,39 @@ class TestRotationGate:
 
 
 class TestRotationHalves:
-    def test_half_eigenvalues_round_to_their_exact_set(self, monkeypatch):
-        seen = []
-
-        def eigh(a):
-            w, v = REAL_EIGH(a)
-            seen.append(w)
-            return w, v
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+    def test_half_eigenvalues_are_exact_ascending_and_of_their_parity(self):
         for two_j in range(0, 301):
-            seen.clear()
-            halves = rotation._jx_halves(two_j)
-            assert len(seen) == len(halves) == 2
-            for (mu, _), w in zip(halves, seen):
-                assert np.array_equal(np.rint(2.0 * w), 2.0 * mu), two_j
-            (mu_s, _), (mu_a, _) = halves
+            (mu_s, u_s), (mu_a, u_a) = rotation._jx_halves(two_j)
             j = two_j / 2.0
-            assert np.all((j - mu_s) % 2 == 0) and np.all((j - mu_a) % 2 == 1)
-            assert sorted(np.concatenate([mu_s, mu_a])) == list(np.arange(two_j + 1) - j)
+            m = np.arange(two_j + 1) - j
+            assert np.array_equal(mu_s, m[(j - m) % 2 == 0]), two_j
+            assert np.array_equal(mu_a, m[(j - m) % 2 == 1]), two_j
+            assert np.all(np.diff(mu_s) > 0) and np.all(np.diff(mu_a) > 0)
+            assert u_s.shape == (mu_s.size, mu_s.size) and u_a.shape == (mu_a.size, mu_a.size)
+
+    @pytest.mark.parametrize("two_js", [range(0, 301), [1024, 1025, 2049]], ids=["to-300", "large"])
+    def test_recurrence_matches_dense_eigh(self, two_js):
+        # The oracle is LAPACK's eigh of the full Jx, against the halves
+        # unfolded column by column; the large blocks overflow without the
+        # recurrence's rescale.
+        for two_j in two_js:
+            n = two_j + 1
+            h, odd = divmod(n, 2)
+            halves = rotation._jx_halves(two_j)
+            assert all(np.all(np.isfinite(u)) for _, u in halves), two_j
+            full = np.zeros((n, n))
+            for sign, (mu, u) in zip((1.0, -1.0), halves):
+                cols = np.rint(mu + two_j / 2.0).astype(int)
+                full[:h, cols] = u[:h] / math.sqrt(2.0)
+                full[n - h :, cols] = sign * u[:h][::-1] / math.sqrt(2.0)
+                if odd and sign > 0:
+                    full[h, cols] = u[h]
+            w, v = np.linalg.eigh((ladder_matrix(two_j, "+") + ladder_matrix(two_j, "-")) / 2.0)
+            assert np.array_equal(np.rint(2.0 * w), 2.0 * np.arange(n) - two_j)
+            cos = np.abs(np.einsum("ij,ij->j", full, v))
+            assert np.max(1.0 - cos) <= 1e-13, two_j
+            u = rotation_matrix(two_j, RotationSpec(0.9, -2.3, 1.7))
+            assert np.all(np.isfinite(u))
 
     @pytest.mark.parametrize("sector, j_max", [("int", 128), ("half", Fraction(257, 2))])
     def test_rotate_at_scale(self, sector, j_max):
