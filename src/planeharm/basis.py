@@ -164,6 +164,15 @@ def _sign(two_m: int) -> float:
     return -1.0 if (two_m > 0 and two_m % 2) else 1.0
 
 
+def _finite_phi(phi) -> np.ndarray:
+    """phi as a float array, else DomainError naming the first angle that is not finite."""
+    phi = np.asarray(phi, dtype=float)
+    bad = ~np.isfinite(phi)
+    if bad.any():
+        raise DomainError(f"need a finite phi, got phi={float(phi[bad][0])}")
+    return phi
+
+
 def _plain_start_fits(a_lo: int, a_hi: int, lo: float, hi: float) -> bool:
     """Whether y^|m|, e^(-y/2), 1/sqrt((2|m|)!) and their product are normal
     doubles for every 2|m| in [a_lo, a_hi] and every y in [lo, hi], lo > 0.
@@ -334,14 +343,15 @@ def calZ(s: SpinIndex, point) -> complex:
     ``point`` is a PlanePoint or a (y, phi) pair; y and phi may be ndarrays
     that broadcast against each other, such as y of shape (1, P) and phi of
     shape (A, 1), and the result then has the broadcast shape.  Half-integer
-    m gives the antiperiodic (double cover) phase.
+    m gives the antiperiodic (double cover) phase.  A phi that is not finite
+    raises DomainError.
     """
     if isinstance(point, PlanePoint):
         y, phi = point.y, point.phi
     else:
         y, phi = point
     m = 0.5 * s.two_m
-    val = calL(s, y) * np.exp(1j * m * np.asarray(phi, dtype=float))
+    val = calL(s, y) * np.exp(1j * m * _finite_phi(phi))
     return val if getattr(val, "ndim", 0) else complex(val)
 
 

@@ -357,3 +357,11 @@ def test_plane_harmonic_vectorized_in_y():
     v = calZ(s, (YS, 0.4))
     assert v.shape == YS.shape
     assert v[3] == calZ(s, (float(YS[3]), 0.4))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, np.array([0.3, math.inf])])
+def test_plane_harmonic_rejects_a_non_finite_angle(phi):
+    bad = float(np.asarray(phi).reshape(-1)[-1])
+    with pytest.raises(DomainError, match=rf"phi={bad}$"):
+        calZ(SpinIndex(3, -1), (1.0, phi))

@@ -25,7 +25,9 @@ from planeharm.rotation import (
     ladder_matrix,
     rotation_matrix,
 )
+from planeharm import transform
 from planeharm.transform import (
+    _RADIAL_FIRST_ANGLES,
     CoefficientBlock,
     _max_gap,
     analyze,
@@ -521,6 +523,11 @@ class TestAnalyze:
         with pytest.raises(DomainError, match=r"label \(0, 0\) must be finite"):
             analyze(lambda y, phi: np.nan, "int", 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sums_past_the_double_range_are_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"label \(0, 0\) must be finite"):
+            analyze(lambda y, phi: 1e308 * np.ones_like(y * phi), "int", 4)
+
     def test_result_off_the_grid_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"\(3,\).*\(9, 4\)"):
             analyze(lambda y, phi: np.ones(3), "int", 2)
@@ -610,6 +617,40 @@ class TestSynthesize:
         assert synthesize(block, (y[1], phis)).shape == (300,)
         assert np.max(np.abs(synthesize(block, (y[1], phis)) - want[:, 1])) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("sector, j_max", [("int", 32), ("half", Fraction(63, 2))])
+    def test_both_paths_match_the_per_angle_loop(self, sector, j_max, monkeypatch):
+        # One angle always takes the per-step matmul; the radial-first sum
+        # takes over at _RADIAL_FIRST_ANGLES, chosen from the angles alone.
+        radial_first = []
+        sum_by_m = transform._sum_by_m
+
+        def spy(*args):
+            radial_first.append(True)
+            return sum_by_m(*args)
+
+        monkeypatch.setattr(transform, "_sum_by_m", spy)
+        block = random_block(sector, j_max, seed=21)
+        y = np.concatenate([[0.0], np.geomspace(1e-3, 150.0, 40)])
+        for n_phi in (1, 2, _RADIAL_FIRST_ANGLES - 1, _RADIAL_FIRST_ANGLES, 257):
+            phis = np.linspace(-math.pi, math.pi, n_phi, endpoint=False)
+            radial_first.clear()
+            want = np.stack([synthesize(block, (y, float(p))) for p in phis])
+            assert not radial_first
+            got = synthesize(block, (y[None, :], phis[:, None]))
+            assert radial_first == [True] * (n_phi >= _RADIAL_FIRST_ANGLES)
+            assert got.shape == (n_phi, y.size)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n_phi
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, np.array([0.3, -math.inf])])
+    def test_non_finite_phi_is_a_domain_error_naming_it(self, phi):
+        bad = float(np.asarray(phi).reshape(-1)[-1])
+        block = random_block("int", 3, seed=2)
+        with pytest.raises(DomainError, match=rf"phi={bad}$"):
+            synthesize(block, (1.0, phi))
+        with pytest.raises(DomainError, match=rf"phi={bad}$"):
+            synthesize(block, (np.array([0.5, 1.0])[:, None], phi))
+
     def test_y_and_phi_must_form_a_grid(self):
         block = random_block("int", 2, seed=1)
         y = np.array([0.5, 1.0, 2.0])
@@ -631,6 +672,13 @@ class TestSynthesize:
             back = analyze(as_function(block), sector, j_max)
             assert block_gap(back, block) <= 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sector, j_max", [("int", 128), ("half", Fraction(255, 2))])
+    def test_roundtrip_at_scale(self, sector, j_max):
+        block = random_block(sector, j_max, seed=8)
+        back = analyze(as_function(block), sector, j_max)
+        assert block_gap(back, block) <= 1e-11
+
 
 class TestParseval:
     def test_band_limited_gap_vanishes(self):
@@ -644,6 +692,14 @@ class TestParseval:
 
     def test_zero_function(self):
         assert parseval_gap(lambda y, phi: np.zeros_like(y), "int", 2) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_past_the_double_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"label \(0, 0\) must be finite"):
+            parseval_gap(lambda y, phi: 1e308 * np.ones_like(y * phi), "int", 4)
+        # Finite coefficients, but |f|^2 overflows.
+        with pytest.raises(DomainError, match="norm of f leaves the double range"):
+            parseval_gap(lambda y, phi: 1e200 * np.ones_like(y * phi), "int", 4)
 
     def test_samples_f_once_on_the_grid(self):
         block = random_block("int", 3, seed=9)
