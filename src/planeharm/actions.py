@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import OperatorExpr
-from .basis import PlanePoint, SpinIndex, _radial_jet, calL
+from .basis import PlanePoint, SpinIndex, _radial_column, _radial_jet, _sign, calL
 from .errors import DomainError
 from .quadrature import gauss_laguerre
 
@@ -140,13 +140,11 @@ def _default_nodes(s: SpinIndex) -> np.ndarray:
     return gauss_laguerre(order, abs(s.two_m)).nodes
 
 
-def _ladder_step(s: SpinIndex, direction: str, y):
-    """(jet [calL, calL'] of (j, m), K+- calL_j^m, shifted label or None) at y."""
+def _check_direction(direction: str) -> int:
+    """two_dm of the ladder K+ (direction "+") or K- ("-"), else DomainError."""
     if direction not in ("+", "-"):
         raise DomainError(f"direction must be '+' or '-', got {direction!r}")
-    jet = _radial_jet(s, y, 1)
-    step = _ladder_on_jet("K" + direction, s, y, jet)
-    return jet, step, _shifted_label(s, 2 if direction == "+" else -2)
+    return 2 if direction == "+" else -2
 
 
 def ladder_residual(s: SpinIndex, direction: str) -> float:
@@ -157,9 +155,17 @@ def ladder_residual(s: SpinIndex, direction: str) -> float:
     RHS is identically zero, measure annihilation quality).
     """
     y = _default_nodes(s)
-    jet, lhs, target = _ladder_step(s, direction, y)
+    target = _shifted_label(s, _check_direction(direction))
+    jet = _radial_jet(s, y, 1)
+    return _ladder_defect(s, direction, y, jet, None if target is None else calL(target, y))
+
+
+def _ladder_defect(s: SpinIndex, direction: str, y, jet, target) -> float:
+    """ladder_residual at y from the jet [calL, calL', ...] of s and calL of
+    its shifted label there (None past the multiplet's edge)."""
+    lhs = _ladder_on_jet("K" + direction, s, y, jet)
     rhs = (
-        ladder_coefficient("K" + direction, s) * calL(target, y)
+        ladder_coefficient("K" + direction, s) * target
         if target is not None
         else np.zeros_like(y)
     )
@@ -230,8 +236,12 @@ def _relative_defect(lhs, rhs, scale, s: SpinIndex) -> float:
 def su2_commutator_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of [K+, K-] calL = 2m calL under label tracking."""
     y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
+    return _su2_defect(s, y, _radial_jet(s, y, 2))
+
+
+def _su2_defect(s: SpinIndex, y, jet) -> float:
+    """su2_commutator_residual at y from the jet [calL, calL', calL''] of s there."""
     m = 0.5 * s.two_m
-    jet = _radial_jet(s, y, 2)
     lhs = _pair_on_jet("K+", "K-", s, y, jet) - _pair_on_jet("K-", "K+", s, y, jet)
     rhs = 2.0 * m * jet[0]
     scale = max(np.max(np.abs(rhs)), np.max(np.abs(jet[0])))
@@ -241,9 +251,13 @@ def su2_commutator_residual(s: SpinIndex, y=None) -> float:
 def casimir_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of (K3^2 + {K+,K-}/2) calL = j(j+1) calL."""
     y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
+    return _casimir_defect(s, y, _radial_jet(s, y, 2))
+
+
+def _casimir_defect(s: SpinIndex, y, jet) -> float:
+    """casimir_residual at y from the jet [calL, calL', calL''] of s there."""
     j = 0.5 * s.two_j
     m = 0.5 * s.two_m
-    jet = _radial_jet(s, y, 2)
     lhs = m * m * jet[0] + 0.5 * (
         _pair_on_jet("K+", "K-", s, y, jet) + _pair_on_jet("K-", "K+", s, y, jet)
     )
@@ -260,7 +274,14 @@ def k3_ladder_residual(s: SpinIndex, direction: str, y=None) -> float:
     identity holds exactly whenever the label shift is tracked.
     """
     y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
-    jet, step, target = _ladder_step(s, direction, y)
+    _check_direction(direction)
+    return _k3_defect(s, direction, y, _radial_jet(s, y, 1))
+
+
+def _k3_defect(s: SpinIndex, direction: str, y, jet) -> float:
+    """k3_ladder_residual at y from the jet [calL, calL', ...] of s there."""
+    step = _ladder_on_jet("K" + direction, s, y, jet)
+    target = _shifted_label(s, _check_direction(direction))
     m_after = 0.5 * target.two_m if target is not None else 0.0
     m = 0.5 * s.two_m
     lhs = m_after * step - m * step
@@ -292,11 +313,13 @@ def hermiticity_gap(two_m: int, j_cap, seed: int = 0) -> float:
     w = rule.lifted_weights()
 
     def span(coeffs, two_js, two_m_span, name):
-        # sum c calL and sum c K calL over one span, from one jet per label.
+        # sum c calL and sum c K calL over one span, from one kernel stream
+        # over the labels' shared nodes.
+        labels = [SpinIndex(tj, two_m_span) for tj in two_js]
+        sign = _sign(two_m_span)
         vals = ladder = 0
-        for c, tj in zip(coeffs, two_js):
-            s = SpinIndex(tj, two_m_span)
-            jet = _radial_jet(s, y, 1)
+        for c, s, jet in zip(coeffs, labels, _radial_column(labels, y, 1)):
+            jet = [sign * v for v in jet]
             vals = vals + c * jet[0]
             ladder = ladder + c * _ladder_on_jet(name, s, y, jet)
         return vals, ladder

@@ -29,8 +29,11 @@ elsewhere; a power-of-two exponent per point carries whatever the start or
 the recurrence would push outside the double range, so large labels and
 large y give finite, accurate values.  ``_radial_rows`` runs it for all m
 of a sector at once, one row per k; synthesize, analyze and gauss_laguerre
-share it, and ``_radial_jet`` reads calL, calL' and calL'' of one label off
-one call for calL, calL_deriv, ode_residual and the ladder actions.
+share it.  ``_radial_column`` reads calL, calL' and calL'' of every label of
+one |m| column off one call, each label at its own nodes and its own step
+of a stream over their concatenation; the verify label checks use it per
+column, and ``_radial_jet``, its one-label case, serves calL, calL_deriv,
+ode_residual and the ladder actions.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
 
@@ -266,54 +269,86 @@ def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
             return
 
 
-def _radial_jet(s: SpinIndex, y, order: int) -> list[np.ndarray]:
-    """[calL, calL', calL''][: order + 1] of one label at y, from one kernel call.
+def _radial_column(labels, ys, order: int, same_j=()) -> list[list[np.ndarray]]:
+    """Jets of labels of one |m| column, each at its own nodes, from one kernel call.
 
-    With a = 2|m|, k = j - |m| and f_k^a(y) = y^(a/2) e^(-y/2) p_k^a(y) the
-    radial rows of alpha a, d/dy L_k^(a) = -L_(k-1)^(a+1) turns the
-    derivatives of the orthonormal polynomial into rows of alpha a + 1 and
-    a + 2: y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
-    y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  One kernel call
-    over alphas a .. a + order gives the rows; the derivatives of
-    y^(a/2) e^(-y/2) are added in closed form.  Each entry has y's shape.
-    Derivatives need y > 0, and one past the double range (order 2 at
-    |m| = 1/2 below y ~ 1e-205) raises DomainError naming the label, the
-    order and y.
+    ``labels`` share a = 2|m|.  ``ys`` is either a list of 1-D node arrays,
+    one per label, whose concatenation the kernel streams over, or one 1-D
+    array that every label shares.  Entry i of the result holds
+    [calL, calL', calL''][: order + 1] of labels[i] at its nodes, then, for
+    each b in ``same_j`` (of a's parity), the radial function of the same j
+    at 2|m| = b there (0 where b > 2j).  Every value is that of the label
+    with m <= 0; a label (j, m) is _sign(two_m) times it.
+
+    With k = j - |m| and f_k^a(y) = y^(a/2) e^(-y/2) p_k^a(y) the radial rows
+    of alpha a, d/dy L_k^(a) = -L_(k-1)^(a+1) turns the derivatives of the
+    orthonormal polynomial into rows of alpha a + 1 and a + 2:
+    y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
+    y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  So every entry
+    is a row of one stream over alphas a .. a + order and same_j, read at the
+    label's nodes and its own step; the derivatives of y^(a/2) e^(-y/2) are
+    added in closed form.  Derivatives need y > 0, and one past the double
+    range (order 2 at |m| = 1/2 below y ~ 1e-205) raises DomainError naming
+    the label, the order and y.
     """
-    y = np.asarray(y, dtype=float)
-    shape, y = y.shape, y.reshape(-1)
-    if order and np.any(y <= 0):
+    a = abs(labels[0].two_m)
+    ks = [(s.two_j - a) // 2 for s in labels]
+    shared = isinstance(ys, np.ndarray)
+    y = ys if shared else np.concatenate(ys)
+    sizes = [y.size] * len(labels) if shared else [len(v) for v in ys]
+    ends = list(itertools.accumulate(sizes))
+    spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    if order and (y <= 0).any():
         raise DomainError("calL_deriv needs y > 0")
-    a = abs(s.two_m)
-    k = (s.two_j - a) // 2
-    f0 = f1 = f2 = 0.0  # f_k^a, f_(k-1)^(a+1), f_(k-2)^(a+2); 0 below degree 0
-    for step, rows in enumerate(_radial_rows(list(range(a, a + order + 1)), s.two_j, y)):
-        if step == k - 2 and order == 2:
-            f2 = rows[2]
-        if step == k - 1 and order:
-            f1 = rows[1]
-        f0 = rows[0]
+    # Row (b, shift) holds alpha b at step k - shift of each label, 0 below step 0.
+    wants = [(a + d, d) for d in range(order + 1)] + [(b, (b - a) // 2) for b in same_j]
+    alphas = sorted({b for b, _ in wants})
+    out = {want: np.zeros(ends[-1]) for want in wants}
+    by_step: dict[int, list[int]] = {}
+    for i, k in enumerate(ks):
+        by_step.setdefault(k, []).append(i)
+    for step, rows in enumerate(_radial_rows(alphas, a + 2 * max(ks), y)):
+        for (b, shift), dest in out.items():
+            for i in by_step.get(step + shift, ()):
+                row = rows[alphas.index(b)]
+                dest[spans[i]] = row if shared else row[spans[i]]
+    y = np.tile(y, len(labels)) if shared and len(labels) > 1 else y
+    f0 = out[a, 0]
     jet = [f0]
     if order:
+        k = np.repeat(np.array(ks), sizes)
         b = 0.5 * a
         # Near y = 0 a derivative can pass the double range (like y^(-3/2)/4
         # for order 2 at |m| = 1/2), which is a DomainError; order 1 stays
         # finite for every y > 0, so only the top order is checked.
         with np.errstate(over="ignore", invalid="ignore"):
-            d1 = -math.sqrt(k) * f1 / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
+            d1 = -np.sqrt(k) * out[a + 1, 1] / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
             jet.append(d1 - 0.5 * f0 + b * f0 / y)
             if order == 2:
-                d2 = math.sqrt(k * (k - 1)) * f2 / y  # y^(a/2) e^(-y/2) p_k''
+                d2 = np.sqrt(k * (k - 1)) * out[a + 2, 2] / y  # y^(a/2) e^(-y/2) p_k''
                 jet.append(
                     d2 - d1 + 0.25 * f0 + b * (2.0 * d1 - f0) / y + b * (b - 1) * f0 / y / y
                 )
         finite = np.isfinite(jet[-1])
         if not finite.all():
+            bad = np.flatnonzero(~finite)[0]
+            s = labels[bisect.bisect_right(ends, bad)]
             raise DomainError(
                 f"calL_deriv(two_j={s.two_j}, two_m={s.two_m}, order={order}) leaves the "
-                f"double range at y = {float(y[~finite][0])!r}"
+                f"double range at y = {float(y[bad])!r}"
             )
-    return [(_sign(s.two_m) * val).reshape(shape) for val in jet]
+    columns = jet + [out[b, (b - a) // 2] for b in same_j]
+    return [[column[span] for column in columns] for span in spans]
+
+
+def _radial_jet(s: SpinIndex, y, order: int) -> list[np.ndarray]:
+    """[calL, calL', calL''][: order + 1] of one label at y, from one kernel call.
+
+    The one-label case of _radial_column; each entry has y's shape.
+    """
+    y = np.asarray(y, dtype=float)
+    jet = _radial_column([s], y.reshape(-1), order)[0]
+    return [(_sign(s.two_m) * val).reshape(y.shape) for val in jet]
 
 
 def calL(s: SpinIndex, y):
@@ -364,11 +399,16 @@ def ode_residual(s: SpinIndex, y):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise DomainError("ode_residual needs y > 0")
+    val = _ode_on_jet(s, y, _radial_jet(s, y, 2))
+    return val if val.ndim else float(val)
+
+
+def _ode_on_jet(s: SpinIndex, y, jet):
+    """ode_residual of s at y > 0 from its jet [calL, calL', calL''] there."""
     j = 0.5 * s.two_j
     m = 0.5 * s.two_m
-    f, df, ddf = _radial_jet(s, y, 2)
-    val = y * ddf + df - (m * m / y) * f - 0.25 * y * f + (j + 0.5) * f
-    return val if val.ndim else float(val)
+    f, df, ddf = jet
+    return y * ddf + df - (m * m / y) * f - 0.25 * y * f + (j + 0.5) * f
 
 
 def require_same_sector(a: SpinIndex, b: SpinIndex) -> None:

@@ -90,6 +90,10 @@ def _zeros(sector: str, j_max) -> tuple[int, np.ndarray]:
     return two_j_max, np.zeros(_index(top, top) + 1, dtype=complex)
 
 
+def _past_range(what: str, two_j: int) -> DomainError:
+    return DomainError(f"{what} leaves the double range at the j = {Fraction(two_j, 2)} multiplet")
+
+
 class CoefficientBlock:
     """Immutable map from sector labels (j, m) with j <= j_max to coefficients.
 
@@ -156,13 +160,40 @@ class CoefficientBlock:
         return [(key, c) for key, c in zip(keys, self._values.tolist()) if c]
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self._values) ** 2))
+        """Sum of |c|^2 over the block.
+
+        A sum past the double range raises DomainError naming the multiplet
+        where the running energy leaves it.
+        """
+        with np.errstate(over="ignore"):
+            total = float(np.sum(np.abs(self._values) ** 2))
+        if not math.isfinite(total):
+            running = 0.0
+            for two_j, energy in self._multiplet_energies().items():
+                running += energy
+                if not math.isfinite(running):
+                    break
+            raise _past_range("norm_sq", two_j)
+        return total
 
     def per_j_norm_sq(self) -> dict[int, float]:
-        """Map two_j -> sum of |c|^2 over that j's multiplet (zeros included)."""
-        abs2 = np.abs(self._values) ** 2
+        """Map two_j -> sum of |c|^2 over that j's multiplet (zeros included).
+
+        A multiplet whose energy leaves the double range raises DomainError
+        naming it.
+        """
+        energies = self._multiplet_energies()
+        for two_j, energy in energies.items():
+            if not math.isfinite(energy):
+                raise _past_range("per_j_norm_sq", two_j)
+        return energies
+
+    def _multiplet_energies(self) -> dict[int, float]:
+        """per_j_norm_sq without its range check: inf where a multiplet overflows."""
         ladder = _sector_ladder(self._sector, self._two_j_max)
-        return {t: float(np.sum(abs2[_index(t, -t) : _index(t, t) + 1])) for t in ladder}
+        with np.errstate(over="ignore"):
+            abs2 = np.abs(self._values) ** 2
+            return {t: float(np.sum(abs2[_index(t, -t) : _index(t, t) + 1])) for t in ladder}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientBlock):
@@ -483,12 +514,11 @@ def parseval_gap(
     block, samples, w = _analyze(f, sector, j_max, n_phi, n_radial)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.sum((samples.real**2 + samples.imag**2) @ w)) / len(samples)
-        gap = abs(norm - block.norm_sq())
-    if not math.isfinite(gap):
+    if not math.isfinite(norm):
         raise DomainError(
             f"parseval_gap(sector={sector!r}, j_max={j_max}): the norm of f leaves the double range"
         )
-    return gap
+    return abs(norm - block.norm_sq())
 
 
 def random_block(sector: str, j_max, seed: int = 0) -> CoefficientBlock:

@@ -13,6 +13,12 @@ broken implementation.
 Checks are grouped into suites (laguerre, basis, algebra, quadrature,
 transform) by the prefix of their id; reports are sorted by check id and
 render as text or JSON.
+
+The label checks (basis.ode, algebra.ladder, algebra.annihilation,
+algebra.su2-on-basis, algebra.casimir and the closure shadow) sweep the
+labels by |m| column: one kernel stream per column gives every label its jet
+and its ladder targets at the label's own quadrature nodes, and the
+residuals come from the same helpers as the per-label functions in actions.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import numpy as np
 from . import actions, errata
 from .algebra import OperatorExpr, build_operator, normal_form, verify_e_correction
 from .basis import (
-    SpinIndex, _as_cap, _radial_jet, _radial_rows, calL, calZ, ode_residual, sector_labels,
+    SpinIndex, _as_cap, _ode_on_jet, _radial_column, _radial_rows, _sign, calL, calZ,
+    sector_labels,
 )
 from .errors import DomainError
 from .exact import binomial_general
@@ -278,14 +285,41 @@ def _check_derivatives(j_max, seed):
 # basis suite
 
 
+def _columns(j_max, edges: bool = False):
+    """(label, nodes, jet, targets) for each label of _sector_sweep(j_max),
+    or only its edges m = +-j, with one kernel stream per |m| column.
+
+    The nodes are the label's own actions._default_nodes, the jet is
+    [calL, calL', calL''] of the label there, and targets maps each ladder
+    direction "+" and "-" to calL of the label it shifts to at those nodes,
+    or to None past the multiplet's edge.  A column of a = 2|m| streams over
+    alphas |a - 2| .. a + 2 at the concatenated nodes of its labels (j, -|m|)
+    and gives (j, +|m|) the same values times its sign.
+    """
+    two_j_max = int(2 * j_max)
+    for a in range(two_j_max + 1):
+        labels = [SpinIndex(two_j, -a) for two_j in range(a, (a if edges else two_j_max) + 1, 2)]
+        nodes = [actions._default_nodes(s) for s in labels]
+        same_j = sorted({abs(a - 2), a + 2})
+        for low, y, rows in zip(labels, nodes, _radial_column(labels, nodes, 2, same_j)):
+            same_j_rows = dict(zip(same_j, rows[3:]))
+            for s in (low, SpinIndex(low.two_j, a)) if a else (low,):
+                targets = {}
+                for direction, two_dm in (("+", 2), ("-", -2)):
+                    t = actions._shifted_label(s, two_dm)
+                    targets[direction] = (
+                        None if t is None else _sign(t.two_m) * same_j_rows[abs(t.two_m)]
+                    )
+                yield s, y, [_sign(s.two_m) * v for v in rows[:3]], targets
+
+
 @_check("basis.ode", 1e-9, "radial functions satisfy their second-order differential equation")
 def _check_ode(j_max, seed):
     worst = 0.0
-    for s in _sector_sweep(j_max):
-        y = actions._default_nodes(s)
-        f, _, ddf = _radial_jet(s, y, 2)
+    for s, y, jet, _ in _columns(j_max):
+        f, _, ddf = jet
         scale = np.maximum(1.0, np.maximum(np.abs(f), np.abs(y * ddf)))
-        worst = max(worst, float(np.max(np.abs(ode_residual(s, y)) / scale)))
+        worst = max(worst, float(np.max(np.abs(_ode_on_jet(s, y, jet)) / scale)))
     return worst, "", True
 
 
@@ -357,29 +391,40 @@ def _check_plane_gram(j_max, seed):
 
 @_check("algebra.ladder", 1e-9, "ladder actions map basis functions to their neighbors")
 def _check_ladder(j_max, seed):
-    labels = _sector_sweep(j_max)
-    return max(actions.ladder_residual(s, d) for s in labels for d in ("+", "-")), "", True
+    return max(
+        actions._ladder_defect(s, d, y, jet, targets[d])
+        for s, y, jet, targets in _columns(j_max)
+        for d in ("+", "-")
+    ), "", True
 
 
 @_check("algebra.annihilation", 1e-9, "ladders annihilate the edge labels m = +-j")
 def _check_annihilation(j_max, seed):
-    edges = [s for s in _sector_sweep(j_max) if abs(s.two_m) == s.two_j]
-    return max(actions.annihilation_residual(s) for s in edges), "", True
+    # K+ at m = +j and K- at m = -j, where the target leaves the multiplet.
+    return max(
+        actions._ladder_defect(s, d, y, jet, targets[d])
+        for s, y, jet, targets in _columns(j_max, edges=True)
+        for d in ("+" if s.two_m == s.two_j else "-",)
+    ), "", True
 
 
 @_check(
     "algebra.su2-on-basis", 1e-8, "commutators [K+,K-] = 2K3 and [K3,K+-] = +-K+- on the basis"
 )
 def _check_su2(j_max, seed):
-    labels = _sector_sweep(j_max)
-    defects = [actions.su2_commutator_residual(s) for s in labels]
-    defects += [actions.k3_ladder_residual(s, d) for s in labels for d in ("+", "-")]
-    return max(defects), "", True
+    return max(
+        max(
+            actions._su2_defect(s, y, jet),
+            actions._k3_defect(s, "+", y, jet),
+            actions._k3_defect(s, "-", y, jet),
+        )
+        for s, y, jet, _ in _columns(j_max)
+    ), "", True
 
 
 @_check("algebra.casimir", 1e-8, "Casimir combination acts as j(j+1)")
 def _check_casimir(j_max, seed):
-    return max(actions.casimir_residual(s) for s in _sector_sweep(j_max)), "", True
+    return max(actions._casimir_defect(s, y, jet) for s, y, jet, _ in _columns(j_max)), "", True
 
 
 @_check(
@@ -409,9 +454,9 @@ def _check_closure(j_max, seed):
         and report.residual_bracket.serialize() == bracket_pin
         and report.residual_casimir.serialize() == casimir_pin
     )
-    labels = _sector_sweep(min(j_max, Fraction(8)))
     shadow = max(
-        max(actions.su2_commutator_residual(s), actions.casimir_residual(s)) for s in labels
+        max(actions._su2_defect(s, y, jet), actions._casimir_defect(s, y, jet))
+        for s, y, jet, _ in _columns(min(j_max, Fraction(8)))
     )
     note = (
         "formal residuals reproduce the pinned 12- and 17-term canonical "
@@ -508,10 +553,29 @@ def _check_interlacing(j_max, seed):
     return float(violations), "", True
 
 
+def _memo(fn):
+    """fn(s, *arrays), evaluated once per label and exact arrays (shape and
+    bytes); the values it returns are read-only and shared."""
+    cache = {}
+
+    def call(s, *arrays):
+        key = (s, *((a.shape, a.tobytes()) for a in map(np.asarray, arrays)))
+        if key not in cache:
+            cache[key] = value = np.asarray(fn(s, *arrays))
+            value.flags.writeable = False
+        return cache[key]
+
+    return call
+
+
 @_check(
     "quadrature.plane-vs-halfline", 1e-13, "plane inner products reduce to radial ones at equal m"
 )
 def _check_plane_vs_halfline(j_max, seed):
+    # Every pair calls plane_inner and halfline_inner, which sample each
+    # label on the same grid; the memos evaluate each label once per grid.
+    plane_values = _memo(lambda s, y, phi: calZ(s, (y, phi)))
+    radial_values = _memo(calL)
     worst = 0.0
     j_eff = min(j_max, Fraction(6))
     for sector in ("int", "half"):
@@ -523,13 +587,13 @@ def _check_plane_vs_halfline(j_max, seed):
             for i, sa in enumerate(group):
                 for sb in group[i:]:
                     planar = plane_inner(
-                        lambda y, phi, s=sa: calZ(s, (y, phi)),
-                        lambda y, phi, s=sb: calZ(s, (y, phi)),
+                        lambda y, phi, s=sa: plane_values(s, y, phi),
+                        lambda y, phi, s=sb: plane_values(s, y, phi),
                         j_eff,
                     )
                     radial = halfline_inner(
-                        lambda y, s=sa: calL(s, y),
-                        lambda y, s=sb: calL(s, y),
+                        lambda y, s=sa: radial_values(s, y),
+                        lambda y, s=sb: radial_values(s, y),
                         Fraction(two_m, 2),
                         j_eff,
                     )

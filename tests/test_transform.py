@@ -380,6 +380,22 @@ class TestCoefficientBlock:
         per_j = block.per_j_norm_sq()
         assert per_j == {1: pytest.approx(9.0), 3: pytest.approx(16.0)}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norms_past_the_double_range_name_the_multiplet(self):
+        block = CoefficientBlock("int", 1, {(0, 0): 1e200})
+        with pytest.raises(DomainError, match=r"^norm_sq leaves .* at the j = 0 multiplet$"):
+            block.norm_sq()
+        with pytest.raises(DomainError, match=r"^per_j_norm_sq leaves .* at the j = 0 multiplet$"):
+            block.per_j_norm_sq()
+        # Every multiplet in range, but not their sum.
+        block = CoefficientBlock("int", 2, {(2, 0): 1e154, (4, 2): 1.3e154j})
+        assert block.per_j_norm_sq() == {0: 0.0, 2: 1e154**2, 4: 1.3e154**2}
+        with pytest.raises(DomainError, match=r"at the j = 2 multiplet$"):
+            block.norm_sq()
+        # Near the top of the range, still finite.
+        block = CoefficientBlock("half", Fraction(3, 2), {(1, 1): 1e154, (3, -1): 0.5e154})
+        assert block.norm_sq() == pytest.approx(1.25e308, rel=1e-15)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             CoefficientBlock("integer", 2)

@@ -1,11 +1,21 @@
 """Verification harness: suites, reports, tolerance overrides."""
 
 import json
+from dataclasses import astuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from planeharm import errata, laguerre, verify
+from planeharm import actions, basis, errata, laguerre, verify
+from planeharm.actions import (
+    annihilation_residual,
+    casimir_residual,
+    k3_ladder_residual,
+    ladder_residual,
+    su2_commutator_residual,
+)
+from planeharm.basis import calL, ode_residual
 from planeharm.errors import DomainError
 from planeharm.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
@@ -194,3 +204,35 @@ def test_laguerre_suite_evaluates_whole_grids(monkeypatch):
         monkeypatch.setattr(module, "laguerre_eval", counted)
     assert run_suite("laguerre", 8, 0).overall_pass
     assert len(calls) <= 1000
+
+
+def test_column_sweep_equals_the_per_label_helpers():
+    # The label checks read every jet off one kernel stream per |m| column,
+    # at the concatenated nodes of its labels.  Each label's jet, ladder
+    # targets and residuals must equal the per-label helpers bit for bit.
+    seen = []
+    for s, y, jet, targets in verify._columns(16):
+        seen.append(s)
+        assert np.array_equal(y, actions._default_nodes(s))
+        for got, want in zip(jet, basis._radial_jet(s, y, 2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(basis._ode_on_jet(s, y, jet), ode_residual(s, y))
+        for d, two_dm in (("+", 2), ("-", -2)):
+            target = actions._shifted_label(s, two_dm)
+            if target is None:
+                assert targets[d] is None
+            else:
+                assert np.array_equal(targets[d], calL(target, y))
+            assert actions._ladder_defect(s, d, y, jet, targets[d]) == ladder_residual(s, d)
+            assert actions._k3_defect(s, d, y, jet) == k3_ladder_residual(s, d)
+        assert actions._su2_defect(s, y, jet) == su2_commutator_residual(s)
+        assert actions._casimir_defect(s, y, jet) == casimir_residual(s)
+    assert sorted(seen, key=astuple) == sorted(verify._sector_sweep(16), key=astuple)
+    edges = []
+    for s, y, jet, targets in verify._columns(16, edges=True):
+        edges.append(s)
+        d = "+" if s.two_m == s.two_j else "-"
+        assert actions._ladder_defect(s, d, y, jet, targets[d]) == annihilation_residual(s)
+    assert sorted(edges, key=astuple) == sorted(
+        (s for s in seen if abs(s.two_m) == s.two_j), key=astuple
+    )
