@@ -47,7 +47,7 @@ from .laguerre import (
     laguerre_reflect,
     recurrence_check,
 )
-from .quadrature import _as_int, gauss_laguerre, halfline_inner, plane_inner
+from .quadrature import _as_int, _rules, gauss_laguerre, halfline_inner, plane_inner
 from .rotation import RotationSpec, rotation_matrix
 from .transform import _max_gap, analyze, as_function, parseval_gap, random_block, rotate
 
@@ -289,17 +289,19 @@ def _columns(j_max, edges: bool = False):
     """(label, nodes, jet, targets) for each label of _sector_sweep(j_max),
     or only its edges m = +-j, with one kernel stream per |m| column.
 
-    The nodes are the label's own actions._default_nodes, the jet is
-    [calL, calL', calL''] of the label there, and targets maps each ladder
-    direction "+" and "-" to calL of the label it shifts to at those nodes,
-    or to None past the multiplet's edge.  A column of a = 2|m| streams over
-    alphas |a - 2| .. a + 2 at the concatenated nodes of its labels (j, -|m|)
-    and gives (j, +|m|) the same values times its sign.
+    The nodes are the label's own actions._default_nodes, the rule of order
+    j - |m| + 2 at alpha 2|m|, and one _rules call builds a column's rules
+    together.  The jet is [calL, calL', calL''] of the label there, and
+    targets maps each ladder direction "+" and "-" to calL of the label it
+    shifts to at those nodes, or to None past the multiplet's edge.  A
+    column of a = 2|m| streams over alphas |a - 2| .. a + 2 at the
+    concatenated nodes of its labels (j, -|m|) and gives (j, +|m|) the same
+    values times its sign.
     """
     two_j_max = int(2 * j_max)
     for a in range(two_j_max + 1):
         labels = [SpinIndex(two_j, -a) for two_j in range(a, (a if edges else two_j_max) + 1, 2)]
-        nodes = [actions._default_nodes(s) for s in labels]
+        nodes = [rule.nodes for rule in _rules(a, range(2, len(labels) + 2))]
         same_j = sorted({abs(a - 2), a + 2})
         for low, y, rows in zip(labels, nodes, _radial_column(labels, nodes, 2, same_j)):
             same_j_rows = dict(zip(same_j, rows[3:]))
@@ -512,8 +514,7 @@ def _check_determinism(j_max, seed):
 def _check_moments(j_max, seed):
     worst = 0.0
     for alpha in (0, 1, 2, 3, 5):
-        for order in range(1, 41):
-            rule = gauss_laguerre(order, alpha)
+        for order, rule in enumerate(_rules(alpha, range(1, 41)), start=1):
             # Row k holds x^k, built as ((x * x) * x) ... one factor at a time.
             powers = np.ones((2 * order, order))
             powers[1:] = np.cumprod(np.broadcast_to(rule.nodes, (2 * order - 1, order)), axis=0)
@@ -527,8 +528,7 @@ def _check_weight_sum(j_max, seed):
     worst = 0.0
     for alpha in (0, 1, 2, 3, 5):
         target = math.exp(math.lgamma(alpha + 1))
-        for order in range(1, 41):
-            rule = gauss_laguerre(order, alpha)
+        for rule in _rules(alpha, range(1, 41)):
             worst = max(worst, abs(float(np.sum(rule.weights)) - target) / target)
     return worst, "", True
 
@@ -538,17 +538,14 @@ def _check_interlacing(j_max, seed):
     violations = 0
     for alpha in (0, 1, 2, 3, 5):
         previous = None
-        for order in range(1, 41):
-            rule = gauss_laguerre(order, alpha)
+        for rule in _rules(alpha, range(1, 41)):
             x = rule.nodes
             if np.any(x <= 0) or np.any(np.diff(x) <= 0):
                 violations += 1
             if previous is not None:
                 # Each node of the coarser rule sits strictly between
                 # consecutive nodes of the finer rule.
-                for i, xv in enumerate(previous):
-                    if not (x[i] < xv < x[i + 1]):
-                        violations += 1
+                violations += int(np.count_nonzero(~((x[:-1] < previous) & (previous < x[1:]))))
             previous = x
     return float(violations), "", True
 

@@ -200,12 +200,66 @@ def test_numpy_integer_arguments_give_int_fields():
     assert r is gauss_laguerre(5, 2)
 
 
-def test_verify_run_builds_each_distinct_rule_once():
-    quadrature._cached_rule.cache_clear()
+def test_verify_run_builds_each_distinct_rule_once(monkeypatch):
+    monkeypatch.setattr(quadrature, "_RULES", {})
+    built = []
+    build = quadrature._build_rules
+
+    def spy(alpha, orders):
+        built.extend((order, alpha) for order in orders)
+        return build(alpha, orders)
+
+    monkeypatch.setattr(quadrature, "_build_rules", spy)
     run_suite("all", 8)
-    info = quadrature._cached_rule.cache_info()
-    # Each label check asks for each of its labels' rules once.
-    assert (info.misses, info.hits + info.misses) == (248, 1666)
+    assert len(built) == len(set(built)) == len(quadrature._RULES) == 248
+
+
+def _orders_at_j_max_64(alpha):
+    """Orders 1..40 and those run_suite("all", 64) asks for at alpha: one per
+    label of its column, and the radial-orthonormality rule."""
+    return sorted({*range(1, 41), *range(2, (128 - alpha) // 2 + 3), math.ceil(64 - alpha / 2) + 2})
+
+
+def _assert_same_rule(got, want):
+    assert got is not want
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.lifted_weights(), want.lifted_weights())
+
+
+@pytest.mark.parametrize(
+    "alpha, orders",
+    [(alpha, _orders_at_j_max_64(alpha)) for alpha in (0, 1, 5, 16, 63, 127)]
+    # The column of 2|m| = 242 at j_max 128: the kernel stream of a rule
+    # starts plain up to order 7 and log-scaled from order 8.
+    + [(242, list(range(2, 10)))],
+)
+def test_batch_build_equals_one_order_builds(monkeypatch, alpha, orders):
+    monkeypatch.setattr(quadrature, "_RULES", {})
+    with np.errstate(over="ignore"):  # raw weights overflow from alpha 171
+        batch = quadrature._rules(alpha, orders)
+        assert [rule.order for rule in batch] == orders
+        assert all(gauss_laguerre(order, alpha) is rule for order, rule in zip(orders, batch))
+        for order, rule in zip(orders, batch):
+            quadrature._RULES.clear()
+            _assert_same_rule(rule, gauss_laguerre(order, alpha))
+
+
+def test_an_underflowing_order_does_not_stop_its_batch(monkeypatch):
+    monkeypatch.setattr(quadrature, "_RULES", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="order=187, alpha=0.*underflow"):
+            quadrature._rules(0, [185, 186, 187])
+    batch = dict(quadrature._RULES)
+    assert sorted(batch) == [(185, 0), (186, 0)]
+    for _ in range(2):
+        with pytest.raises(DomainError, match="order=187, alpha=0.*underflow"):
+            gauss_laguerre(187, 0)
+        assert (187, 0) not in quadrature._RULES
+    for key, rule in batch.items():
+        quadrature._RULES.clear()
+        _assert_same_rule(rule, gauss_laguerre(*key))
 
 
 # ------------------------------------------------------- inner products
