@@ -13,14 +13,13 @@ label the inner operator produced.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import OperatorExpr
-from .basis import PlanePoint, SpinIndex, _radial_column, _radial_jet, _sign, calL
+from .basis import PlanePoint, SpinIndex, _Column, _radial_column, _radial_jet, calL
 from .errors import DomainError
 from .quadrature import gauss_laguerre
 
@@ -87,6 +86,15 @@ class FirstOrderOp:
         return self.beta / y + self.gamma
 
 
+def _ladder_terms(name: str, j, m):
+    """(A, beta, gamma, two_dm) of K+- at spins j, m (floats or arrays)."""
+    if name == "K+":
+        return -(2 * m + 1), m * (2 * m + 1), -(j + 0.5), 2
+    if name == "K-":
+        return 2 * m - 1, m * (2 * m - 1), -(j + 0.5), -2
+    raise DomainError(f"no first-order form for {name!r}")
+
+
 def ladder_form(name: str, s: SpinIndex) -> FirstOrderOp:
     """K+ or K- as a first-order operator at the label (j, m).
 
@@ -94,26 +102,23 @@ def ladder_form(name: str, s: SpinIndex) -> FirstOrderOp:
     K+ = -(2m+1) d/dy + m(2m+1)/y - (j+1/2), shifting m up;
     K- = (2m-1) d/dy + m(2m-1)/y - (j+1/2), shifting m down.
     """
-    j = 0.5 * s.two_j
-    m = 0.5 * s.two_m
-    if name == "K+":
-        return FirstOrderOp(-(2 * m + 1), m * (2 * m + 1), -(j + 0.5), 2)
-    if name == "K-":
-        return FirstOrderOp(2 * m - 1, m * (2 * m - 1), -(j + 0.5), -2)
-    raise DomainError(f"no first-order form for {name!r}")
+    return FirstOrderOp(*_ladder_terms(name, 0.5 * s.two_j, 0.5 * s.two_m))
 
 
-def ladder_coefficient(name: str, s: SpinIndex) -> float:
-    """sqrt((j -+ m)(j +- m + 1)): the ladder normalization, 0 at the edge."""
-    j = 0.5 * s.two_j
-    m = 0.5 * s.two_m
+def _ladder_gain(name: str, j, m):
+    """sqrt((j -+ m)(j +- m + 1)) at spins j, m (floats or arrays)."""
     if name == "K+":
         value = (j - m) * (j + m + 1)
     elif name == "K-":
         value = (j + m) * (j - m + 1)
     else:
         raise DomainError(f"unknown ladder {name!r}")
-    return math.sqrt(value)
+    return np.sqrt(value)
+
+
+def ladder_coefficient(name: str, s: SpinIndex) -> float:
+    """sqrt((j -+ m)(j +- m + 1)): the ladder normalization, 0 at the edge."""
+    return float(_ladder_gain(name, 0.5 * s.two_j, 0.5 * s.two_m))
 
 
 def _shifted_label(s: SpinIndex, two_dm: int) -> SpinIndex | None:
@@ -123,21 +128,27 @@ def _shifted_label(s: SpinIndex, two_dm: int) -> SpinIndex | None:
     return SpinIndex(s.two_j, two_m)
 
 
-def _ladder_on_jet(name: str, s: SpinIndex, y, jet):
-    """K+- calL_j^m at y from the jet [calL, calL', ...] of (j, m) there."""
-    op = ladder_form(name, s)
-    return op.a_coeff * jet[1] + op.zeroth(y) * jet[0]
+def _ladder_on_jet(name: str, col: _Column) -> np.ndarray:
+    """K+- calL over a column's nodes, from its jet [calL, calL', ...]."""
+    a_coeff, beta, gamma, _ = _ladder_terms(name, col.j, col.m)
+    return a_coeff * col.jet[1] + (beta / col.y + gamma) * col.jet[0]
 
 
 def apply_ladder(name: str, s: SpinIndex, y):
     """Values of K+- calL_j^m at y > 0."""
     y = np.asarray(y, dtype=float)
-    return _ladder_on_jet(name, s, y, _radial_jet(s, y, 1))
+    return _ladder_on_jet(name, _label_column(s, y, 1)).reshape(y.shape)
 
 
 def _default_nodes(s: SpinIndex) -> np.ndarray:
     order = (s.two_j - abs(s.two_m)) // 2 + 2
     return gauss_laguerre(order, abs(s.two_m)).nodes
+
+
+def _label_column(s: SpinIndex, y, order: int) -> _Column:
+    """The one-label column of s at y, or at _default_nodes(s) for y None."""
+    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float).reshape(-1)
+    return _radial_column([s], y, order)
 
 
 def _check_direction(direction: str) -> int:
@@ -154,23 +165,19 @@ def ladder_residual(s: SpinIndex, direction: str) -> float:
     the two side magnitudes and the basis scale (so edge labels, where the
     RHS is identically zero, measure annihilation quality).
     """
-    y = _default_nodes(s)
     target = _shifted_label(s, _check_direction(direction))
-    jet = _radial_jet(s, y, 1)
-    return _ladder_defect(s, direction, y, jet, None if target is None else calL(target, y))
+    col = _label_column(s, None, 1)
+    rhs = np.zeros_like(col.y) if target is None else calL(target, col.y)
+    return float(_ladder_defect(replace(col, targets={direction: rhs}), direction)[0])
 
 
-def _ladder_defect(s: SpinIndex, direction: str, y, jet, target) -> float:
-    """ladder_residual at y from the jet [calL, calL', ...] of s and calL of
-    its shifted label there (None past the multiplet's edge)."""
-    lhs = _ladder_on_jet("K" + direction, s, y, jet)
-    rhs = (
-        ladder_coefficient("K" + direction, s) * target
-        if target is not None
-        else np.zeros_like(y)
-    )
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), np.max(np.abs(jet[0])))
-    return _relative_defect(lhs, rhs, scale, s)
+def _ladder_defect(col: _Column, direction: str) -> np.ndarray:
+    """ladder_residual of each label of a column, from its jet and its
+    target in that direction."""
+    name = "K" + direction
+    lhs = _ladder_on_jet(name, col)
+    rhs = _ladder_gain(name, col.j, col.m) * col.targets[direction]
+    return _relative_defect(lhs, rhs, col.abs_max(lhs, rhs, col.jet[0]), col)
 
 
 def annihilation_residual(s: SpinIndex) -> float:
@@ -181,8 +188,8 @@ def annihilation_residual(s: SpinIndex) -> float:
     return ladder_residual(s, direction)
 
 
-def _pair_on_jet(outer: str, inner: str, s: SpinIndex, y, jet):
-    """K_outer K_inner calL_j^m at y from the jet [calL, calL', calL''] of (j, m).
+def _pair_on_jet(outer: str, inner: str, col: _Column) -> np.ndarray:
+    """K_outer K_inner calL over a column's nodes, from its jet [calL, calL', calL''].
 
     The inner operator maps the m-sector, so the outer coefficients are read
     at the shifted label.  With O_i = A_i d/dy + B_i(y), B_i = beta_i/y +
@@ -190,30 +197,32 @@ def _pair_on_jet(outer: str, inner: str, s: SpinIndex, y, jet):
 
         O2 O1 f = A2 A1 f'' + (A2 B1 + B2 A1) f' + (A2 B1' + B2 B1) f.
 
-    A value past the double range (y**2 underflows below y ~ 1e-154) raises
-    DomainError naming the operators, the label and the first such y.
+    Where the inner operator leaves the multiplet the value is that of K_outer
+    on the zero function, 0.  A value past the double range (y**2 underflows
+    below y ~ 1e-154) raises DomainError naming the operators, the first such
+    label and its first such y.
     """
-    op1 = ladder_form(inner, s)
-    mid = _shifted_label(s, op1.two_dm)
-    if mid is None:
-        # Inner op left the multiplet: K_outer of the zero function.
-        return np.zeros_like(y)
-    op2 = ladder_form(outer, mid)
-    f, df, ddf = jet
+    y, j, m = col.y, col.j, col.m
+    a1, beta1, gamma1, two_dm = _ladder_terms(inner, j, m)
+    a2, beta2, gamma2, _ = _ladder_terms(outer, j, m + 0.5 * two_dm)
+    f, df, ddf = col.jet
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        b1 = op1.zeroth(y)
-        db1 = -op1.beta / y**2
-        b2 = op2.zeroth(y)
+        b1 = beta1 / y + gamma1
+        db1 = -beta1 / y**2
+        b2 = beta2 / y + gamma2
         val = (
-            op2.a_coeff * op1.a_coeff * ddf
-            + (op2.a_coeff * b1 + b2 * op1.a_coeff) * df
-            + (op2.a_coeff * db1 + b2 * b1) * f
+            a2 * a1 * ddf
+            + (a2 * b1 + b2 * a1) * df
+            + (a2 * db1 + b2 * b1) * f
         )
+    val = np.where(col.present(two_dm), val, 0.0)
     bad = ~np.isfinite(val)
     if bad.any():
+        node = int(np.flatnonzero(bad)[0])
+        s = col.owner(node)
         raise DomainError(
             f"{outer} {inner} at two_j={s.two_j}, two_m={s.two_m} leaves the double range "
-            f"at y = {float(y[bad][0])!r}"
+            f"at y = {float(y[node])!r}"
         )
     return val
 
@@ -221,49 +230,47 @@ def _pair_on_jet(outer: str, inner: str, s: SpinIndex, y, jet):
 def pair_action(outer: str, inner: str, s: SpinIndex, y):
     """Values of K_outer K_inner calL_j^m at y > 0, tracking the intermediate label."""
     y = np.asarray(y, dtype=float)
-    return _pair_on_jet(outer, inner, s, y, _radial_jet(s, y, 2))
+    return _pair_on_jet(outer, inner, _label_column(s, y, 2)).reshape(y.shape)
 
 
-def _relative_defect(lhs, rhs, scale, s: SpinIndex) -> float:
-    """max |lhs - rhs| / scale, or DomainError when that is not finite."""
+def _relative_defect(lhs, rhs, scale, col: _Column) -> np.ndarray:
+    """max |lhs - rhs| / scale over each label's nodes, or DomainError naming
+    the first label where that is not finite."""
     with np.errstate(all="ignore"):
-        value = float(np.max(np.abs(lhs - rhs)) / scale)
-    if not math.isfinite(value):
-        raise DomainError(f"relative defect {value} at two_j={s.two_j}, two_m={s.two_m}")
+        value = col.abs_max(lhs - rhs) / scale
+    bad = ~np.isfinite(value)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        s = col.label(i)
+        raise DomainError(
+            f"relative defect {float(value[i])} at two_j={s.two_j}, two_m={s.two_m}"
+        )
     return value
 
 
 def su2_commutator_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of [K+, K-] calL = 2m calL under label tracking."""
-    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
-    return _su2_defect(s, y, _radial_jet(s, y, 2))
+    return float(_su2_defect(_label_column(s, y, 2))[0])
 
 
-def _su2_defect(s: SpinIndex, y, jet) -> float:
-    """su2_commutator_residual at y from the jet [calL, calL', calL''] of s there."""
-    m = 0.5 * s.two_m
-    lhs = _pair_on_jet("K+", "K-", s, y, jet) - _pair_on_jet("K-", "K+", s, y, jet)
-    rhs = 2.0 * m * jet[0]
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(jet[0])))
-    return _relative_defect(lhs, rhs, scale, s)
+def _su2_defect(col: _Column) -> np.ndarray:
+    """su2_commutator_residual of each label of a column, from its jet."""
+    lhs = _pair_on_jet("K+", "K-", col) - _pair_on_jet("K-", "K+", col)
+    rhs = 2.0 * col.m * col.jet[0]
+    return _relative_defect(lhs, rhs, col.abs_max(rhs, col.jet[0]), col)
 
 
 def casimir_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of (K3^2 + {K+,K-}/2) calL = j(j+1) calL."""
-    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
-    return _casimir_defect(s, y, _radial_jet(s, y, 2))
+    return float(_casimir_defect(_label_column(s, y, 2))[0])
 
 
-def _casimir_defect(s: SpinIndex, y, jet) -> float:
-    """casimir_residual at y from the jet [calL, calL', calL''] of s there."""
-    j = 0.5 * s.two_j
-    m = 0.5 * s.two_m
-    lhs = m * m * jet[0] + 0.5 * (
-        _pair_on_jet("K+", "K-", s, y, jet) + _pair_on_jet("K-", "K+", s, y, jet)
-    )
-    rhs = j * (j + 1.0) * jet[0]
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(jet[0])))
-    return _relative_defect(lhs, rhs, scale, s)
+def _casimir_defect(col: _Column) -> np.ndarray:
+    """casimir_residual of each label of a column, from its jet."""
+    j, m, f = col.j, col.m, col.jet[0]
+    lhs = m * m * f + 0.5 * (_pair_on_jet("K+", "K-", col) + _pair_on_jet("K-", "K+", col))
+    rhs = j * (j + 1.0) * f
+    return _relative_defect(lhs, rhs, col.abs_max(rhs, f), col)
 
 
 def k3_ladder_residual(s: SpinIndex, direction: str, y=None) -> float:
@@ -273,21 +280,20 @@ def k3_ladder_residual(s: SpinIndex, direction: str, y=None) -> float:
     before it returns m, so the commutator is (m +- 1 - m) K+- calL and the
     identity holds exactly whenever the label shift is tracked.
     """
-    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float)
     _check_direction(direction)
-    return _k3_defect(s, direction, y, _radial_jet(s, y, 1))
+    return float(_k3_defect(_label_column(s, y, 1), direction)[0])
 
 
-def _k3_defect(s: SpinIndex, direction: str, y, jet) -> float:
-    """k3_ladder_residual at y from the jet [calL, calL', ...] of s there."""
-    step = _ladder_on_jet("K" + direction, s, y, jet)
-    target = _shifted_label(s, _check_direction(direction))
-    m_after = 0.5 * target.two_m if target is not None else 0.0
-    m = 0.5 * s.two_m
+def _k3_defect(col: _Column, direction: str) -> np.ndarray:
+    """k3_ladder_residual of each label of a column, from its jet."""
+    two_dm = _check_direction(direction)
+    step = _ladder_on_jet("K" + direction, col)
+    m = col.m
+    # K3 after the ladder reads the shifted m, or 0 past the multiplet's edge.
+    m_after = np.where(col.present(two_dm), m + 0.5 * two_dm, 0.0)
     lhs = m_after * step - m * step
     rhs = step if direction == "+" else -step
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(jet[0])), 1e-300)
-    return _relative_defect(lhs, rhs, scale, s)
+    return _relative_defect(lhs, rhs, np.maximum(col.abs_max(rhs, col.jet[0]), 1e-300), col)
 
 
 _HERMITICITY_ORDER = 30  # of hermiticity_gap's alpha-0 rule
@@ -315,13 +321,13 @@ def hermiticity_gap(two_m: int, j_cap, seed: int = 0) -> float:
     def span(coeffs, two_js, two_m_span, name):
         # sum c calL and sum c K calL over one span, from one kernel stream
         # over the labels' shared nodes.
-        labels = [SpinIndex(tj, two_m_span) for tj in two_js]
-        sign = _sign(two_m_span)
+        col = _radial_column([SpinIndex(tj, two_m_span) for tj in two_js], y, 1)
+        shape = (len(two_js), y.size)
         vals = ladder = 0
-        for c, s, jet in zip(coeffs, labels, _radial_column(labels, y, 1)):
-            jet = [sign * v for v in jet]
-            vals = vals + c * jet[0]
-            ladder = ladder + c * _ladder_on_jet(name, s, y, jet)
+        k_f = _ladder_on_jet(name, col).reshape(shape)
+        for c, f_row, k_row in zip(coeffs, col.jet[0].reshape(shape), k_f):
+            vals = vals + c * f_row
+            ladder = ladder + c * k_row
         return vals, ladder
 
     f_vals, kplus_f = span(fc, f_js, two_m, "K+")

@@ -64,8 +64,9 @@ class QQi:
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
             raise DomainError("QQi parts must be exact rationals, not floats")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # The arithmetic below passes Fractions, which are stored as they are.
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QQi is immutable")

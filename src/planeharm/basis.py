@@ -30,10 +30,11 @@ the recurrence would push outside the double range, so large labels and
 large y give finite, accurate values.  ``_radial_rows`` runs it for all m
 of a sector at once, one row per k; synthesize, analyze and gauss_laguerre
 share it.  ``_radial_column`` reads calL, calL' and calL'' of every label of
-one |m| column off one call, each label at its own nodes and its own step
-of a stream over their concatenation; the verify label checks use it per
-column, and ``_radial_jet``, its one-label case, serves calL, calL_deriv,
-ode_residual and the ladder actions.
+one m off one call, each label at its own nodes and its own step of a
+stream over their concatenation, into a ``_Column``: the labels with their
+nodes laid end to end, which the residual cores of basis and actions take
+whole.  The verify label checks make one per |m| column, and one-label
+columns serve calL, calL_deriv, ode_residual and the ladder actions.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
 
@@ -46,7 +47,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -269,29 +271,95 @@ def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
             return
 
 
-def _radial_column(labels, ys, order: int, same_j=()) -> list[list[np.ndarray]]:
-    """Jets of labels of one |m| column, each at its own nodes, from one kernel call.
+@dataclass(frozen=True)
+class _Column:
+    """Labels with their nodes laid end to end, and values over those nodes.
 
-    ``labels`` share a = 2|m|.  ``ys`` is either a list of 1-D node arrays,
-    one per label, whose concatenation the kernel streams over, or one 1-D
-    array that every label shares.  Entry i of the result holds
-    [calL, calL', calL''][: order + 1] of labels[i] at its nodes, then, for
-    each b in ``same_j`` (of a's parity), the radial function of the same j
-    at 2|m| = b there (0 where b > 2j).  Every value is that of the label
-    with m <= 0; a label (j, m) is _sign(two_m) times it.
-
-    With k = j - |m| and f_k^a(y) = y^(a/2) e^(-y/2) p_k^a(y) the radial rows
-    of alpha a, d/dy L_k^(a) = -L_(k-1)^(a+1) turns the derivatives of the
-    orthonormal polynomial into rows of alpha a + 1 and a + 2:
-    y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
-    y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  So every entry
-    is a row of one stream over alphas a .. a + order and same_j, read at the
-    label's nodes and its own step; the derivatives of y^(a/2) e^(-y/2) are
-    added in closed form.  Derivatives need y > 0, and one past the double
-    range (order 2 at |m| = 1/2 below y ~ 1e-205) raises DomainError naming
-    the label, the order and y.
+    Label i is (two_j[i], two_m[i]) at y[starts[i]:starts[i + 1]], the last
+    label up to the end of y.  jet holds [calL, calL', calL''][: order + 1]
+    over y, each label's values at its own nodes, and targets maps a ladder
+    direction "+" or "-" to calL of (j, m +- 1) there, 0 where that label is
+    absent.  The residual cores of basis and actions take a _Column: j and m
+    spread each label's spins over its nodes, and abs_max takes per-label
+    maxima with one reduceat, so their numpy calls do not grow with the
+    number of labels.
     """
-    a = abs(labels[0].two_m)
+
+    two_j: np.ndarray
+    two_m: np.ndarray
+    starts: np.ndarray
+    y: np.ndarray
+    jet: list[np.ndarray]
+    targets: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        return np.repeat(0.5 * self.two_j, np.diff(self.starts, append=self.y.size))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return np.repeat(0.5 * self.two_m, np.diff(self.starts, append=self.y.size))
+
+    def present(self, two_dm: int) -> np.ndarray:
+        """Whether (j, m + two_dm/2) is a label, at each node."""
+        return np.abs(self.m + 0.5 * two_dm) <= self.j
+
+    def abs_max(self, *values) -> np.ndarray:
+        """The largest |v| over each label's nodes and every v of values."""
+        return np.maximum.reduceat(np.abs(values), self.starts, axis=1).max(axis=0)
+
+    def label(self, i: int) -> SpinIndex:
+        return SpinIndex(int(self.two_j[i]), int(self.two_m[i]))
+
+    def owner(self, node: int) -> SpinIndex:
+        """The label whose nodes hold y[node]."""
+        return self.label(int(np.searchsorted(self.starts, node, side="right")) - 1)
+
+    def with_mirror(self) -> "_Column":
+        """These labels (j, m) of one m, built with targets, then (j, -m) at
+        the same nodes.
+
+        calL_j^(-m) = (-1)^(2m) calL_j^m, and the ladder targets of (j, -m)
+        are those of (j, m) in the other direction, with the same factor.
+        """
+        p = -1.0 if self.two_m[0] % 2 else 1.0
+        return _Column(
+            np.concatenate([self.two_j, self.two_j]),
+            np.concatenate([self.two_m, -self.two_m]),
+            np.concatenate([self.starts, self.starts + self.y.size]),
+            np.concatenate([self.y, self.y]),
+            [np.concatenate([v, p * v]) for v in self.jet],
+            {
+                d: np.concatenate([self.targets[d], p * self.targets[e]])
+                for d, e in (("+", "-"), ("-", "+"))
+            },
+        )
+
+
+def _radial_column(labels, ys, order: int, targets: bool = False) -> _Column:
+    """The _Column of labels that share one m, from one kernel stream.
+
+    ``ys`` is either a list of 1-D node arrays, one per label, whose
+    concatenation the kernel streams over, or one 1-D array that every label
+    shares.  The jet is [calL, calL', calL''][: order + 1] of each label at
+    its nodes, and with ``targets`` the column also holds calL of
+    (j, m +- 1) there.
+
+    With a = 2|m|, k = j - |m| and f_k^a(y) = y^(a/2) e^(-y/2) p_k^a(y) the
+    radial rows of alpha a, d/dy L_k^(a) = -L_(k-1)^(a+1) turns the
+    derivatives of the orthonormal polynomial into rows of alpha a + 1 and
+    a + 2: y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
+    y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  A target of the
+    same j is the row of alpha |2m +- 2| at its own step.  So every value is
+    a row of one stream over alphas a .. a + order (and |a - 2| and a + 2
+    with targets), read at the label's nodes and its own step and multiplied
+    by its sign; the derivatives of y^(a/2) e^(-y/2) are added in closed
+    form.  Derivatives need y > 0, and one past the double range (order 2 at
+    |m| = 1/2 below y ~ 1e-205) raises DomainError naming the label, the
+    order and y.
+    """
+    two_m = labels[0].two_m
+    a = abs(two_m)
     ks = [(s.two_j - a) // 2 for s in labels]
     shared = isinstance(ys, np.ndarray)
     y = ys if shared else np.concatenate(ys)
@@ -301,17 +369,20 @@ def _radial_column(labels, ys, order: int, same_j=()) -> list[list[np.ndarray]]:
     if order and (y <= 0).any():
         raise DomainError("calL_deriv needs y > 0")
     # Row (b, shift) holds alpha b at step k - shift of each label, 0 below step 0.
-    wants = [(a + d, d) for d in range(order + 1)] + [(b, (b - a) // 2) for b in same_j]
+    # The target (j, m +- 1) is alpha |2m +- 2| at the same j.
+    shifted = {"+": two_m + 2, "-": two_m - 2} if targets else {}
+    same_j = [(abs(t), (abs(t) - a) // 2) for t in shifted.values()]
+    wants = [(a + d, d) for d in range(order + 1)] + same_j
     alphas = sorted({b for b, _ in wants})
     out = {want: np.zeros(ends[-1]) for want in wants}
-    by_step: dict[int, list[int]] = {}
-    for i, k in enumerate(ks):
-        by_step.setdefault(k, []).append(i)
+    copies: dict[int, list] = {}  # step -> (row, destination, span) of each read
+    for (b, shift), dest in out.items():
+        for k, span in zip(ks, spans):
+            if k >= shift:
+                copies.setdefault(k - shift, []).append((alphas.index(b), dest, span))
     for step, rows in enumerate(_radial_rows(alphas, a + 2 * max(ks), y)):
-        for (b, shift), dest in out.items():
-            for i in by_step.get(step + shift, ()):
-                row = rows[alphas.index(b)]
-                dest[spans[i]] = row if shared else row[spans[i]]
+        for row, dest, span in copies.get(step, ()):
+            dest[span] = rows[row] if shared else rows[row, span]
     y = np.tile(y, len(labels)) if shared and len(labels) > 1 else y
     f0 = out[a, 0]
     jet = [f0]
@@ -337,8 +408,15 @@ def _radial_column(labels, ys, order: int, same_j=()) -> list[list[np.ndarray]]:
                 f"calL_deriv(two_j={s.two_j}, two_m={s.two_m}, order={order}) leaves the "
                 f"double range at y = {float(y[bad])!r}"
             )
-    columns = jet + [out[b, (b - a) // 2] for b in same_j]
-    return [[column[span] for column in columns] for span in spans]
+    sign = _sign(two_m)
+    return _Column(
+        np.array([s.two_j for s in labels]),
+        np.full(len(labels), two_m),
+        np.array(ends) - sizes,
+        y,
+        [sign * v for v in jet],
+        {d: _sign(t) * out[want] for (d, t), want in zip(shifted.items(), same_j)},
+    )
 
 
 def _radial_jet(s: SpinIndex, y, order: int) -> list[np.ndarray]:
@@ -347,8 +425,7 @@ def _radial_jet(s: SpinIndex, y, order: int) -> list[np.ndarray]:
     The one-label case of _radial_column; each entry has y's shape.
     """
     y = np.asarray(y, dtype=float)
-    jet = _radial_column([s], y.reshape(-1), order)[0]
-    return [(_sign(s.two_m) * val).reshape(y.shape) for val in jet]
+    return [val.reshape(y.shape) for val in _radial_column([s], y.reshape(-1), order).jet]
 
 
 def calL(s: SpinIndex, y):
@@ -399,15 +476,14 @@ def ode_residual(s: SpinIndex, y):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise DomainError("ode_residual needs y > 0")
-    val = _ode_on_jet(s, y, _radial_jet(s, y, 2))
+    val = _ode_on_jet(_radial_column([s], y.reshape(-1), 2)).reshape(y.shape)
     return val if val.ndim else float(val)
 
 
-def _ode_on_jet(s: SpinIndex, y, jet):
-    """ode_residual of s at y > 0 from its jet [calL, calL', calL''] there."""
-    j = 0.5 * s.two_j
-    m = 0.5 * s.two_m
-    f, df, ddf = jet
+def _ode_on_jet(col: _Column) -> np.ndarray:
+    """ode_residual over a column's nodes (all y > 0), from its jet."""
+    y, j, m = col.y, col.j, col.m
+    f, df, ddf = col.jet
     return y * ddf + df - (m * m / y) * f - 0.25 * y * f + (j + 0.5) * f
 
 

@@ -16,7 +16,7 @@ together: each order gets its own eigenvalues, and each Newton polish and
 the weight sum is one kernel stream over the nodes of all the orders, each
 order reading its own step.  A cold verify run asks for the orders of each
 |m| column and of each quadrature check that way, and builds its 248
-distinct rules in 46 batches at j_max 8, and 4,294 in 325 at j_max 64.
+distinct rules in 23 batches at j_max 8, and 4,294 in 134 at j_max 64.
 
 plane_inner, analyze and parseval_gap sample each function once on the
 (phi, y) grid of _plane_grid: the callable gets y of shape (1, n_radial) and

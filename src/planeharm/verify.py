@@ -16,9 +16,11 @@ render as text or JSON.
 
 The label checks (basis.ode, algebra.ladder, algebra.annihilation,
 algebra.su2-on-basis, algebra.casimir and the closure shadow) sweep the
-labels by |m| column: one kernel stream per column gives every label its jet
-and its ladder targets at the label's own quadrature nodes, and the
-residuals come from the same helpers as the per-label functions in actions.
+labels by |m| column: one kernel stream per column gives every label of
+both signs of m its jet and its ladder targets at the label's own
+quadrature nodes, and the residual cores of actions and basis take the
+whole column at once; the one-label functions in actions are the same
+cores on a column of one label.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .laguerre import (
     laguerre_reflect,
     recurrence_check,
 )
-from .quadrature import _as_int, _rules, gauss_laguerre, halfline_inner, plane_inner
+from .quadrature import _as_int, _rules, halfline_inner, plane_inner
 from .rotation import RotationSpec, rotation_matrix
 from .transform import _max_gap, analyze, as_function, parseval_gap, random_block, rotate
 
@@ -285,43 +287,41 @@ def _check_derivatives(j_max, seed):
 # basis suite
 
 
-def _columns(j_max, edges: bool = False):
-    """(label, nodes, jet, targets) for each label of _sector_sweep(j_max),
-    or only its edges m = +-j, with one kernel stream per |m| column.
+def _column_rules(j_max, a: int):
+    """The rules of |m| column a = 2|m| in one batch: order j - |m| + 2 for
+    each of its labels (actions._default_nodes), up to ceil(j_max - |m|) + 2
+    for basis.radial-orthonormality's Gram matrix, one order more than the
+    labels need where the column's top j is j_max - 1/2."""
+    return _rules(a, range(2, math.ceil(j_max - Fraction(a, 2)) + 3))
 
-    The nodes are the label's own actions._default_nodes, the rule of order
-    j - |m| + 2 at alpha 2|m|, and one _rules call builds a column's rules
-    together.  The jet is [calL, calL', calL''] of the label there, and
-    targets maps each ladder direction "+" and "-" to calL of the label it
-    shifts to at those nodes, or to None past the multiplet's edge.  A
-    column of a = 2|m| streams over alphas |a - 2| .. a + 2 at the
-    concatenated nodes of its labels (j, -|m|) and gives (j, +|m|) the same
-    values times its sign.
+
+def _columns(j_max, edges: bool = False):
+    """One basis._Column per |m| column of _sector_sweep(j_max), or of its
+    edge labels m = +-j alone.
+
+    The column of a = 2|m| holds the labels (j, -|m|), then, for m != 0,
+    (j, +|m|) at the same nodes.  Each label sits at its own nodes
+    (actions._default_nodes), and the jet [calL, calL', calL''] and the
+    ladder targets, calL of (j, m +- 1) or 0 past the multiplet's edge, come
+    from one kernel stream over alphas |a - 2| .. a + 2 at the concatenated
+    nodes of the labels (j, -|m|); the labels (j, +|m|) take the same values
+    times their sign.
     """
     two_j_max = int(2 * j_max)
     for a in range(two_j_max + 1):
         labels = [SpinIndex(two_j, -a) for two_j in range(a, (a if edges else two_j_max) + 1, 2)]
-        nodes = [rule.nodes for rule in _rules(a, range(2, len(labels) + 2))]
-        same_j = sorted({abs(a - 2), a + 2})
-        for low, y, rows in zip(labels, nodes, _radial_column(labels, nodes, 2, same_j)):
-            same_j_rows = dict(zip(same_j, rows[3:]))
-            for s in (low, SpinIndex(low.two_j, a)) if a else (low,):
-                targets = {}
-                for direction, two_dm in (("+", 2), ("-", -2)):
-                    t = actions._shifted_label(s, two_dm)
-                    targets[direction] = (
-                        None if t is None else _sign(t.two_m) * same_j_rows[abs(t.two_m)]
-                    )
-                yield s, y, [_sign(s.two_m) * v for v in rows[:3]], targets
+        nodes = [rule.nodes for rule in _column_rules(j_max, a)[: len(labels)]]
+        column = _radial_column(labels, nodes, 2, targets=True)
+        yield column.with_mirror() if a else column
 
 
 @_check("basis.ode", 1e-9, "radial functions satisfy their second-order differential equation")
 def _check_ode(j_max, seed):
     worst = 0.0
-    for s, y, jet, _ in _columns(j_max):
-        f, _, ddf = jet
-        scale = np.maximum(1.0, np.maximum(np.abs(f), np.abs(y * ddf)))
-        worst = max(worst, float(np.max(np.abs(_ode_on_jet(s, y, jet)) / scale)))
+    for col in _columns(j_max):
+        f, _, ddf = col.jet
+        scale = np.maximum(1.0, np.maximum(np.abs(f), np.abs(col.y * ddf)))
+        worst = max(worst, float(np.max(np.abs(_ode_on_jet(col)) / scale)))
     return worst, "", True
 
 
@@ -330,12 +330,13 @@ def _check_ode(j_max, seed):
     "fixed-m radial functions are orthonormal on the half-line",
 )
 def _check_radial_orthonormality(j_max, seed):
-    # One Gram matrix per 2|m| on the rule halfline_inner uses; s_m^2 = 1, so
-    # it covers every (j, j') pair of both signs of m.
+    # One Gram matrix per 2|m| on the rule halfline_inner uses, the last of
+    # its column's rules; s_m^2 = 1, so it covers every (j, j') pair of both
+    # signs of m.
     worst = 0.0
     two_j_cap = int(2 * j_max)
     for a in range(two_j_cap + 1):
-        rule = gauss_laguerre(math.ceil(j_max - Fraction(a, 2)) + 2, a)
+        rule = _column_rules(j_max, a)[-1]
         rows = np.concatenate(list(_radial_rows([a], two_j_cap, rule.nodes)))
         gram = (rows * rule.lifted_weights()) @ rows.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(rows))))))
@@ -344,20 +345,21 @@ def _check_radial_orthonormality(j_max, seed):
 
 @_check("basis.symmetry-sign", 1e-12, "m-reflection symmetry carries the sign (-1)^(2m)")
 def _check_symmetry_sign(j_max, seed):
-    y = _YS
+    # calL of (j, -|m|) from one stream per |m| column, and calL of (j, +|m|)
+    # as calL evaluates it, the same row times s_m, so the signed residual
+    # is 0 by construction until one side comes from an independent form.
     signed_worst = 0.0
     unsigned_gap = 0.0
-    half_seen = False
-    for s in _sector_sweep(j_max):
-        if s.two_m < 0:
-            continue
-        mirror = SpinIndex(s.two_j, -s.two_m)
-        sign = -1.0 if s.two_m % 2 else 1.0
-        f, f_mirror = calL(s, y), calL(mirror, y)
+    two_j_max = int(2 * j_max)
+    for a in range(two_j_max + 1):
+        labels = [SpinIndex(two_j, -a) for two_j in range(a, two_j_max + 1, 2)]
+        f_mirror = _radial_column(labels, _YS, 0).jet[0]
+        f = _sign(a) * f_mirror
+        sign = -1.0 if a % 2 else 1.0
         signed_worst = max(signed_worst, float(np.max(np.abs(f - sign * f_mirror))))
-        if s.two_m % 2:
-            half_seen = True
+        if a % 2:
             unsigned_gap = max(unsigned_gap, float(np.max(np.abs(f - f_mirror))))
+    half_seen = two_j_max >= 1
     reproduced = (not half_seen) or unsigned_gap >= 0.5
     if half_seen:
         note = (
@@ -394,19 +396,21 @@ def _check_plane_gram(j_max, seed):
 @_check("algebra.ladder", 1e-9, "ladder actions map basis functions to their neighbors")
 def _check_ladder(j_max, seed):
     return max(
-        actions._ladder_defect(s, d, y, jet, targets[d])
-        for s, y, jet, targets in _columns(j_max)
-        for d in ("+", "-")
+        float(np.max(actions._ladder_defect(col, d))) for col in _columns(j_max) for d in "+-"
     ), "", True
 
 
 @_check("algebra.annihilation", 1e-9, "ladders annihilate the edge labels m = +-j")
 def _check_annihilation(j_max, seed):
-    # K+ at m = +j and K- at m = -j, where the target leaves the multiplet.
+    # K+ at m = +j (also at j = 0) and K- at m = -j, where the target leaves
+    # the multiplet.
     return max(
-        actions._ladder_defect(s, d, y, jet, targets[d])
-        for s, y, jet, targets in _columns(j_max, edges=True)
-        for d in ("+" if s.two_m == s.two_j else "-",)
+        float(np.max(np.where(
+            col.two_m == col.two_j,
+            actions._ladder_defect(col, "+"),
+            actions._ladder_defect(col, "-"),
+        )))
+        for col in _columns(j_max, edges=True)
     ), "", True
 
 
@@ -415,18 +419,17 @@ def _check_annihilation(j_max, seed):
 )
 def _check_su2(j_max, seed):
     return max(
-        max(
-            actions._su2_defect(s, y, jet),
-            actions._k3_defect(s, "+", y, jet),
-            actions._k3_defect(s, "-", y, jet),
+        float(np.max(defect))
+        for col in _columns(j_max)
+        for defect in (
+            actions._su2_defect(col), actions._k3_defect(col, "+"), actions._k3_defect(col, "-")
         )
-        for s, y, jet, _ in _columns(j_max)
     ), "", True
 
 
 @_check("algebra.casimir", 1e-8, "Casimir combination acts as j(j+1)")
 def _check_casimir(j_max, seed):
-    return max(actions._casimir_defect(s, y, jet) for s, y, jet, _ in _columns(j_max)), "", True
+    return max(float(np.max(actions._casimir_defect(col))) for col in _columns(j_max)), "", True
 
 
 @_check(
@@ -457,8 +460,9 @@ def _check_closure(j_max, seed):
         and report.residual_casimir.serialize() == casimir_pin
     )
     shadow = max(
-        max(actions._su2_defect(s, y, jet), actions._casimir_defect(s, y, jet))
-        for s, y, jet, _ in _columns(min(j_max, Fraction(8)))
+        float(np.max(defect))
+        for col in _columns(min(j_max, Fraction(8)))
+        for defect in (actions._su2_defect(col), actions._casimir_defect(col))
     )
     note = (
         "formal residuals reproduce the pinned 12- and 17-term canonical "

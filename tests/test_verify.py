@@ -13,6 +13,7 @@ from planeharm.actions import (
     casimir_residual,
     k3_ladder_residual,
     ladder_residual,
+    pair_action,
     su2_commutator_residual,
 )
 from planeharm.basis import calL, ode_residual
@@ -208,31 +209,42 @@ def test_laguerre_suite_evaluates_whole_grids(monkeypatch):
 
 def test_column_sweep_equals_the_per_label_helpers():
     # The label checks read every jet off one kernel stream per |m| column,
-    # at the concatenated nodes of its labels.  Each label's jet, ladder
-    # targets and residuals must equal the per-label helpers bit for bit.
-    seen = []
-    for s, y, jet, targets in verify._columns(16):
-        seen.append(s)
-        assert np.array_equal(y, actions._default_nodes(s))
-        for got, want in zip(jet, basis._radial_jet(s, y, 2)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(basis._ode_on_jet(s, y, jet), ode_residual(s, y))
-        for d, two_dm in (("+", 2), ("-", -2)):
-            target = actions._shifted_label(s, two_dm)
-            if target is None:
-                assert targets[d] is None
-            else:
-                assert np.array_equal(targets[d], calL(target, y))
-            assert actions._ladder_defect(s, d, y, jet, targets[d]) == ladder_residual(s, d)
-            assert actions._k3_defect(s, d, y, jet) == k3_ladder_residual(s, d)
-        assert actions._su2_defect(s, y, jet) == su2_commutator_residual(s)
-        assert actions._casimir_defect(s, y, jet) == casimir_residual(s)
-    assert sorted(seen, key=astuple) == sorted(verify._sector_sweep(16), key=astuple)
-    edges = []
-    for s, y, jet, targets in verify._columns(16, edges=True):
-        edges.append(s)
-        d = "+" if s.two_m == s.two_j else "-"
-        assert actions._ladder_defect(s, d, y, jet, targets[d]) == annihilation_residual(s)
-    assert sorted(edges, key=astuple) == sorted(
-        (s for s in seen if abs(s.two_m) == s.two_j), key=astuple
-    )
+    # at the concatenated nodes of its labels, and every residual off one
+    # column core.  Each label's jet, ladder targets, actions and residuals
+    # must equal the one-label helpers bit for bit, edge labels included.
+    for j_max in (Fraction(16), Fraction(33, 2)):
+        seen, edge_worst = [], 0.0
+        for col in verify._columns(j_max):
+            ends = [*col.starts[1:], col.y.size]
+            ode = basis._ode_on_jet(col)
+            pairs = {
+                (outer, inner): actions._pair_on_jet(outer, inner, col)
+                for outer in ("K+", "K-")
+                for inner in ("K+", "K-")
+            }
+            ladder = {d: actions._ladder_defect(col, d) for d in "+-"}
+            k3 = {d: actions._k3_defect(col, d) for d in "+-"}
+            su2, casimir = actions._su2_defect(col), actions._casimir_defect(col)
+            for i, span in enumerate(map(slice, col.starts, ends)):
+                s, y = col.label(i), col.y[span]
+                seen.append(s)
+                assert np.array_equal(y, actions._default_nodes(s))
+                for got, want in zip(col.jet, basis._radial_jet(s, y, 2)):
+                    assert np.array_equal(got[span], want)
+                assert np.array_equal(ode[span], ode_residual(s, y))
+                for (outer, inner), values in pairs.items():
+                    assert np.array_equal(values[span], pair_action(outer, inner, s, y))
+                for d, two_dm in (("+", 2), ("-", -2)):
+                    target = actions._shifted_label(s, two_dm)
+                    want = np.zeros_like(y) if target is None else calL(target, y)
+                    assert np.array_equal(col.targets[d][span], want)
+                    assert ladder[d][i] == ladder_residual(s, d)
+                    assert k3[d][i] == k3_ladder_residual(s, d)
+                assert su2[i] == su2_commutator_residual(s)
+                assert casimir[i] == casimir_residual(s)
+                if abs(s.two_m) == s.two_j:
+                    d = "+" if s.two_m == s.two_j else "-"
+                    assert ladder[d][i] == annihilation_residual(s)
+                    edge_worst = max(edge_worst, annihilation_residual(s))
+        assert sorted(seen, key=astuple) == sorted(verify._sector_sweep(j_max), key=astuple)
+        assert verify._check_annihilation(j_max, 0)[0] == edge_worst
