@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import OperatorExpr
-from .basis import PlanePoint, SpinIndex, _Column, _radial_column, _radial_jet, calL
+from .basis import PlanePoint, SpinIndex, _Column, _label_column, _radial_column, calL
 from .errors import DomainError
 from .quadrature import gauss_laguerre
 
@@ -58,7 +58,7 @@ def apply_to_basis(expr: OperatorExpr, s: SpinIndex, point):
             )
         if mono.b and np.any(y == 0):
             raise DomainError("an Yinv power survives at y = 0")
-    jet = _radial_jet(s, y, expr.max_derivative_order())
+    jet = [v.reshape(y.shape) for v in _label_column(s, y, expr.max_derivative_order()).jet]
     j = 0.5 * s.two_j
     m = 0.5 * s.two_m
     total = np.zeros(y.shape, dtype=complex)
@@ -130,7 +130,13 @@ def _shifted_label(s: SpinIndex, two_dm: int) -> SpinIndex | None:
 
 def _ladder_on_jet(name: str, col: _Column) -> np.ndarray:
     """K+- calL over a column's nodes, from its jet [calL, calL', ...]."""
-    a_coeff, beta, gamma, _ = _ladder_terms(name, col.j, col.m)
+    return _first_order_on_jet(_ladder_terms(name, col.j, col.m)[:3], col)
+
+
+def _first_order_on_jet(terms, col: _Column) -> np.ndarray:
+    """A calL' + (beta/y + gamma) calL over a column's nodes, for terms
+    (A, beta, gamma) spread over them."""
+    a_coeff, beta, gamma = terms
     return a_coeff * col.jet[1] + (beta / col.y + gamma) * col.jet[0]
 
 
@@ -143,12 +149,6 @@ def apply_ladder(name: str, s: SpinIndex, y):
 def _default_nodes(s: SpinIndex) -> np.ndarray:
     order = (s.two_j - abs(s.two_m)) // 2 + 2
     return gauss_laguerre(order, abs(s.two_m)).nodes
-
-
-def _label_column(s: SpinIndex, y, order: int) -> _Column:
-    """The one-label column of s at y, or at _default_nodes(s) for y None."""
-    y = _default_nodes(s) if y is None else np.asarray(y, dtype=float).reshape(-1)
-    return _radial_column([s], y, order)
 
 
 def _check_direction(direction: str) -> int:
@@ -166,7 +166,7 @@ def ladder_residual(s: SpinIndex, direction: str) -> float:
     RHS is identically zero, measure annihilation quality).
     """
     target = _shifted_label(s, _check_direction(direction))
-    col = _label_column(s, None, 1)
+    col = _label_column(s, _default_nodes(s), 1)
     rhs = np.zeros_like(col.y) if target is None else calL(target, col.y)
     return float(_ladder_defect(replace(col, targets={direction: rhs}), direction)[0])
 
@@ -181,11 +181,23 @@ def _ladder_defect(col: _Column, direction: str) -> np.ndarray:
 
 
 def annihilation_residual(s: SpinIndex) -> float:
-    """Relative size of K+- calL at the top/bottom label m = +-j."""
-    direction = "+" if s.two_m == s.two_j else "-"
+    """Relative size of K+- calL at the top/bottom label m = +-j.
+
+    It is ladder_residual(s, direction) of the ladder that leaves the
+    multiplet, whose target is 0.
+    """
     if abs(s.two_m) != s.two_j:
         raise DomainError("annihilation happens only at m = +-j")
-    return ladder_residual(s, direction)
+    return float(_annihilation_defect(_label_column(s, _default_nodes(s), 1))[0])
+
+
+def _annihilation_defect(col: _Column) -> np.ndarray:
+    """annihilation_residual of each label of a column of edge labels m = +-j:
+    K+ at m = +j (also at j = 0) and K- at m = -j, one ladder per label."""
+    j, m = col.j, col.m
+    terms = np.where(m == j, _ladder_terms("K+", j, m)[:3], _ladder_terms("K-", j, m)[:3])
+    lhs = _first_order_on_jet(terms, col)
+    return _relative_defect(lhs, 0.0, col.abs_max(lhs, col.jet[0]), col)
 
 
 def _pair_on_jet(outer: str, inner: str, col: _Column) -> np.ndarray:
@@ -250,6 +262,7 @@ def _relative_defect(lhs, rhs, scale, col: _Column) -> np.ndarray:
 
 def su2_commutator_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of [K+, K-] calL = 2m calL under label tracking."""
+    y = _default_nodes(s) if y is None else y
     return float(_su2_defect(_label_column(s, y, 2))[0])
 
 
@@ -262,6 +275,7 @@ def _su2_defect(col: _Column) -> np.ndarray:
 
 def casimir_residual(s: SpinIndex, y=None) -> float:
     """Relative defect of (K3^2 + {K+,K-}/2) calL = j(j+1) calL."""
+    y = _default_nodes(s) if y is None else y
     return float(_casimir_defect(_label_column(s, y, 2))[0])
 
 
@@ -281,6 +295,7 @@ def k3_ladder_residual(s: SpinIndex, direction: str, y=None) -> float:
     identity holds exactly whenever the label shift is tracked.
     """
     _check_direction(direction)
+    y = _default_nodes(s) if y is None else y
     return float(_k3_defect(_label_column(s, y, 1), direction)[0])
 
 

@@ -419,13 +419,10 @@ def _radial_column(labels, ys, order: int, targets: bool = False) -> _Column:
     )
 
 
-def _radial_jet(s: SpinIndex, y, order: int) -> list[np.ndarray]:
-    """[calL, calL', calL''][: order + 1] of one label at y, from one kernel call.
-
-    The one-label case of _radial_column; each entry has y's shape.
-    """
-    y = np.asarray(y, dtype=float)
-    return [val.reshape(y.shape) for val in _radial_column([s], y.reshape(-1), order).jet]
+def _label_column(s: SpinIndex, y, order: int) -> _Column:
+    """The _Column of one label at y, flattened, from one kernel call: the
+    one-label case of _radial_column."""
+    return _radial_column([s], np.asarray(y, dtype=float).reshape(-1), order)
 
 
 def calL(s: SpinIndex, y):
@@ -434,18 +431,18 @@ def calL(s: SpinIndex, y):
     Orthonormal on the half-line at fixed m:
     integral(0..inf) calL_j^m calL_j'^m dy = delta_{j j'}.
     """
-    val = _radial_jet(s, y, 0)[0]
+    val = _label_column(s, y, 0).jet[0].reshape(np.shape(y))
     return val if val.ndim else float(val)
 
 
 def calL_deriv(s: SpinIndex, y, order: int = 1):
     """calL_j^m (order 0, y >= 0) or its first or second y-derivative (y > 0).
 
-    The derivatives are in closed form on the radial rows; see _radial_jet.
+    The derivatives are in closed form on the radial rows; see _radial_column.
     """
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1, or 2, got {order}")
-    val = _radial_jet(s, y, order)[order]
+    val = _label_column(s, y, order).jet[order].reshape(np.shape(y))
     return val if val.ndim else float(val)
 
 
@@ -476,7 +473,7 @@ def ode_residual(s: SpinIndex, y):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise DomainError("ode_residual needs y > 0")
-    val = _ode_on_jet(_radial_column([s], y.reshape(-1), 2)).reshape(y.shape)
+    val = _ode_on_jet(_label_column(s, y, 2)).reshape(y.shape)
     return val if val.ndim else float(val)
 
 

@@ -402,15 +402,8 @@ def _check_ladder(j_max, seed):
 
 @_check("algebra.annihilation", 1e-9, "ladders annihilate the edge labels m = +-j")
 def _check_annihilation(j_max, seed):
-    # K+ at m = +j (also at j = 0) and K- at m = -j, where the target leaves
-    # the multiplet.
     return max(
-        float(np.max(np.where(
-            col.two_m == col.two_j,
-            actions._ladder_defect(col, "+"),
-            actions._ladder_defect(col, "-"),
-        )))
-        for col in _columns(j_max, edges=True)
+        float(np.max(actions._annihilation_defect(col))) for col in _columns(j_max, edges=True)
     ), "", True
 
 

@@ -213,7 +213,7 @@ def test_column_sweep_equals_the_per_label_helpers():
     # column core.  Each label's jet, ladder targets, actions and residuals
     # must equal the one-label helpers bit for bit, edge labels included.
     for j_max in (Fraction(16), Fraction(33, 2)):
-        seen, edge_worst = [], 0.0
+        seen = []
         for col in verify._columns(j_max):
             ends = [*col.starts[1:], col.y.size]
             ode = basis._ode_on_jet(col)
@@ -229,7 +229,7 @@ def test_column_sweep_equals_the_per_label_helpers():
                 s, y = col.label(i), col.y[span]
                 seen.append(s)
                 assert np.array_equal(y, actions._default_nodes(s))
-                for got, want in zip(col.jet, basis._radial_jet(s, y, 2)):
+                for got, want in zip(col.jet, basis._label_column(s, y, 2).jet):
                     assert np.array_equal(got[span], want)
                 assert np.array_equal(ode[span], ode_residual(s, y))
                 for (outer, inner), values in pairs.items():
@@ -245,6 +245,21 @@ def test_column_sweep_equals_the_per_label_helpers():
                 if abs(s.two_m) == s.two_j:
                     d = "+" if s.two_m == s.two_j else "-"
                     assert ladder[d][i] == annihilation_residual(s)
-                    edge_worst = max(edge_worst, annihilation_residual(s))
         assert sorted(seen, key=astuple) == sorted(verify._sector_sweep(j_max), key=astuple)
+        # algebra.annihilation sweeps the edge labels alone, with its own core.
+        edges, edge_worst = [], 0.0
+        for col in verify._columns(j_max, edges=True):
+            ends = [*col.starts[1:], col.y.size]
+            annihilation = actions._annihilation_defect(col)
+            for i, span in enumerate(map(slice, col.starts, ends)):
+                s = col.label(i)
+                edges.append(s)
+                assert np.array_equal(col.y[span], actions._default_nodes(s))
+                d = "+" if s.two_m == s.two_j else "-"
+                assert annihilation[i] == annihilation_residual(s)
+                assert actions._ladder_defect(col, d)[i] == annihilation_residual(s)
+                edge_worst = max(edge_worst, annihilation_residual(s))
+        assert sorted(edges, key=astuple) == sorted(
+            (s for s in seen if abs(s.two_m) == s.two_j), key=astuple
+        )
         assert verify._check_annihilation(j_max, 0)[0] == edge_worst
