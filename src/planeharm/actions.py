@@ -13,6 +13,7 @@ label the inner operator produced.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -321,32 +322,48 @@ def hermiticity_gap(two_m: int, j_cap, seed: int = 0) -> float:
     integrals use one plain-exponent rule of order _HERMITICITY_ORDER, dense
     enough for the polynomial content of the integrands.
     """
+    return _hermiticity_gaps([two_m], j_cap, seed)[0]
+
+
+def _hermiticity_gaps(two_ms, j_cap, seed: int) -> list[float]:
+    """hermiticity_gap(two_m, j_cap, seed) for each of two_ms, each with its
+    own default_rng(seed) draws, from one kernel stream over the labels of
+    every span at the rule's shared nodes."""
     two_j_cap = int(2 * Fraction(j_cap))
-    f_js = [tj for tj in range(abs(two_m), two_j_cap + 1, 2)]
-    g_js = [tj for tj in range(abs(two_m + 2), two_j_cap + 1, 2)]
-    if not f_js or not g_js:
-        raise DomainError("empty sector span; raise j_cap")
-    rng = np.random.default_rng(seed)
-    fc = rng.standard_normal(len(f_js))
-    gc = rng.standard_normal(len(g_js))
+    spans = {}  # two_m of a span -> its two_j values
+    for two_m in two_ms:
+        for t in (two_m, two_m + 2):
+            spans[t] = range(abs(t), two_j_cap + 1, 2)
+        if not spans[two_m] or not spans[two_m + 2]:
+            raise DomainError("empty sector span; raise j_cap")
+    if not spans:
+        return []
     rule = gauss_laguerre(_HERMITICITY_ORDER, 0)
     y = rule.nodes
     w = rule.lifted_weights()
+    col = _radial_column([SpinIndex(tj, t) for t, tjs in spans.items() for tj in tjs], y, 1)
+    shape = (len(col.two_j), y.size)
+    f = col.jet[0].reshape(shape)
+    k_f = {name: _ladder_on_jet(name, col).reshape(shape) for name in ("K+", "K-")}
+    first = dict(zip(spans, itertools.accumulate(map(len, spans.values()), initial=0)))
 
-    def span(coeffs, two_js, two_m_span, name):
-        # sum c calL and sum c K calL over one span, from one kernel stream
-        # over the labels' shared nodes.
-        col = _radial_column([SpinIndex(tj, two_m_span) for tj in two_js], y, 1)
-        shape = (len(two_js), y.size)
+    def span(coeffs, two_m_span, name):
+        # sum c calL and sum c K calL over one span.
+        rows = slice(first[two_m_span], first[two_m_span] + len(coeffs))
         vals = ladder = 0
-        k_f = _ladder_on_jet(name, col).reshape(shape)
-        for c, f_row, k_row in zip(coeffs, col.jet[0].reshape(shape), k_f):
+        for c, f_row, k_row in zip(coeffs, f[rows], k_f[name][rows]):
             vals = vals + c * f_row
             ladder = ladder + c * k_row
         return vals, ladder
 
-    f_vals, kplus_f = span(fc, f_js, two_m, "K+")
-    g_vals, kminus_g = span(gc, g_js, two_m + 2, "K-")
-    left = float(np.dot(w, kplus_f * g_vals))
-    right = float(np.dot(w, f_vals * kminus_g))
-    return abs(left - right) / max(1.0, abs(left), abs(right))
+    gaps = []
+    for two_m in two_ms:
+        rng = np.random.default_rng(seed)
+        fc = rng.standard_normal(len(spans[two_m]))
+        gc = rng.standard_normal(len(spans[two_m + 2]))
+        f_vals, kplus_f = span(fc, two_m, "K+")
+        g_vals, kminus_g = span(gc, two_m + 2, "K-")
+        left = float(np.dot(w, kplus_f * g_vals))
+        right = float(np.dot(w, f_vals * kminus_g))
+        gaps.append(abs(left - right) / max(1.0, abs(left), abs(right)))
+    return gaps

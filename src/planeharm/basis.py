@@ -29,12 +29,14 @@ elsewhere; a power-of-two exponent per point carries whatever the start or
 the recurrence would push outside the double range, so large labels and
 large y give finite, accurate values.  ``_radial_rows`` runs it for all m
 of a sector at once, one row per k; synthesize, analyze and gauss_laguerre
-share it.  ``_radial_column`` reads calL, calL' and calL'' of every label of
-one m off one call, each label at its own nodes and its own step of a
-stream over their concatenation, into a ``_Column``: the labels with their
-nodes laid end to end, which the residual cores of basis and actions take
-whole.  The verify label checks make one per |m| column, and one-label
-columns serve calL, calL_deriv, ode_residual and the ladder actions.
+share it.  ``_radial_column`` reads calL, calL' and calL'' of labels of one
+m or of several off one call, each label at its own nodes and its own step
+of a stream over their concatenation, into a ``_Column``: the labels with
+their nodes laid end to end, which the residual cores of basis and actions
+take whole.  The verify label checks make one per |m| column, the
+hermiticity check one for all its spans, and one-label columns serve calL,
+calL_deriv, ode_residual and the ladder actions.  ``_plane_table`` gives
+calZ of every label of a sector on one (phi, y) grid from one stream.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
 
@@ -337,7 +339,7 @@ class _Column:
 
 
 def _radial_column(labels, ys, order: int, targets: bool = False) -> _Column:
-    """The _Column of labels that share one m, from one kernel stream.
+    """The _Column of labels, of one m or of several, from one kernel stream.
 
     ``ys`` is either a list of 1-D node arrays, one per label, whose
     concatenation the kernel streams over, or one 1-D array that every label
@@ -351,16 +353,15 @@ def _radial_column(labels, ys, order: int, targets: bool = False) -> _Column:
     a + 2: y^(a/2) e^(-y/2) p_k' = -sqrt(k) f_(k-1)^(a+1) / sqrt(y) and
     y^(a/2) e^(-y/2) p_k'' = sqrt(k(k-1)) f_(k-2)^(a+2) / y.  A target of the
     same j is the row of alpha |2m +- 2| at its own step.  So every value is
-    a row of one stream over alphas a .. a + order (and |a - 2| and a + 2
-    with targets), read at the label's nodes and its own step and multiplied
-    by its sign; the derivatives of y^(a/2) e^(-y/2) are added in closed
-    form.  Derivatives need y > 0, and one past the double range (order 2 at
-    |m| = 1/2 below y ~ 1e-205) raises DomainError naming the label, the
-    order and y.
+    a row of one stream over the alphas a .. a + order of every label (and
+    |a - 2| and a + 2 with targets), read at the label's nodes and its own
+    step and multiplied by its sign; the derivatives of y^(a/2) e^(-y/2) are
+    added in closed form.  Derivatives need y > 0, and one past the double
+    range (order 2 at |m| = 1/2 below y ~ 1e-205) raises DomainError naming
+    the label, the order and y.
     """
-    two_m = labels[0].two_m
-    a = abs(two_m)
-    ks = [(s.two_j - a) // 2 for s in labels]
+    two_ms = [s.two_m for s in labels]
+    ks = [(s.two_j - abs(s.two_m)) // 2 for s in labels]
     shared = isinstance(ys, np.ndarray)
     y = ys if shared else np.concatenate(ys)
     sizes = [y.size] * len(labels) if shared else [len(v) for v in ys]
@@ -368,35 +369,39 @@ def _radial_column(labels, ys, order: int, targets: bool = False) -> _Column:
     spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
     if order and (y <= 0).any():
         raise DomainError("calL_deriv needs y > 0")
-    # Row (b, shift) holds alpha b at step k - shift of each label, 0 below step 0.
-    # The target (j, m +- 1) is alpha |2m +- 2| at the same j.
-    shifted = {"+": two_m + 2, "-": two_m - 2} if targets else {}
-    same_j = [(abs(t), (abs(t) - a) // 2) for t in shifted.values()]
-    wants = [(a + d, d) for d in range(order + 1)] + same_j
-    alphas = sorted({b for b, _ in wants})
-    out = {want: np.zeros(ends[-1]) for want in wants}
+    # Unsigned rows, 0 below step 0: derivative d of a label is alpha |2m| + d
+    # at step k - d, and its target (j, m +- 1) is alpha |2m +- 2| at the same j.
+    shifts = {"+": 2, "-": -2} if targets else {}
+    out = [np.zeros(ends[-1]) for _ in range(order + 1)]
+    shifted = {d: np.zeros(ends[-1]) for d in shifts}
+    reads = []  # (alpha, step, destination, span)
+    for s, k, span in zip(labels, ks, spans):
+        reads += [(abs(s.two_m) + d, k - d, out[d], span) for d in range(order + 1)]
+        for d, two_dm in shifts.items():
+            t = abs(s.two_m + two_dm)
+            reads.append((t, (s.two_j - t) // 2, shifted[d], span))
+    alphas = sorted({alpha for alpha, *_ in reads})
     copies: dict[int, list] = {}  # step -> (row, destination, span) of each read
-    for (b, shift), dest in out.items():
-        for k, span in zip(ks, spans):
-            if k >= shift:
-                copies.setdefault(k - shift, []).append((alphas.index(b), dest, span))
-    for step, rows in enumerate(_radial_rows(alphas, a + 2 * max(ks), y)):
+    for alpha, step, dest, span in reads:
+        if step >= 0:
+            copies.setdefault(step, []).append((alphas.index(alpha), dest, span))
+    for step, rows in enumerate(_radial_rows(alphas, max(s.two_j for s in labels), y)):
         for row, dest, span in copies.get(step, ()):
             dest[span] = rows[row] if shared else rows[row, span]
     y = np.tile(y, len(labels)) if shared and len(labels) > 1 else y
-    f0 = out[a, 0]
+    f0 = out[0]
     jet = [f0]
     if order:
         k = np.repeat(np.array(ks), sizes)
-        b = 0.5 * a
+        b = np.repeat(0.5 * np.abs(two_ms), sizes)
         # Near y = 0 a derivative can pass the double range (like y^(-3/2)/4
         # for order 2 at |m| = 1/2), which is a DomainError; order 1 stays
         # finite for every y > 0, so only the top order is checked.
         with np.errstate(over="ignore", invalid="ignore"):
-            d1 = -np.sqrt(k) * out[a + 1, 1] / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
+            d1 = -np.sqrt(k) * out[1] / np.sqrt(y)  # y^(a/2) e^(-y/2) p_k'
             jet.append(d1 - 0.5 * f0 + b * f0 / y)
             if order == 2:
-                d2 = np.sqrt(k * (k - 1)) * out[a + 2, 2] / y  # y^(a/2) e^(-y/2) p_k''
+                d2 = np.sqrt(k * (k - 1)) * out[2] / y  # y^(a/2) e^(-y/2) p_k''
                 jet.append(
                     d2 - d1 + 0.25 * f0 + b * (2.0 * d1 - f0) / y + b * (b - 1) * f0 / y / y
                 )
@@ -408,14 +413,15 @@ def _radial_column(labels, ys, order: int, targets: bool = False) -> _Column:
                 f"calL_deriv(two_j={s.two_j}, two_m={s.two_m}, order={order}) leaves the "
                 f"double range at y = {float(y[bad])!r}"
             )
-    sign = _sign(two_m)
+    # s_m of each label, and of its targets, at every node.
+    sign = {dm: np.repeat([_sign(m + dm) for m in two_ms], sizes) for dm in (0, *shifts.values())}
     return _Column(
         np.array([s.two_j for s in labels]),
-        np.full(len(labels), two_m),
+        np.array(two_ms),
         np.array(ends) - sizes,
         y,
-        [sign * v for v in jet],
-        {d: _sign(t) * out[want] for (d, t), want in zip(shifted.items(), same_j)},
+        [sign[0] * v for v in jet],
+        {d: sign[two_dm] * shifted[d] for d, two_dm in shifts.items()},
     )
 
 
@@ -462,6 +468,31 @@ def calZ(s: SpinIndex, point) -> complex:
     m = 0.5 * s.two_m
     val = calL(s, y) * np.exp(1j * m * _finite_phi(phi))
     return val if getattr(val, "ndim", 0) else complex(val)
+
+
+def _plane_table(sector: str, j_max, x: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """calZ of every label of a sector up to j_max on one (phi, y) grid.
+
+    Entry i, of shape (phis.size, x.size), is calZ(s, (x[None, :],
+    phis[:, None])) of s = sector_labels(sector, j_max)[i]: the row of calL
+    times e^(i m phi), formed as calZ forms it, with every row from one
+    kernel stream over all |m| of the sector.  It equals calZ bit for bit
+    wherever that stream, like each one-label call, takes the plain start
+    (see _plain_start_fits), as it does on the plane grid up to j_max 6.
+    The table holds labels x n_phi x P values, O(j_max^4) on the plane grid,
+    so it is meant for small j_max.
+    """
+    labels = sector_labels(sector, j_max)
+    two_j_max = int(2 * _as_cap("j_max", j_max))
+    ladder = list(range(0 if sector == "int" else 1, two_j_max + 1, 2))
+    steps = list(_radial_rows(ladder, two_j_max, x))
+    # Label (j, m) is row |m| of step j - |m|, times s_m.
+    rows = [
+        _sign(s.two_m) * steps[(s.two_j - abs(s.two_m)) // 2][abs(s.two_m) // 2] for s in labels
+    ]
+    phase = {two_m: np.exp(1j * (0.5 * two_m) * phis) for two_m in {s.two_m for s in labels}}
+    rows = np.array(rows, dtype=float).reshape(len(labels), 1, x.size)
+    return rows * np.array([phase[s.two_m] for s in labels]).reshape(len(labels), phis.size, 1)
 
 
 def ode_residual(s: SpinIndex, y):

@@ -21,7 +21,13 @@ distinct rules in 23 batches at j_max 8, and 4,294 in 134 at j_max 64.
 plane_inner, analyze and parseval_gap sample each function once on the
 (phi, y) grid of _plane_grid: the callable gets y of shape (1, n_radial) and
 phi of shape (n_phi, 1) and must return something that broadcasts to
-(n_phi, n_radial).
+(n_phi, n_radial).  halfline_inner samples each function once at the nodes
+of its rule.  Both inner products are the one-pair case of a sum over two
+stacks of samples (_plane_sums, _halfline_sums), which sums every pair as
+the one-pair call sums it, so a check can pair many functions at once.  A
+result that does not broadcast, a sample that is not finite and an integral
+past the double range are each a DomainError, never a nan, an inf or a
+numpy RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -224,18 +230,49 @@ def halfline_inner(f, g, m, j_cap) -> float:
 
     f and g must be finite combinations of the normalized radial functions
     with the common label m and j <= j_cap (so f g = y^(2|m|) e^(-y) times a
-    polynomial the rule integrates exactly).  Callables must accept ndarray y.
+    polynomial the rule integrates exactly).  Each is called once with the
+    rule's nodes, a 1-D array, and its result must broadcast to them;
+    otherwise DomainError names both shapes.  A sample that is not finite,
+    or a sum past the double range, raises DomainError.
     """
     m = _as_half_integer(m)
     j_cap = _as_half_integer(j_cap)
     if j_cap < abs(m):
         raise DomainError(f"j_cap={j_cap} is below |m|={abs(m)}")
-    alpha = int(2 * abs(m))
-    order = int(math.ceil(j_cap - abs(m))) + 2
-    rule = gauss_laguerre(order, alpha)
-    w = rule.lifted_weights()
+    rule = _halfline_rule(m, j_cap)
     x = rule.nodes
-    return float(np.dot(w, np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)))
+    fv, gv = (_broadcast(np.asarray(h(x), dtype=float), x.shape, "(order,)") for h in (f, g))
+    return float(_halfline_sums(fv, gv, rule.lifted_weights(), "halfline_inner"))
+
+
+def _halfline_rule(m: Fraction, j_cap: Fraction) -> QuadratureRule:
+    """halfline_inner's rule at label m and cap j_cap >= |m|: alpha 2|m|, and
+    two nodes more than the radial degree j_cap - |m|."""
+    return gauss_laguerre(int(math.ceil(j_cap - abs(m))) + 2, int(2 * abs(m)))
+
+
+def _halfline_sums(fv, gv, w, what: str) -> np.ndarray:
+    """sum_i w_i f(x_i) g(x_i) for each pair of node samples of two stacks
+    (..., n) that broadcast: halfline_inner of every pair.
+
+    Each pair is summed as one np.dot(w, f * g); a batched matrix product
+    would sum in another order and differ in the last bit.  A sum that is
+    not finite raises DomainError naming its cause.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = fv * gv
+        sums = np.array([np.dot(w, p) for p in products.reshape(-1, w.size)])
+    return _finite(sums.reshape(products.shape[:-1]), fv, gv, what)
+
+
+def _finite(sums: np.ndarray, fv, gv, what: str) -> np.ndarray:
+    """sums, if all finite, else DomainError: a sample of fv or gv that is
+    not finite, or an integral past the double range."""
+    if not np.isfinite(sums).all():
+        if np.isfinite(fv).all() and np.isfinite(gv).all():
+            raise DomainError(f"{what}: the integral leaves the double range")
+        raise DomainError(f"{what}: a function has a sample that is not finite")
+    return sums
 
 
 def default_n_phi(j_max) -> int:
@@ -272,13 +309,17 @@ def _sample_grid(f, x, phis) -> np.ndarray:
     the grid; a result that does not broadcast raises DomainError.
     """
     values = np.asarray(f(x[None, :], phis[:, None]), dtype=complex)
-    grid = (phis.size, x.size)
+    return _broadcast(values, (phis.size, x.size), "(n_phi, n_radial)")
+
+
+def _broadcast(values: np.ndarray, shape: tuple, grid: str) -> np.ndarray:
+    """values broadcast to the sample grid's shape, else DomainError naming both."""
     try:
-        return np.broadcast_to(values, grid)
+        return np.broadcast_to(values, shape)
     except ValueError:
         raise DomainError(
             f"the function returned shape {values.shape}, which does not broadcast "
-            f"to the (n_phi, n_radial) = {grid} sample grid"
+            f"to the {grid} = {shape} sample grid"
         ) from None
 
 
@@ -292,9 +333,21 @@ def plane_inner(F, G, j_cap, n_phi: int | None = None, n_radial: int | None = No
     Gauss-Laguerre rule.  F and G are each called once on the whole grid,
     with y of shape (1, n_radial) and phi of shape (n_phi, 1), and their
     results must broadcast to (n_phi, n_radial); otherwise DomainError names
-    both shapes.  n_phi and n_radial must be integers >= 1.
+    both shapes.  n_phi and n_radial must be integers >= 1.  A sample that
+    is not finite, or a sum past the double range, raises DomainError.
     """
     phis, x, w = _plane_grid(_as_cap("j_cap", j_cap), n_phi, n_radial)
     fv = _sample_grid(F, x, phis)
     gv = _sample_grid(G, x, phis)
-    return complex(np.sum((np.conjugate(fv) * gv) @ w) / phis.size)
+    return complex(_plane_sums(fv, gv, w, "plane_inner"))
+
+
+def _plane_sums(fv, gv, w, what: str) -> np.ndarray:
+    """(1/n_phi) sum over the grid of w conj(F) G for each pair of sample
+    grids of two stacks (..., n_phi, n_radial) that broadcast: plane_inner
+    of every pair, each summed as plane_inner sums one.  A sum that is not
+    finite raises DomainError naming its cause.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.sum((np.conjugate(fv) * gv) @ w, axis=-1) / fv.shape[-2]
+    return _finite(np.asarray(sums), fv, gv, what)

@@ -211,6 +211,12 @@ def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
     _check_two_j(two_j)
     if not isinstance(spec, RotationSpec):
         raise DomainError(f"spec must be a RotationSpec, got {spec!r}")
+    return _rotation_matrices(two_j, [spec])[0]
+
+
+def _rotation_matrices(two_j: int, specs) -> list[np.ndarray]:
+    """rotation_matrix(two_j, spec) for each of specs, valid arguments, from
+    one _jx_halves call and one unitarity gate: both depend on j alone."""
     halves = _jx_halves(two_j)
     r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in halves)
     bound = 4.0 * r * (1.0 + r)
@@ -219,6 +225,11 @@ def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
             f"rotation matrix for two_j={two_j}: eigenvector defect bounds "
             f"max|U* U - I| by {bound:.3e} > {_UNITARITY_TOL:g}"
         )
+    return [_assemble(two_j, halves, spec) for spec in specs]
+
+
+def _assemble(two_j: int, halves, spec: RotationSpec) -> np.ndarray:
+    """The unitary of spec from the eigendata of _jx_halves(two_j)."""
     # Halves of G_s and G_a, so that the quarter blocks are a sum and a difference.
     g_s, g_a = ((u * (0.5 * np.expm1(-1j * spec.b * mu))) @ u.T for mu, u in halves)
     n = two_j + 1

@@ -18,9 +18,11 @@ n_phi angles times P radial points, the layout of fast spherical transforms
 in y.  analyze calls f once on the whole (phi, y) grid, projects the samples
 onto e^(-+i|m|phi) with one matrix product, contracts each step's rows with
 both signs' weighted projections at once, and places all the sums in the
-block at the end, in O(j_max^2 P + j_max n_phi P) time.  synthesize runs the
-recurrence once over its P radial points and picks one of two sums from
-n_phi alone.  With few angles, at each step the coefficients with
+block at the end, in O(j_max^2 P + j_max n_phi P) time.  Its projection,
+_project, takes a stack of sample grids and gives each the coefficients
+analyze would, so many functions share one run of the recurrence.
+synthesize runs the recurrence once over its P radial points and picks one
+of two sums from n_phi alone.  With few angles, at each step the coefficients with
 e^(+-i m phi) and the sign s_m folded in form a real (2 n_phi, |m|) matrix,
 and one matrix product adds the step to every angle, in O(j_max^2 n_phi P)
 time; the fold is built a few steps at a time, never as a whole
@@ -338,31 +340,49 @@ def analyze(
 
 def _analyze(f, sector, j_max, n_phi, n_radial):
     """analyze's block, with the samples and lifted radial weights it used."""
-    two_j_max, values = _zeros(sector, j_max)
+    two_j_max = _zeros(sector, j_max)[0]
     phis, x, w = _plane_grid(Fraction(two_j_max, 2), n_phi, n_radial)
     samples = _sample_grid(f, x, phis)
+    values = _project(samples[None], sector, two_j_max, phis, x, w)[0]
+    return object.__new__(CoefficientBlock)._finish(sector, two_j_max, values), samples, w
+
+
+def _project(samples, sector: str, two_j_max: int, phis, x, w) -> np.ndarray:
+    """The coefficient arrays, in block order, of a stack of sample grids.
+
+    samples has shape (B, n_phi, n_radial), on the grid of _plane_grid
+    (phis, x, w) at band limit two_j_max / 2; the result has shape
+    (B, labels).  analyze is the case B = 1, and each of B functions gets
+    the coefficients analyze gives it, bit for bit: every product and sum
+    below acts on each function's samples alone.  Samples past the double
+    range leave coefficients that are not finite.
+    """
     ladder = _sector_ladder(sector, two_j_max)
+    top = ladder[-1] if ladder else -1
+    count, size = len(samples), len(ladder)
+    values = np.zeros((count, _index(top, top) + 1), dtype=complex)
     abs2m = np.array(ladder, dtype=int)
-    # Samples past the double range leave coefficients that are not finite,
-    # which _finish reports as a DomainError naming the label.
     with np.errstate(over="ignore", invalid="ignore"):
         # Angular projections onto m = +|m| and m = -|m|, each times the
-        # weights, indexed by (sign of m, |m|, point) like synthesize's
-        # by_sign; the +|m| side also carries the sign s_m of its radial
-        # function.
-        proj = np.exp(0.5j * np.array([-1, 1])[:, None, None] * abs2m[:, None] * phis)
+        # weights, indexed by (sign of m, function, |m|, point) like
+        # synthesize's by_sign; the +|m| side also carries the sign s_m of
+        # its radial function.
+        proj = np.exp(0.5j * np.array([-1, 1])[:, None, None, None] * abs2m[:, None] * phis)
         proj = w * (proj @ samples) / phis.size
         proj[0] *= np.array([_sign(v) for v in ladder])[:, None]
-        sums = np.zeros((2, len(ladder), len(ladder)), dtype=complex)  # (sign, step, |m|)
+        # Sign and function on one axis, so each step is one 3-D product.
+        proj = proj.reshape(2 * count, size, x.size)
+        sums = np.zeros((2 * count, size, size), dtype=complex)  # (sign and function, step, |m|)
         for k, rows in enumerate(_radial_rows(ladder, two_j_max, x)):
             sums[:, k, : len(rows)] = (proj[:, : len(rows)] * rows).sum(-1)
-    two_j = abs2m + 2 * np.arange(len(ladder))[:, None]
+    sums = sums.reshape(2, count, size, size)
+    two_j = abs2m + 2 * np.arange(size)[:, None]
     keep = two_j <= two_j_max
     two_j, abs2m = two_j[keep], np.broadcast_to(abs2m, keep.shape)[keep]
     # m = 0 is written twice, the +|m| projection last.
-    values[_index(two_j, -abs2m)] = sums[1][keep]
-    values[_index(two_j, abs2m)] = sums[0][keep]
-    return object.__new__(CoefficientBlock)._finish(sector, two_j_max, values), samples, w
+    values[:, _index(two_j, -abs2m)] = sums[1][:, keep]
+    values[:, _index(two_j, abs2m)] = sums[0][:, keep]
+    return values
 
 
 # Entries (step x angle x |m|) of the coefficient fold built at once, so a

@@ -20,7 +20,10 @@ labels by |m| column: one kernel stream per column gives every label of
 both signs of m its jet and its ladder targets at the label's own
 quadrature nodes, and the residual cores of actions and basis take the
 whole column at once; the one-label functions in actions are the same
-cores on a column of one label.
+cores on a column of one label.  The plane-grid checks (basis.plane-gram,
+quadrature.plane-vs-halfline) take every harmonic of a sector from one
+table and project or pair the whole table with the stack cores that
+analyze, plane_inner and halfline_inner run for one function or pair.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from . import actions, errata
 from .algebra import OperatorExpr, build_operator, normal_form, verify_e_correction
 from .basis import (
-    SpinIndex, _as_cap, _ode_on_jet, _radial_column, _radial_rows, _sign, calL, calZ,
+    SpinIndex, _as_cap, _ode_on_jet, _plane_table, _radial_column, _radial_rows, _sign, calZ,
     sector_labels,
 )
 from .errors import DomainError
@@ -49,9 +52,11 @@ from .laguerre import (
     laguerre_reflect,
     recurrence_check,
 )
-from .quadrature import _as_int, _rules, halfline_inner, plane_inner
-from .rotation import RotationSpec, rotation_matrix
-from .transform import _max_gap, analyze, as_function, parseval_gap, random_block, rotate
+from .quadrature import (
+    _as_int, _halfline_rule, _halfline_sums, _plane_grid, _plane_sums, _rules,
+)
+from .rotation import RotationSpec, _rotation_matrices, rotation_matrix
+from .transform import _max_gap, _project, analyze, as_function, parseval_gap, random_block, rotate
 
 __all__ = [
     "CheckResult",
@@ -373,19 +378,15 @@ def _check_symmetry_sign(j_max, seed):
 
 @_check("basis.plane-gram", 1e-10, "plane harmonics have an identity Gram matrix within a sector")
 def _check_plane_gram(j_max, seed):
+    # Row b of each sector's Gram matrix is analyze's block of calZ_b: one
+    # stacked projection of a table of every label's harmonic on analyze's grid.
     worst = 0.0
+    j_eff = min(j_max, Fraction(6))
+    phis, x, w = _plane_grid(j_eff, None, None)
     for sector in ("int", "half"):
-        j_eff = min(j_max, Fraction(6))
-        labels = sector_labels(sector, j_eff)
-        if not labels:
-            continue
-        for b in labels:
-            fb = lambda y, phi, s=b: calZ(s, (y, phi))
-            column = analyze(fb, sector, j_eff)
-            for a in labels:
-                got = column.get(a.two_j, a.two_m)
-                target = 1.0 if a == b else 0.0
-                worst = max(worst, abs(got - target))
+        table = _plane_table(sector, j_eff, x, phis)
+        gram = _project(table, sector, int(2 * j_eff), phis, x, w)
+        worst = max([worst, *map(abs, (gram - np.eye(len(table))).ravel().tolist())])
     return worst, "", True
 
 
@@ -433,8 +434,7 @@ def _check_hermiticity(j_max, seed):
     # m runs over -j_cap .. j_cap - 1, where both spans are nonempty.
     j_cap = min(j_max, Fraction(6))
     two_j_cap = int(2 * j_cap)
-    two_ms = range(-two_j_cap, two_j_cap - 1)
-    gaps = [actions.hermiticity_gap(two_m, j_cap, seed=seed) for two_m in two_ms]
+    gaps = actions._hermiticity_gaps(range(-two_j_cap, two_j_cap - 1), j_cap, seed)
     return max(gaps, default=0.0), "", True
 
 
@@ -547,51 +547,33 @@ def _check_interlacing(j_max, seed):
     return float(violations), "", True
 
 
-def _memo(fn):
-    """fn(s, *arrays), evaluated once per label and exact arrays (shape and
-    bytes); the values it returns are read-only and shared."""
-    cache = {}
-
-    def call(s, *arrays):
-        key = (s, *((a.shape, a.tobytes()) for a in map(np.asarray, arrays)))
-        if key not in cache:
-            cache[key] = value = np.asarray(fn(s, *arrays))
-            value.flags.writeable = False
-        return cache[key]
-
-    return call
-
-
 @_check(
     "quadrature.plane-vs-halfline", 1e-13, "plane inner products reduce to radial ones at equal m"
 )
 def _check_plane_vs_halfline(j_max, seed):
-    # Every pair calls plane_inner and halfline_inner, which sample each
-    # label on the same grid; the memos evaluate each label once per grid.
-    plane_values = _memo(lambda s, y, phi: calZ(s, (y, phi)))
-    radial_values = _memo(calL)
+    # Every pair (j <= j') of one m: the planar side from a table of every
+    # label's harmonic on plane_inner's grid, the radial side from one stream
+    # per |m| on halfline_inner's rule, each pair summed as those functions
+    # sum it.
     worst = 0.0
     j_eff = min(j_max, Fraction(6))
+    two_j_eff = int(2 * j_eff)
+    phis, x, w = _plane_grid(j_eff, None, None)
     for sector in ("int", "half"):
-        labels = sector_labels(sector, j_eff)
-        by_m: dict[int, list[SpinIndex]] = {}
-        for s in labels:
-            by_m.setdefault(s.two_m, []).append(s)
-        for two_m, group in by_m.items():
-            for i, sa in enumerate(group):
-                for sb in group[i:]:
-                    planar = plane_inner(
-                        lambda y, phi, s=sa: plane_values(s, y, phi),
-                        lambda y, phi, s=sb: plane_values(s, y, phi),
-                        j_eff,
-                    )
-                    radial = halfline_inner(
-                        lambda y, s=sa: radial_values(s, y),
-                        lambda y, s=sb: radial_values(s, y),
-                        Fraction(two_m, 2),
-                        j_eff,
-                    )
-                    worst = max(worst, abs(planar - radial))
+        two_ms = np.array([s.two_m for s in sector_labels(sector, j_eff)])
+        table = _plane_table(sector, j_eff, x, phis)
+        for a in range(0 if sector == "int" else 1, two_j_eff + 1, 2):
+            rule = _halfline_rule(Fraction(a, 2), j_eff)
+            rows = np.array(list(_radial_rows([a], two_j_eff, rule.nodes)))[:, 0]
+            left, right = np.triu_indices(len(rows))
+            for two_m in {-a, a}:
+                group = table[two_ms == two_m]
+                planar = _plane_sums(group[left], group[right], w, "plane-vs-halfline")
+                radial = _sign(two_m) * rows
+                radial = _halfline_sums(
+                    radial[left], radial[right], rule.lifted_weights(), "plane-vs-halfline"
+                )
+                worst = max([worst, *map(abs, (planar - radial).tolist())])
     return worst, "", True
 
 
@@ -648,8 +630,7 @@ def _random_specs(seed, count=4):
 def _check_rotation_unitarity(j_max, seed):
     worst = 0.0
     for two_j in range(0, int(2 * j_max) + 1):
-        for spec in _random_specs(seed + two_j):
-            u = rotation_matrix(two_j, spec)
+        for u in _rotation_matrices(two_j, _random_specs(seed + two_j)):
             worst = max(
                 worst, float(np.max(np.abs(u.conj().T @ u - np.eye(two_j + 1))))
             )

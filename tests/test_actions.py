@@ -139,18 +139,21 @@ class TestOneKernelPass:
     def test_hermiticity_gap_one_jet_per_span_label(self, monkeypatch):
         calls = self.count_kernel_calls(monkeypatch)
         hermiticity_gap(1, 6, seed=0)  # f: j = 1/2 .. 11/2 at m = 1/2; g: 3/2 .. 11/2
-        assert len(calls) == 2  # one stream per span over its shared nodes
+        assert len(calls) == 1  # one stream for both spans over their shared nodes
 
     def test_verify_suite_kernel_calls(self, monkeypatch):
         # One kernel call per entry point made 10,618 here, one jet per
         # entry point 7,160, one jet per residual 4,144; one stream per |m|
         # column and check 1,453; building the rules of one alpha together
         # 847; one rule batch per column and one stream per column for
-        # basis.symmetry-sign makes 633.
+        # basis.symmetry-sign 633; one table and one stacked projection per
+        # sector for basis.plane-gram, one table per sector and one stream
+        # per |m| for quadrature.plane-vs-halfline, and one stream for every
+        # span of algebra.hermiticity makes 243.
         calls = self.count_kernel_calls(monkeypatch, (basis, quadrature, transform, verify))
         monkeypatch.setattr(quadrature, "_RULES", {})
         run_suite("all", 8, 1)
-        assert len(calls) <= 633
+        assert len(calls) <= 243
 
 
 class TestLadderForms:

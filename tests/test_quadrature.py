@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from planeharm.basis import SpinIndex, calL, calZ
+from planeharm.basis import SpinIndex, calL, calZ, sector_labels
 from planeharm import quadrature
 from planeharm.errors import DomainError
 from planeharm.quadrature import (
@@ -356,3 +356,70 @@ def test_plane_inner_rejects_a_result_off_the_grid():
     one = lambda y, phi: np.ones_like(y)
     with pytest.raises(DomainError, match=r"\(3,\).*\(9, 4\)"):
         plane_inner(one, lambda y, phi: np.ones(3), j_cap=2)
+
+
+def test_halfline_inner_rejects_a_result_off_the_nodes():
+    with pytest.raises(DomainError, match=r"\(4,\).*\(3,\)"):
+        halfline_inner(lambda y: np.ones(4), lambda y: y, m=0, j_cap=1)
+
+
+def _big_grid(y, phi):
+    return np.full(np.broadcast_shapes(np.shape(y), np.shape(phi)), 1e200)
+
+
+def _one_nan_grid(y, phi):
+    values = np.array(calZ(SpinIndex(2, 0), (y, phi)))
+    values[0, 0] = np.nan
+    return values
+
+
+def _one_nan_nodes(y):
+    values = calL(SpinIndex(2, 0), y)
+    values[0] = np.nan
+    return values
+
+
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda: plane_inner(_big_grid, _big_grid, 1), "leaves the double range"),
+        (lambda: halfline_inner(lambda y: 1e200 + 0 * y, lambda y: 1e200 + 0 * y, 0, 1),
+         "leaves the double range"),
+        (lambda: plane_inner(_one_nan_grid, _big_grid, 1), "not finite"),
+        (lambda: halfline_inner(_one_nan_nodes, lambda y: y, 0, 1), "not finite"),
+    ],
+    ids=["plane-overflow", "halfline-overflow", "plane-nan", "halfline-nan"],
+)
+def test_inner_products_that_are_not_finite_are_domain_errors(call, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=cause):
+            call()
+
+
+@pytest.mark.parametrize("sector, j_cap", [("int", 3), ("half", Fraction(5, 2))])
+def test_pair_cores_equal_the_inner_products_bit_for_bit(sector, j_cap):
+    # Every pair of labels on plane_inner's grid, and every pair of one m on
+    # halfline_inner's rule, summed over stacks at once.
+    labels = sector_labels(sector, j_cap)
+    phis, x, w = quadrature._plane_grid(Fraction(j_cap), None, None)
+    grids = np.array([calZ(s, (x[None, :], phis[:, None])) for s in labels])
+    planar = quadrature._plane_sums(grids[:, None], grids[None, :], w, "pairs")
+    want = np.array([
+        [plane_inner(lambda y, phi: calZ(a, (y, phi)), lambda y, phi: calZ(b, (y, phi)), j_cap)
+         for b in labels]
+        for a in labels
+    ])
+    assert np.array_equal(planar.view(float), want.view(float))
+    for two_m in {s.two_m for s in labels}:
+        group = [s for s in labels if s.two_m == two_m]
+        rule = quadrature._halfline_rule(Fraction(two_m, 2), Fraction(j_cap))
+        rows = np.array([calL(s, rule.nodes) for s in group])
+        w = rule.lifted_weights()
+        radial = quadrature._halfline_sums(rows[:, None], rows[None, :], w, "pairs")
+        want = np.array([
+            [halfline_inner(lambda y: calL(a, y), lambda y: calL(b, y), Fraction(two_m, 2), j_cap)
+             for b in group]
+            for a in group
+        ])
+        assert np.array_equal(radial, want)

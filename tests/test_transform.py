@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from planeharm import rotation
-from planeharm.basis import PlanePoint, SpinIndex, calZ, sector_labels
+from planeharm.basis import PlanePoint, SpinIndex, _plane_table, calZ, sector_labels
 from planeharm.errors import DomainError, SchemaError, UnitarityError
-from planeharm.quadrature import plane_inner
+from planeharm.quadrature import _plane_grid, plane_inner
 from planeharm.rotation import (
     RotationSpec,
     expm,
@@ -291,6 +291,7 @@ class TestRotationGate:
                 assert [got.get(two_j, m) for m in range(-two_j, two_j + 1, 2)] == list(u @ vec)
 
 
+
 class TestRotationHalves:
     def test_half_eigenvalues_are_exact_ascending_and_of_their_parity(self):
         for two_j in range(0, 301):
@@ -343,6 +344,17 @@ class TestRotationHalves:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         back = rotate(rotated, RotationSpec(-c, -b, -a))
         assert block_gap(back, block) <= 1e-12
+
+    def test_matrices_of_one_j_share_its_eigendata(self, monkeypatch):
+        # One _jx_halves call per j for several specs, and one per rotation_matrix.
+        specs = [RotationSpec(0.3, -1.2, 2.5), RotationSpec(0, 0, 0), RotationSpec(-4, 5.5, 0.1)]
+        calls = []
+        halves = rotation._jx_halves
+        monkeypatch.setattr(rotation, "_jx_halves", lambda t: calls.append(t) or halves(t))
+        for two_j in (0, 1, 2, 7, 30):
+            for u, spec in zip(rotation._rotation_matrices(two_j, specs), specs):
+                assert np.array_equal(u, rotation_matrix(two_j, spec))
+        assert calls == [t for t in (0, 1, 2, 7, 30) for _ in range(1 + len(specs))]
 
 
 class TestCoefficientBlock:
@@ -560,6 +572,24 @@ class TestAnalyze:
         others = [abs(v) for key, v in values.items() if key not in ((300, 40), (12, -4))]
         assert max(others) <= 1e-12
         assert all(type(a) is int and type(b) is int for a, b in values)
+
+    @pytest.mark.parametrize("j_max", [Fraction(k, 2) for k in range(1, 13)])
+    def test_stacked_projection_equals_analyze_per_function(self, j_max):
+        # The Gram matrix of each sector, from one table and one stacked
+        # projection, against one analyze call per label, bit for bit.
+        phis, x, w = _plane_grid(j_max, None, None)
+        grid = (x[None, :], phis[:, None])
+        for sector in ("int", "half"):
+            labels = sector_labels(sector, j_max)
+            table = _plane_table(sector, j_max, x, phis)
+            harmonics = np.array([calZ(s, grid) for s in labels])
+            assert np.array_equal(table.view(float), harmonics.view(float))
+            gram = transform._project(table, sector, int(2 * j_max), phis, x, w) + 0.0
+            per_label = np.array([
+                analyze(lambda y, phi, s=s: calZ(s, (y, phi)), sector, j_max)._values
+                for s in labels
+            ])
+            assert np.array_equal(gram.view(float), per_label.view(float))
 
 
 SYNTH_BLOCKS = [

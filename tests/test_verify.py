@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from planeharm import actions, basis, errata, laguerre, verify
+from planeharm import actions, basis, errata, laguerre, quadrature, rotation, transform, verify
 from planeharm.actions import (
     annihilation_residual,
     casimir_residual,
@@ -263,3 +263,34 @@ def test_column_sweep_equals_the_per_label_helpers():
             (s for s in seen if abs(s.two_m) == s.two_j), key=astuple
         )
         assert verify._check_annihilation(j_max, 0)[0] == edge_worst
+
+
+@pytest.mark.parametrize(
+    "check_id, bound",
+    [("basis.plane-gram", 4), ("quadrature.plane-vs-halfline", 15), ("algebra.hermiticity", 2)],
+)
+def test_plane_grid_and_hermiticity_checks_make_few_kernel_streams(check_id, bound, monkeypatch):
+    # The streams of the check itself: a first run builds the rules it reads.
+    check = verify._CHECKS[check_id][2]
+    check(Fraction(8), 1)
+    calls = []
+    kernel = basis._radial_rows
+    for module in (basis, quadrature, transform, verify):
+        monkeypatch.setattr(module, "_radial_rows", lambda *a: calls.append(a) or kernel(*a))
+    check(Fraction(8), 1)
+    assert len(calls) <= bound
+
+
+def test_hermiticity_spans_of_every_m_equal_one_m_at_a_time():
+    two_ms = range(-12, 11)
+    for seed in (0, 3):
+        gaps = actions._hermiticity_gaps(two_ms, 6, seed)
+        assert gaps == [actions.hermiticity_gap(two_m, 6, seed=seed) for two_m in two_ms]
+
+
+def test_rotation_unitarity_takes_the_eigendata_once_per_j(monkeypatch):
+    calls = []
+    halves = rotation._jx_halves
+    monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
+    verify._CHECKS["transform.rotation-unitarity"][2](Fraction(8), 0)
+    assert calls == list(range(17))
