@@ -36,7 +36,7 @@ their nodes laid end to end, which the residual cores of basis and actions
 take whole.  The verify label checks make one per |m| column, the
 hermiticity check one for all its spans, and one-label columns serve calL,
 calL_deriv, ode_residual and the ladder actions.  ``_plane_table`` gives
-calZ of every label of a sector on one (phi, y) grid from one stream.
+calZ of every label of a sector on one (phi, y) grid from one column.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
 
@@ -474,25 +474,19 @@ def _plane_table(sector: str, j_max, x: np.ndarray, phis: np.ndarray) -> np.ndar
     """calZ of every label of a sector up to j_max on one (phi, y) grid.
 
     Entry i, of shape (phis.size, x.size), is calZ(s, (x[None, :],
-    phis[:, None])) of s = sector_labels(sector, j_max)[i]: the row of calL
-    times e^(i m phi), formed as calZ forms it, with every row from one
-    kernel stream over all |m| of the sector.  It equals calZ bit for bit
-    wherever that stream, like each one-label call, takes the plain start
-    (see _plain_start_fits), as it does on the plane grid up to j_max 6.
-    The table holds labels x n_phi x P values, O(j_max^4) on the plane grid,
-    so it is meant for small j_max.
+    phis[:, None])) of s = sector_labels(sector, j_max)[i]: the label's calL
+    row of one _radial_column over the whole sector, times e^(i m phi) as
+    calZ forms it.  It equals calZ bit for bit wherever that column's one
+    stream, like each one-label call, takes the plain start (see
+    _plain_start_fits), as it does on the plane grid up to j_max 6.  The
+    table holds labels x n_phi x P values, O(j_max^4) on the plane grid, so
+    it is meant for small j_max.
     """
     labels = sector_labels(sector, j_max)
-    two_j_max = int(2 * _as_cap("j_max", j_max))
-    ladder = list(range(0 if sector == "int" else 1, two_j_max + 1, 2))
-    steps = list(_radial_rows(ladder, two_j_max, x))
-    # Label (j, m) is row |m| of step j - |m|, times s_m.
-    rows = [
-        _sign(s.two_m) * steps[(s.two_j - abs(s.two_m)) // 2][abs(s.two_m) // 2] for s in labels
-    ]
-    phase = {two_m: np.exp(1j * (0.5 * two_m) * phis) for two_m in {s.two_m for s in labels}}
-    rows = np.array(rows, dtype=float).reshape(len(labels), 1, x.size)
-    return rows * np.array([phase[s.two_m] for s in labels]).reshape(len(labels), phis.size, 1)
+    if not labels:  # the half sector at j_max 0
+        return np.zeros((0, phis.size, x.size), dtype=complex)
+    rows = _radial_column(labels, x, 0).jet[0].reshape(len(labels), 1, x.size)
+    return rows * np.array([np.exp(1j * (0.5 * s.two_m) * phis) for s in labels])[:, :, None]
 
 
 def ode_residual(s: SpinIndex, y):

@@ -83,13 +83,18 @@ def _index(two_j, two_m):
     return two_j * two_j // 4 + (two_j + two_m) // 2
 
 
-def _zeros(sector: str, j_max) -> tuple[int, np.ndarray]:
-    """two_j_max and a zero per label of a valid (sector, j_max), else DomainError."""
+def _block_size(sector: str, j_max) -> tuple[int, int]:
+    """two_j_max and the number of labels of a valid (sector, j_max), else DomainError."""
     if sector not in _SECTORS:
         raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
     two_j_max = int(2 * _as_cap("j_max", j_max))
+    return two_j_max, _label_count(sector, two_j_max)
+
+
+def _label_count(sector: str, two_j_max: int) -> int:
+    """The number of labels of a sector with two_j <= two_j_max."""
     top = two_j_max if _sector_of_two_j(two_j_max) == sector else two_j_max - 1
-    return two_j_max, np.zeros(_index(top, top) + 1, dtype=complex)
+    return _index(top, top) + 1
 
 
 def _past_range(what: str, two_j: int) -> DomainError:
@@ -109,7 +114,8 @@ class CoefficientBlock:
     __slots__ = ("_sector", "_two_j_max", "_values")
 
     def __init__(self, sector: str, j_max, coeffs: Mapping | None = None):
-        two_j_max, values = _zeros(sector, j_max)
+        two_j_max, size = _block_size(sector, j_max)
+        values = np.zeros(size, dtype=complex)
         for key, value in (coeffs or {}).items():
             try:
                 two_j, two_m = key
@@ -253,7 +259,8 @@ class CoefficientBlock:
         entries = obj["coeffs"]
         if not isinstance(entries, list):
             raise SchemaError(f"coeffs: expected a list, got {type(entries).__name__}")
-        two_j_max, values = _zeros(sector, j_max)
+        two_j_max, size = _block_size(sector, j_max)
+        values = np.zeros(size, dtype=complex)
         seen = set()
         for pos, entry in enumerate(entries):
             where = f"coeffs[{pos}]"
@@ -340,7 +347,7 @@ def analyze(
 
 def _analyze(f, sector, j_max, n_phi, n_radial):
     """analyze's block, with the samples and lifted radial weights it used."""
-    two_j_max = _zeros(sector, j_max)[0]
+    two_j_max = _block_size(sector, j_max)[0]
     phis, x, w = _plane_grid(Fraction(two_j_max, 2), n_phi, n_radial)
     samples = _sample_grid(f, x, phis)
     values = _project(samples[None], sector, two_j_max, phis, x, w)[0]
@@ -358,9 +365,7 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w) -> np.ndarray:
     range leave coefficients that are not finite.
     """
     ladder = _sector_ladder(sector, two_j_max)
-    top = ladder[-1] if ladder else -1
-    count, size = len(samples), len(ladder)
-    values = np.zeros((count, _index(top, top) + 1), dtype=complex)
+    count, n_m = len(samples), len(ladder)
     abs2m = np.array(ladder, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         # Angular projections onto m = +|m| and m = -|m|, each times the
@@ -370,19 +375,23 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w) -> np.ndarray:
         proj = np.exp(0.5j * np.array([-1, 1])[:, None, None, None] * abs2m[:, None] * phis)
         proj = w * (proj @ samples) / phis.size
         proj[0] *= np.array([_sign(v) for v in ladder])[:, None]
-        # Sign and function on one axis, so each step is one 3-D product.
-        proj = proj.reshape(2 * count, size, x.size)
-        sums = np.zeros((2 * count, size, size), dtype=complex)  # (sign and function, step, |m|)
+        # Function and sign on one axis, so each step is one 3-D product.
+        proj = proj.swapaxes(0, 1).reshape(2 * count, n_m, x.size)
+        sums = np.zeros((2 * count, n_m, n_m), dtype=complex)  # (function and sign, step, |m|)
         for k, rows in enumerate(_radial_rows(ladder, two_j_max, x)):
             sums[:, k, : len(rows)] = (proj[:, : len(rows)] * rows).sum(-1)
-    sums = sums.reshape(2, count, size, size)
-    two_j = abs2m + 2 * np.arange(size)[:, None]
+    # Label (j, +-|m|) reads entry (sign, j - |m|, |m|) of each function's
+    # sums, gathered at once: indexing the stack with one index array on one
+    # axis keeps analyze's one function as fast as a 1-D block.
+    two_j = abs2m + 2 * np.arange(n_m)[:, None]
     keep = two_j <= two_j_max
+    entry = np.arange(n_m * n_m).reshape(n_m, n_m)[keep]
     two_j, abs2m = two_j[keep], np.broadcast_to(abs2m, keep.shape)[keep]
+    source = np.empty(_label_count(sector, two_j_max), dtype=np.intp)
     # m = 0 is written twice, the +|m| projection last.
-    values[:, _index(two_j, -abs2m)] = sums[1][:, keep]
-    values[:, _index(two_j, abs2m)] = sums[0][:, keep]
-    return values
+    source[_index(two_j, -abs2m)] = entry + n_m * n_m
+    source[_index(two_j, abs2m)] = entry
+    return sums.reshape(count, 2 * n_m * n_m).take(source, axis=1)
 
 
 # Entries (step x angle x |m|) of the coefficient fold built at once, so a
@@ -543,7 +552,7 @@ def parseval_gap(
 
 def random_block(sector: str, j_max, seed: int = 0) -> CoefficientBlock:
     """Dense block with standard complex normal coefficients, seeded."""
-    two_j_max, values = _zeros(sector, j_max)
+    two_j_max, size = _block_size(sector, j_max)
     # The same draws, in label order, as one standard_normal(2) per label.
-    values = np.random.default_rng(seed).standard_normal((values.size, 2)).view(complex)[:, 0]
+    values = np.random.default_rng(seed).standard_normal((size, 2)).view(complex)[:, 0]
     return object.__new__(CoefficientBlock)._finish(sector, two_j_max, values)

@@ -291,7 +291,6 @@ class TestRotationGate:
                 assert [got.get(two_j, m) for m in range(-two_j, two_j + 1, 2)] == list(u @ vec)
 
 
-
 class TestRotationHalves:
     def test_half_eigenvalues_are_exact_ascending_and_of_their_parity(self):
         for two_j in range(0, 301):

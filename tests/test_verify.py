@@ -294,3 +294,17 @@ def test_rotation_unitarity_takes_the_eigendata_once_per_j(monkeypatch):
     monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
     verify._CHECKS["transform.rotation-unitarity"][2](Fraction(8), 0)
     assert calls == list(range(17))
+
+
+def test_plane_gram_fails_on_a_gram_entry_that_is_not_finite(monkeypatch):
+    # A NaN past the first Gram entry must reach the residual, not drop out of a max.
+    table = basis._plane_table
+
+    def broken(*args):
+        out = table(*args)
+        out[3, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "_plane_table", broken)
+    (check,) = [c for c in run_suite("basis", j_max=2).checks if c.id == "basis.plane-gram"]
+    assert np.isnan(check.residual) and not check.passed
