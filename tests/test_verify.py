@@ -262,7 +262,7 @@ def test_column_sweep_equals_the_per_label_helpers():
         assert sorted(edges, key=astuple) == sorted(
             (s for s in seen if abs(s.two_m) == s.two_j), key=astuple
         )
-        assert verify._check_annihilation(j_max, 0)[0] == edge_worst
+        assert verify._worst(verify._check_annihilation(j_max, 0)) == edge_worst
 
 
 @pytest.mark.parametrize(
@@ -272,13 +272,13 @@ def test_column_sweep_equals_the_per_label_helpers():
 def test_plane_grid_and_hermiticity_checks_make_few_kernel_streams(check_id, bound, monkeypatch):
     # The streams of the check itself: a first run builds the rules it reads.
     check = verify._CHECKS[check_id][2]
-    check(Fraction(8), 1)
+    verify._worst(check(Fraction(8), 1))
     calls = []
     kernel = basis._radial_rows
     for module in (basis, quadrature, transform, verify):
         monkeypatch.setattr(module, "_radial_rows", lambda *a: calls.append(a) or kernel(*a))
-    check(Fraction(8), 1)
-    assert len(calls) <= bound
+    verify._worst(check(Fraction(8), 1))
+    assert 0 < len(calls) <= bound
 
 
 def test_hermiticity_spans_of_every_m_equal_one_m_at_a_time():
@@ -292,8 +292,18 @@ def test_rotation_unitarity_takes_the_eigendata_once_per_j(monkeypatch):
     calls = []
     halves = rotation._jx_halves
     monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
-    verify._CHECKS["transform.rotation-unitarity"][2](Fraction(8), 0)
+    verify._worst(verify._CHECKS["transform.rotation-unitarity"][2](Fraction(8), 0))
     assert calls == list(range(17))
+
+
+def test_rotation_group_law_takes_the_eigendata_once_per_j_and_pair(monkeypatch):
+    # Per pair of specs: two rotates of the block and one reference call
+    # per multiplet, over 7 int and 6 half multiplets at j_max 8.
+    calls = []
+    halves = rotation._jx_halves
+    monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
+    assert verify._worst(verify._CHECKS["transform.rotation-group-law"][2](Fraction(8), 0)) < 1e-14
+    assert len(calls) == 117
 
 
 def test_plane_gram_fails_on_a_gram_entry_that_is_not_finite(monkeypatch):
@@ -308,3 +318,65 @@ def test_plane_gram_fails_on_a_gram_entry_that_is_not_finite(monkeypatch):
     monkeypatch.setattr(verify, "_plane_table", broken)
     (check,) = [c for c in run_suite("basis", j_max=2).checks if c.id == "basis.plane-gram"]
     assert np.isnan(check.residual) and not check.passed
+
+
+def test_worst_is_the_largest_magnitude_and_keeps_a_nan():
+    assert verify._worst([]) == 0.0
+    assert verify._worst([np.array([]), np.empty((0, 3))]) == 0.0
+    assert verify._worst([-3, np.array([1.0, -2.5]), 0.5]) == 3.0
+    for gaps in ([1.0, np.nan], [np.array([1.0, 2.0]), np.array([0.5, np.nan, 0.1])], [[np.nan]]):
+        assert np.isnan(verify._worst(gaps))
+    assert np.isnan(verify._worst([np.inf, np.nan]))
+    assert verify._worst([np.array([np.inf, 1.0])]) == np.inf
+    # A complex gap's magnitude is Python's abs, bit for bit.
+    z = np.random.default_rng(0).standard_normal((1000, 2)).view(complex)[:, 0] * 1e-15
+    assert all(verify._worst([c]) == abs(c) for c in z.tolist())
+    assert verify._worst([z]) == max(map(abs, z.tolist()))
+
+
+def _nan_past_the_first_gaps(fn):
+    # fn, with the last entry of its output NaN on the third |m| column
+    # (2|m| = 2) of a sweep, or on the third multiplet (2j = 2).
+    def spoiled(first, *rest):
+        out = fn(first, *rest)
+        if (first if isinstance(first, int) else abs(first.label(0).two_m)) == 2:
+            out = np.array(out, copy=True)
+            out.flat[-1] = np.nan
+        return out
+
+    return spoiled
+
+
+@pytest.mark.parametrize(
+    "check_id, module, name",
+    [
+        ("basis.ode", verify, "_ode_on_jet"),
+        ("algebra.ladder", actions, "_ladder_defect"),
+        ("algebra.annihilation", actions, "_annihilation_defect"),
+        ("algebra.su2-on-basis", actions, "_su2_defect"),
+        ("algebra.casimir", actions, "_casimir_defect"),
+        ("transform.rotation-unitarity", verify, "_rotation_matrices"),
+    ],
+)
+def test_a_nan_gap_fails_its_check(check_id, module, name, monkeypatch):
+    monkeypatch.setattr(module, name, _nan_past_the_first_gaps(getattr(module, name)))
+    (check,) = [c for c in run_suite(check_id.partition(".")[0], 2).checks if c.id == check_id]
+    assert np.isnan(check.residual) and not check.passed
+
+
+def test_a_nan_residual_is_null_in_json_and_nan_in_text(full_report, monkeypatch):
+    monkeypatch.setattr(actions, "_ladder_defect", _nan_past_the_first_gaps(actions._ladder_defect))
+    report = run_suite("algebra", 2)
+    doc = json.loads(report.to_json(), parse_constant=lambda c: pytest.fail(f"bare {c} in JSON"))
+    (entry,) = [c for c in doc["checks"] if c["id"] == "algebra.ladder"]
+    assert entry["max_residual"] is None and entry["passed"] is False
+    assert all(c["max_residual"] is not None for c in doc["checks"] if c is not entry)
+    assert any(
+        line.startswith("FAIL  algebra.ladder") and " max       nan " in line
+        for line in report.render_text().splitlines()
+    )
+    # A finite residual is written as before; a tolerance from --tol can be infinite too.
+    for check, entry in zip(full_report.checks, json.loads(full_report.to_json())["checks"]):
+        assert entry["max_residual"] == check.residual
+    entry = verify.CheckResult("id", "identity", np.inf, np.inf, False).to_dict()
+    assert entry["max_residual"] is None and entry["threshold"] is None
