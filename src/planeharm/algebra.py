@@ -24,6 +24,15 @@ Coefficients are exact Gaussian rationals (``QQi``); nothing is rounded
 until application time.  Each monomial carries an integer phase tag in
 half-units: tag t stands for a factor e^{i (t/2) phi}, additive under
 multiplication, used to mark J+- = e^{+-i phi} K+-.
+
+The arithmetic takes exact fast paths that change no value.  Products, sums,
+negation and normal_form add each monomial's real and imaginary Fraction
+parts directly, skip the imaginary product of two real coefficients, and
+build their result without re-validating monomials the engine made itself;
+reduce_word does not multiply by a unit rule coefficient.  Nothing is
+memoized across products or reduce_word calls: the engine-determinism check
+in ``verify`` compares two independent reductions of the same words, and a
+memo would make the second a lookup of the first.
 """
 
 from __future__ import annotations
@@ -52,8 +61,8 @@ __all__ = [
 ]
 
 Y, YI, D, M, J = "Y", "Yi", "D", "M", "J"
-_LETTERS = (Y, YI, D, M, J)
 _RANK = {Y: 0, YI: 1, D: 2, M: 3, J: 4}
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class QQi:
@@ -115,7 +124,9 @@ class QQi:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value hashes as its Fraction, and so as an equal int, since
+        # __eq__ makes them equal.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -156,6 +167,8 @@ class Monomial(NamedTuple):
         return self.a + self.b + self.d + self.p + self.q
 
     def validate(self) -> "Monomial":
+        if any(type(v) is not int for v in self):
+            raise DomainError(f"exponents and phase tag must be Python ints, not bool: {self}")
         if min(self.a, self.b, self.d, self.p, self.q) < 0:
             raise DomainError(f"negative exponent in {self}")
         if self.a and self.b:
@@ -163,11 +176,10 @@ class Monomial(NamedTuple):
         return self
 
 
-def _monomial_from_word(word, two_dm=0) -> Monomial:
-    counts = {letter: 0 for letter in _LETTERS}
-    for letter in word:
-        counts[letter] += 1
-    return Monomial(counts[Y], counts[YI], counts[D], counts[M], counts[J], two_dm)
+def _monomial_from_word(word: tuple[str, ...], two_dm=0) -> Monomial:
+    return Monomial(
+        word.count(Y), word.count(YI), word.count(D), word.count(M), word.count(J), two_dm
+    )
 
 
 @dataclass(frozen=True)
@@ -246,17 +258,22 @@ DEFAULT_RULES = RewriteRuleSet(
 def reduce_word(word, rules: RewriteRuleSet = DEFAULT_RULES, max_steps: int = 1_000_000):
     """Normal-order one word, always firing the leftmost redex first.
 
-    Returns a map from canonical word to exact rational coefficient.  The
-    step cap guards against non-terminating custom rule sets.
+    Returns a map from canonical word to exact rational coefficient.  A
+    symbol outside Y, Yi, D, M, J raises DomainError.  The step cap guards
+    against non-terminating custom rule sets.
     """
+    word = tuple(word)
+    if not _RANK.keys() >= set(word):
+        unknown = [letter for letter in dict.fromkeys(word) if letter not in _RANK]
+        raise DomainError(f"unknown symbols {unknown} in word {word}; use Y, Yi, D, M, J")
     out: dict[tuple[str, ...], Fraction] = {}
-    stack = [(tuple(word), Fraction(1))]
+    stack = [(word, _ONE)]
     steps = 0
     while stack:
         w, c = stack.pop()
         i = rules.first_redex(w)
         if i is None:
-            acc = out.get(w, Fraction(0)) + c
+            acc = out[w] + c if w in out else c
             if acc:
                 out[w] = acc
             else:
@@ -268,7 +285,7 @@ def reduce_word(word, rules: RewriteRuleSet = DEFAULT_RULES, max_steps: int = 1_
                 f"word did not normalize within {max_steps} rule applications"
             )
         for coeff, repl in rules.rule_for((w[i], w[i + 1])).outputs:
-            stack.append((w[:i] + repl + w[i + 2 :], c * coeff))
+            stack.append((w[:i] + repl + w[i + 2 :], c if coeff == 1 else c * coeff))
     return out
 
 
@@ -296,6 +313,14 @@ class OperatorExpr:
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "OperatorExpr":
+        """The expression of terms, valid monomials with nonzero QQi
+        coefficients that the engine made itself, taken as they are."""
+        expr = object.__new__(cls)
+        object.__setattr__(expr, "_terms", terms)
+        return expr
+
     @property
     def terms(self):
         return dict(self._terms)
@@ -322,15 +347,15 @@ class OperatorExpr:
 
     def __add__(self, other):
         other = _coerce_expr(other)
-        out = dict(self._terms)
+        parts = {mono: [coeff.re, coeff.im] for mono, coeff in self._terms.items()}
         for mono, coeff in other._terms.items():
-            out[mono] = out.get(mono, QQi(0)) + coeff
-        return OperatorExpr(out)
+            _add_part(parts, mono, coeff.re, coeff.im, 1)
+        return _collect(parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return OperatorExpr({m: -c for m, c in self._terms.items()})
+        return OperatorExpr._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce_expr(other))
@@ -341,17 +366,22 @@ class OperatorExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
             c = QQi.coerce(other)
-            return OperatorExpr({m: cc * c for m, cc in self._terms.items()})
+            if c.is_zero():
+                return OperatorExpr()
+            return OperatorExpr._trusted({m: cc * c for m, cc in self._terms.items()})
         other = _coerce_expr(other)
-        out: dict[Monomial, QQi] = {}
+        parts: dict[Monomial, list] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                c12 = c1 * c2
+                if c1.im or c2.im:
+                    re = c1.re * c2.re - c1.im * c2.im
+                    im = c1.re * c2.im + c1.im * c2.re
+                else:
+                    re, im = c1.re * c2.re, _ZERO
                 tag = m1.two_dm + m2.two_dm
                 for word, coeff in reduce_word(m1.word() + m2.word()).items():
-                    mono = _monomial_from_word(word, tag)
-                    out[mono] = out.get(mono, QQi(0)) + c12 * coeff
-        return OperatorExpr(out)
+                    _add_part(parts, _monomial_from_word(word, tag), re, im, coeff)
+        return _collect(parts)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -390,6 +420,25 @@ class OperatorExpr:
         return "OperatorExpr({})".format("; ".join(self.serialize().splitlines()))
 
 
+def _add_part(parts: dict, mono: Monomial, re: Fraction, im: Fraction, scale: Fraction):
+    """Add (re + im i) * scale to the [re, im] sums of mono in parts."""
+    if scale != 1:
+        re = re * scale
+        im = im * scale if im else im
+    entry = parts.get(mono)
+    if entry is None:
+        parts[mono] = [re, im]
+    else:
+        entry[0] += re
+        if im:
+            entry[1] += im
+
+
+def _collect(parts: dict) -> OperatorExpr:
+    """The expression of parts, monomial -> [re, im] sums, without its zero terms."""
+    return OperatorExpr._trusted({m: QQi(re, im) for m, (re, im) in parts.items() if re or im})
+
+
 def _coerce_expr(value) -> OperatorExpr:
     if isinstance(value, OperatorExpr):
         return value
@@ -405,12 +454,11 @@ def normal_form(expr: OperatorExpr, rules: RewriteRuleSet = DEFAULT_RULES) -> Op
     (they are kept canonical), which makes idempotence explicit; custom
     rule sets see each stored word reduced leftmost-first.
     """
-    out: dict[Monomial, QQi] = {}
+    parts: dict[Monomial, list] = {}
     for mono, coeff in expr._terms.items():
         for word, wcoeff in reduce_word(mono.word(), rules).items():
-            key = _monomial_from_word(word, mono.two_dm)
-            out[key] = out.get(key, QQi(0)) + coeff * wcoeff
-    return OperatorExpr(out)
+            _add_part(parts, _monomial_from_word(word, mono.two_dm), coeff.re, coeff.im, wcoeff)
+    return _collect(parts)
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its rule for integer arguments."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -19,3 +21,13 @@ class UnitarityError(RuntimeError):
 
 class SchemaError(ValueError):
     """A JSON document does not match the expected schema."""
+
+
+def _as_int(name: str, value) -> int:
+    """value as a Python int if it is integral and not a bool, else DomainError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")

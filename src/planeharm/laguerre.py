@@ -9,21 +9,24 @@ differential recurrences.  The exact-rational twin of this module lives in
 Conventions: L_0^(a) = 1, L_1^(a) = 1 + a - y, so L_n^(a)(0) = C(n+a, n).
 Degree -1 polynomials appearing in shifted relations are 0 by convention.
 
-laguerre_eval, laguerre_deriv and recurrence_check broadcast an integer-dtype
-alpha array against y, so one call covers a whole (alpha, y) grid; scalar
-inputs give floats.  A y that is not finite, or a result that leaves the
-double range, raises DomainError naming (n, alpha) and the first such y.
+laguerre_eval, laguerre_deriv, laguerre_reflect and recurrence_check
+broadcast integer-dtype n and alpha arrays against y, so one call covers a
+whole (n, alpha, y) grid; scalar inputs give floats.  A call runs one
+recurrence up to the largest n and reads each element at its own degree, so
+every element equals the scalar call bit for bit.  n, alpha and a derivative
+order follow one rule: ints or numpy integer scalars, never bool.  A y that is
+not finite, or a result that leaves the double range, raises DomainError
+naming the n, alpha and y of the first such point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_int
 
 __all__ = [
     "LaguerreIndex",
@@ -52,52 +55,86 @@ class LaguerreIndex:
     alpha: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.alpha, int):
-            raise DomainError("LaguerreIndex fields must be Python ints")
+        object.__setattr__(self, "n", _as_int("n", self.n))
+        object.__setattr__(self, "alpha", _as_int("alpha", self.alpha))
         if self.n < 0:
             raise DomainError(f"degree must be nonnegative, got n={self.n}")
 
 
-def _index(n: int, alpha):
-    """Check a degree and a superscript; alpha is an int or an integer-dtype array."""
-    if not isinstance(alpha, np.ndarray):
-        LaguerreIndex(n, alpha)
-        return alpha
-    if alpha.dtype.kind not in "iu":
-        raise DomainError(f"an alpha array must have an integer dtype, got {alpha.dtype}")
-    LaguerreIndex(n, 0)
-    return alpha.astype(np.int64, copy=False)
+def _as_index(name: str, value):
+    """An int by the package's integer rule, or an integer-dtype array as int64."""
+    if not isinstance(value, np.ndarray):
+        return _as_int(name, value)
+    if value.dtype.kind not in "iu":
+        raise DomainError(f"an {name} array must have an integer dtype, got {value.dtype}")
+    return value.astype(np.int64, copy=False)
 
 
-def _finite(name: str, n: int, alpha, y: np.ndarray, value):
+def _index(n, alpha):
+    """Check degrees and superscripts, each an int or an integer-dtype array."""
+    n, alpha = _as_index("n", n), _as_index("alpha", alpha)
+    if np.any(n < 0):
+        raise DomainError(f"degree must be nonnegative, got n={int(np.min(n))}")
+    return n, alpha
+
+
+def _first(mask, *values) -> list:
+    """The values, broadcast against mask, at its first True point."""
+    i = int(np.flatnonzero(mask)[0])
+    return [np.broadcast_to(v, np.shape(mask)).flat[i] for v in values]
+
+
+def _finite(name: str, n, alpha, y: np.ndarray, value):
     """value as a float or an array; DomainError at its first non-finite point."""
     bad = ~(np.isfinite(value) & np.isfinite(y))
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        a = int(np.broadcast_to(alpha, bad.shape).flat[i])
-        yi = float(np.broadcast_to(y, bad.shape).flat[i])
-        what = "y is not finite" if not math.isfinite(yi) else "the value leaves the double range"
-        raise DomainError(f"{name}(n={n}, alpha={a}): {what} at y={yi!r}")
+        nb, ab, yb = _first(bad, n, alpha, y)
+        yb = float(yb)
+        what = "y is not finite" if not math.isfinite(yb) else "the value leaves the double range"
+        raise DomainError(f"{name}(n={int(nb)}, alpha={int(ab)}): {what} at y={yb!r}")
     return value if np.ndim(value) else float(value)
 
 
-def laguerre_eval(n: int, alpha, y):
+def _recurrence(n, alpha, y: np.ndarray) -> np.ndarray:
+    """L_n^(alpha)(y) over the broadcast grid of checked n, alpha and y, not
+    checked for range: one ascending recurrence up to max(n), whose step k
+    is copied out where n == k."""
+    out = np.empty(np.broadcast_shapes(np.shape(n), np.shape(alpha), y.shape))
+    cur = np.ones(out.shape)
+    with np.errstate(all="ignore"):
+        for k in range(int(np.max(n, initial=0)) + 1):
+            if k == 1:
+                prev, cur = cur, 1.0 + alpha - y
+            elif k:
+                prev, cur = cur, ((2 * k - 1 + alpha - y) * cur - (k - 1 + alpha) * prev) / k
+            np.copyto(out, cur, where=n == k)
+    return out
+
+
+def _deriv(n, alpha, y: np.ndarray, order: int) -> np.ndarray:
+    """(-1)^order L_(n-order)^(alpha+order)(y), and 0 where order exceeds n."""
+    sign = -1.0 if order % 2 else 1.0
+    lower = n - order
+    return np.where(lower >= 0, sign * _recurrence(np.maximum(lower, 0), alpha + order, y), 0.0)
+
+
+def laguerre_eval(n, alpha, y):
     """Evaluate L_n^(alpha) at y by the ascending three-term recurrence.
 
     Parameters
     ----------
-    n : int
-        Degree, n >= 0.
+    n : int or integer ndarray
+        Degree, n >= 0; an array broadcasts against alpha and y.
     alpha : int or integer ndarray
-        Superscript, any integer; an array broadcasts against y.
+        Superscript, any integer; an array broadcasts against n and y.
     y : float or ndarray
         Evaluation points, finite.
 
     Returns
     -------
     float or ndarray
-        L_n^(alpha)(y), shaped like alpha and y broadcast together; a float
-        when both are scalars.
+        L_n^(alpha)(y), shaped like n, alpha and y broadcast together; a
+        float when all three are scalars.
 
     Raises
     ------
@@ -105,36 +142,27 @@ def laguerre_eval(n: int, alpha, y):
         When a y is not finite or a value leaves the double range, naming
         the first such point.
     """
-    alpha = _index(n, alpha)
+    n, alpha = _index(n, alpha)
     y = np.asarray(y, dtype=float)
-    cur = np.ones(np.broadcast_shapes(np.shape(alpha), y.shape))
-    with np.errstate(all="ignore"):
-        if n > 0:
-            prev, cur = cur, 1.0 + alpha - y
-        for k in range(1, n):
-            prev, cur = cur, ((2 * k + 1 + alpha - y) * cur - (k + alpha) * prev) / (k + 1)
-    return _finite("laguerre_eval", n, alpha, y, cur)
+    return _finite("laguerre_eval", n, alpha, y, _recurrence(n, alpha, y))
 
 
-def laguerre_deriv(n: int, alpha, y, order: int = 1):
+def laguerre_deriv(n, alpha, y, order: int = 1):
     """Derivative of L_n^(alpha) of the given order, in closed form.
 
     Uses d/dy L_n^(a) = -L_{n-1}^(a+1) repeatedly:
     d^k/dy^k L_n^(a) = (-1)^k L_{n-k}^(a+k), and 0 once k exceeds n.
-    alpha and y broadcast as in laguerre_eval.
+    n, alpha and y broadcast as in laguerre_eval.
     """
+    order = _as_int("order", order)
     if order < 0:
         raise DomainError(f"derivative order must be nonnegative, got {order}")
-    alpha = _index(n, alpha)
-    if order > n:
-        y = np.asarray(y, dtype=float)
-        zero = np.zeros(np.broadcast_shapes(np.shape(alpha), y.shape))
-        return _finite("laguerre_deriv", n, alpha, y, zero)
-    sign = -1.0 if order % 2 else 1.0
-    return sign * laguerre_eval(n - order, alpha + order, y)
+    n, alpha = _index(n, alpha)
+    y = np.asarray(y, dtype=float)
+    return _finite("laguerre_deriv", n, alpha, y, _deriv(n, alpha, y, order))
 
 
-def laguerre_reflect(n: int, alpha: int, y):
+def laguerre_reflect(n, alpha, y):
     """Evaluate a nonpositive-superscript polynomial through reflection.
 
     For alpha <= 0 with |alpha| <= n,
@@ -143,19 +171,25 @@ def laguerre_reflect(n: int, alpha: int, y):
 
     The |alpha|-fold root at y = 0 is explicit on the right, which is what the
     normalized radial functions rely on to cancel their y^(-m) prefactor.
+    n, alpha and y broadcast as in laguerre_eval.
     """
-    LaguerreIndex(n, alpha)
-    if alpha > 0:
-        raise DomainError(f"reflection needs alpha <= 0, got alpha={alpha}")
+    n, alpha = _index(n, alpha)
+    if np.any(alpha > 0):
+        raise DomainError(f"reflection needs alpha <= 0, got alpha={int(np.max(alpha))}")
     k = -alpha
-    if k > n:
-        raise DomainError(f"reflection needs |alpha| <= n, got n={n}, alpha={alpha}")
-    ratio = float(Fraction(math.factorial(n - k), math.factorial(n)))
+    if np.any(k > n):
+        nb, ab = _first(k > n, n, alpha)
+        raise DomainError(f"reflection needs |alpha| <= n, got n={nb}, alpha={ab}")
+    # Integer true division rounds the factorial ratio correctly.
+    nk = np.broadcast_arrays(n, k)
+    ratio = np.array(
+        [math.factorial(a - b) / math.factorial(a) for a, b in zip(*(v.flat for v in nk))]
+    ).reshape(nk[0].shape)
     y = np.asarray(y, dtype=float)
     with np.errstate(all="ignore"):
         # np.power rather than **, so a scalar y takes the same power kernel
         # as an array.
-        val = ratio * np.power(-y, k) * laguerre_eval(n - k, k, y)
+        val = ratio * np.power(-y, k) * _recurrence(n - k, k, y)
     return _finite("laguerre_reflect", n, alpha, y, val)
 
 
@@ -211,11 +245,9 @@ class RecurrenceCheck:
         return rel if np.ndim(rel) else float(rel)
 
 
-def _shifted(n: int, alpha, y):
-    """L_{n}^{(alpha)} with the degree -1 convention."""
-    if n < 0:
-        return 0.0
-    return laguerre_eval(n, alpha, y)
+def _shifted(n, alpha, y):
+    """L_n^(alpha)(y) with the degree -1 convention: 0 where n is -1."""
+    return np.where(n >= 0, _recurrence(np.maximum(n, 0), alpha, y), 0.0)
 
 
 def _two_sum(a, b):
@@ -238,10 +270,10 @@ def _cascade_sum(terms):
     return total + err
 
 
-def _sides(relation: str, form: str, n: int, alpha, y):
+def _sides(relation: str, form: str, n, alpha, y):
     """The LHS terms and the RHS of one recurrence, as listed above."""
-    L = laguerre_eval(n, alpha, y)
-    dL = laguerre_deriv(n, alpha, y)
+    L = _recurrence(n, alpha, y)
+    dL = _deriv(n, alpha, y, 1)
     if relation == "raise-n":
         return [y * dL, (n + 1 + alpha - y) * L], (n + 1) * _shifted(n + 1, alpha, y)
     if relation == "lower-n":
@@ -264,24 +296,23 @@ def _sides(relation: str, form: str, n: int, alpha, y):
     return terms, (n + 1) * (n + alpha) * target
 
 
-def recurrence_check(
-    relation: str, n: int, alpha, y, form: str = "corrected"
-) -> RecurrenceCheck:
+def recurrence_check(relation: str, n, alpha, y, form: str = "corrected") -> RecurrenceCheck:
     """Evaluate one differential recurrence at y.
 
-    ``form`` is meaningful only for the composed relations ("printed" or
-    "corrected"); first-order relations have a single form.  alpha and y
-    broadcast as in laguerre_eval; the printed lower-n-raise-alpha2 form
-    raises DomainError when any alpha is -1.
+    ``form`` is "printed" or "corrected"; it selects between the two forms
+    of a composed relation, and a first-order relation, which has a single
+    form, reports it as "printed".  n, alpha and y broadcast as in
+    laguerre_eval; the printed lower-n-raise-alpha2 form raises DomainError
+    when any alpha is -1.
     """
-    alpha = _index(n, alpha)
+    n, alpha = _index(n, alpha)
     y = np.asarray(y, dtype=float)
+    if relation not in FIRST_ORDER_RELATIONS + COMPOSED_RELATIONS:
+        raise DomainError(f"unknown relation {relation!r}")
+    if form not in ("printed", "corrected"):
+        raise DomainError(f"unknown form {form!r}")
     if relation in FIRST_ORDER_RELATIONS:
         form = "printed"
-    elif relation not in COMPOSED_RELATIONS:
-        raise DomainError(f"unknown relation {relation!r}")
-    elif form not in ("printed", "corrected"):
-        raise DomainError(f"unknown form {form!r}")
     elif relation == "lower-n-raise-alpha2" and form == "printed" and np.any(alpha == -1):
         raise DomainError("printed form divides by alpha + 1 = 0")
     # Products of finite values may still overflow; that raises below.
@@ -297,6 +328,6 @@ def recurrence_check(
     return RecurrenceCheck(relation, form, lhs, rhs, scale)
 
 
-def recurrence_residual(relation: str, n: int, alpha, y, form: str = "corrected"):
+def recurrence_residual(relation: str, n, alpha, y, form: str = "corrected"):
     """|LHS - RHS| of the selected recurrence at y."""
     return recurrence_check(relation, n, alpha, y, form).residual

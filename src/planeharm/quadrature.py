@@ -35,14 +35,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .basis import _as_cap, _as_half_integer, _plain_start_fits, _radial_rows
-from .errors import DomainError
+from .errors import DomainError, _as_int
 
 __all__ = ["QuadratureRule", "gauss_laguerre", "halfline_inner", "plane_inner"]
 
@@ -79,16 +78,6 @@ class QuadratureRule:
     def integrate(self, values) -> float:
         """Sum w_i f(x_i) for sampled polynomial-part values."""
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
-
-
-def _as_int(name: str, value) -> int:
-    """value as a Python int if it is integral and not a bool, else DomainError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 # Every rule built in this process, by (order, alpha).

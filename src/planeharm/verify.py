@@ -47,7 +47,7 @@ from .basis import (
     SpinIndex, _as_cap, _ode_on_jet, _plane_table, _radial_column, _radial_rows, _sign, calZ,
     sector_labels,
 )
-from .errors import DomainError
+from .errors import DomainError, _as_int
 from .exact import binomial_general
 from .laguerre import (
     COMPOSED_RELATIONS,
@@ -58,7 +58,7 @@ from .laguerre import (
     recurrence_check,
 )
 from .quadrature import (
-    _as_int, _halfline_rule, _halfline_sums, _plane_grid, _plane_sums, _rules,
+    _halfline_rule, _halfline_sums, _plane_grid, _plane_sums, _rules,
 )
 from .rotation import RotationSpec, _rotation_matrices, rotation_matrix
 from .transform import (
@@ -73,10 +73,11 @@ __all__ = [
     "run_suite",
 ]
 
-# Laguerre verification grid: every (n, alpha, y) with n <= 12, |alpha| <= 6.
-# The checks evaluate each n on the whole _ALPHAS x _YS grid in one call.
-_N_GRID = range(0, 13)
-_ALPHAS = np.arange(-6, 7)
+# Laguerre verification grid: every (n, alpha, y) with n <= 12, |alpha| <= 6,
+# as axes that broadcast together, so each check evaluates a relation and
+# form on the whole grid in one call.
+_NS = np.arange(0, 13)[:, None, None]
+_ALPHAS = np.arange(-6, 7)[:, None]
 _YS = np.array([0.1, 1.0, 5.0, 20.0])
 
 
@@ -226,30 +227,31 @@ def _exact_laguerre(n: int, alpha: int, points) -> list[float]:
 @_check("laguerre.oracle", 1e-12, "recurrence evaluation equals the exact rational series")
 def _check_oracle(j_max, seed):
     points = [Fraction(y).limit_denominator(10**6).as_integer_ratio() for y in _YS]
-    for n in _N_GRID:
-        got = laguerre_eval(n, _ALPHAS[:, None], _YS)
-        ref = np.array([_exact_laguerre(n, int(a), points) for a in _ALPHAS])
-        yield _guarded(got - ref, ref)
-        rel = (_ALPHAS >= 0)[:, None] & (ref != 0.0)
-        yield (got - ref)[rel] / ref[rel]
+    got = laguerre_eval(_NS, _ALPHAS, _YS)
+    ref = np.array(
+        [[_exact_laguerre(int(n), int(a), points) for a in _ALPHAS.flat] for n in _NS.flat]
+    )
+    rel = (_ALPHAS >= 0) & (ref != 0.0)
+    return [_guarded(got - ref, ref), (got - ref)[rel] / ref[rel]]
 
 
 @_check(
     "laguerre.reflection", 1e-12, "negative-alpha values match the reflection to positive alpha"
 )
 def _check_reflection(j_max, seed):
-    for n in _N_GRID:
-        alphas = range(-min(6, n), 1)
-        direct = laguerre_eval(n, np.array(alphas)[:, None], _YS)
-        reflected = np.array([laguerre_reflect(n, a, _YS) for a in alphas])
-        yield _guarded(direct - reflected, direct)
+    # Every (n, alpha) pair of the grid with -n <= alpha <= 0, one per row.
+    pairs = np.array([(n, a) for n in _NS.flat for a in _ALPHAS.flat if -n <= a <= 0])
+    n, alpha = pairs[:, :1], pairs[:, 1:]
+    direct = laguerre_eval(n, alpha, _YS)
+    return [_guarded(direct - laguerre_reflect(n, alpha, _YS), direct)]
 
 
 @_check("laguerre.first-order-recurrences", 1e-10, "all four first-order differential recurrences")
 def _check_first_order(j_max, seed):
-    for name in FIRST_ORDER_RELATIONS:
-        for n in _N_GRID:
-            yield recurrence_check(name, n, _ALPHAS[:, None], _YS).relative_residual
+    return [
+        recurrence_check(name, _NS, _ALPHAS, _YS).relative_residual
+        for name in FIRST_ORDER_RELATIONS
+    ]
 
 
 @_check(
@@ -271,20 +273,19 @@ def _check_composed(j_max, seed):
     total = 0
     corrected = []
     for name in COMPOSED_RELATIONS:
-        for n in _N_GRID:
-            # An (n, alpha) pair fails when the printed form misses at some y
-            # or cannot be evaluated there (it divides by alpha + 1 = 0).
-            try:
-                printed = recurrence_check(name, n, _ALPHAS[:, None], _YS, form="printed")
-                bad = (printed.relative_residual > 1e-6).any(axis=1)
-            except DomainError:
-                ok = _ALPHAS != -1
-                printed = recurrence_check(name, n, _ALPHAS[ok][:, None], _YS, form="printed")
-                bad = ~ok
-                bad[ok] = (printed.relative_residual > 1e-6).any(axis=1)
-            corrected.append(recurrence_check(name, n, _ALPHAS[:, None], _YS).relative_residual)
-            total += len(_ALPHAS)
-            fail_count += int(bad.sum())
+        # An (n, alpha) pair fails when the printed form misses at some y
+        # or cannot be evaluated there (it divides by alpha + 1 = 0).
+        try:
+            printed = recurrence_check(name, _NS, _ALPHAS, _YS, form="printed")
+            bad = (printed.relative_residual > 1e-6).any(axis=-1)
+        except DomainError:
+            ok = _ALPHAS[:, 0] != -1
+            printed = recurrence_check(name, _NS, _ALPHAS[ok], _YS, form="printed")
+            bad = np.ones((_NS.size, _ALPHAS.size), dtype=bool)
+            bad[:, ok] = (printed.relative_residual > 1e-6).any(axis=-1)
+        corrected.append(recurrence_check(name, _NS, _ALPHAS, _YS).relative_residual)
+        total += bad.size
+        fail_count += int(bad.sum())
     reproduced = reproduced and fail_count > total // 2
     rhs_pin = pin_lower.rhs if pin_lower.rhs != 0 else 0.0
     note = (
@@ -302,14 +303,14 @@ def _check_derivatives(j_max, seed):
     # Richardson-extrapolated central differences; tolerance is absolute
     # where |L| is O(1) and scales with the function where it is huge.
     h = 1e-6
-    a = _ALPHAS[:, None]
-    for n in _N_GRID:
-        up, down = laguerre_eval(n, a, _YS + h), laguerre_eval(n, a, _YS - h)
-        d_h = (up - down) / (2 * h)
-        d_h2 = (laguerre_eval(n, a, _YS + h / 2) - laguerre_eval(n, a, _YS - h / 2)) / h
-        fd = (4.0 * d_h2 - d_h) / 3.0
-        scale = np.maximum(1.0, np.maximum(np.abs(up), np.abs(down)))
-        yield (laguerre_deriv(n, a, _YS) - fd) / scale
+    up, mid_up, mid_down, down = (
+        laguerre_eval(_NS, _ALPHAS, _YS + step) for step in (h, h / 2, -h / 2, -h)
+    )
+    d_h = (up - down) / (2 * h)
+    d_h2 = (mid_up - mid_down) / h
+    fd = (4.0 * d_h2 - d_h) / 3.0
+    scale = np.maximum(1.0, np.maximum(np.abs(up), np.abs(down)))
+    return [(laguerre_deriv(_NS, _ALPHAS, _YS) - fd) / scale]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from planeharm import errata
 from planeharm.algebra import (
     DEFAULT_RULES,
+    Monomial,
     OperatorExpr,
     QQi,
     RewriteRuleSet,
@@ -76,6 +77,13 @@ class TestQQi:
     def test_hashable(self):
         assert len({QQi(1), QQi(1, 0), QQi(0, 1)}) == 2
 
+    def test_hash_agrees_with_equality_on_real_values(self):
+        for real in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+            assert QQi(real) == real and hash(QQi(real)) == hash(real)
+        assert len({QQi(1), 1, Fraction(1)}) == 1
+        assert {QQi(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
+        assert hash(QQi(1, 1)) == hash(QQi(1, 1))
+
 
 class TestRewriting:
     def test_d_past_y(self):
@@ -123,6 +131,12 @@ class TestRewriting:
             ("Y", "D"): Fraction(1),
         }
 
+    def test_unknown_symbols_rejected(self):
+        with pytest.raises(DomainError, match=r"unknown symbols \['X'\]"):
+            reduce_word(("X", "Y"))
+        with pytest.raises(DomainError, match=r"\['y', 'Z'\]"):
+            reduce_word(("Y", "y", "Z", "y"))
+
     def test_reduction_cap(self):
         with pytest.raises(ReductionLimitError):
             reduce_word(("M", "M", "D", "D", "Y", "Y"), DEFAULT_RULES, max_steps=2)
@@ -137,6 +151,18 @@ class TestRewriting:
 
 
 class TestExpressions:
+    @pytest.mark.parametrize(
+        "mono", [(1.5, 0, 0, 0, 0, 0), (0, 0, True, 0, 0, 0), (0, 0, 0, 0, 0, Fraction(1))]
+    )
+    def test_exponents_and_tag_must_be_ints(self, mono):
+        with pytest.raises(DomainError):
+            OperatorExpr({mono: 1})
+
+    def test_symbol_tag_must_be_an_int(self):
+        with pytest.raises(DomainError):
+            OperatorExpr.symbol("Y", True)
+        assert sym("Y", 1).serialize() == "1 Y^1 Yinv^0 D^0 M^0 J^0 dm=1/2"
+
     def test_linear_combinations(self):
         d = sym("D")
         assert (2 * d - d).serialize() == "1 Y^0 Yinv^0 D^1 M^0 J^0"
@@ -347,3 +373,60 @@ def test_serialization_sorted_by_degree(word):
         exponents = [int(part.split("^")[1]) for part in line.split() if "^" in part]
         degrees.append(sum(exponents))
     assert degrees == sorted(degrees, reverse=True)
+
+
+# Reference arithmetic: every coefficient a QQi, every product a reduce_word
+# of the concatenated words, every sum a QQi sum.
+
+
+def reference_monomial(word, two_dm):
+    return Monomial(*(word.count(letter) for letter in LETTERS), two_dm)
+
+
+def reference_terms(pieces):
+    """Sum (monomial, QQi) pieces in QQi, dropping zero sums."""
+    out = {}
+    for mono, coeff in pieces:
+        out[mono] = out.get(mono, QQi(0)) + coeff
+    return {mono: c for mono, c in out.items() if not c.is_zero()}
+
+
+def reference_product(x, y):
+    return reference_terms(
+        (reference_monomial(word, m1.two_dm + m2.two_dm), c1 * c2 * coeff)
+        for m1, c1 in x.terms.items()
+        for m2, c2 in y.terms.items()
+        for word, coeff in reduce_word(m1.word() + m2.word()).items()
+    )
+
+
+def reference_normal_form(x):
+    return reference_terms(
+        (reference_monomial(word, mono.two_dm), c * coeff)
+        for mono, c in x.terms.items()
+        for word, coeff in reduce_word(mono.word()).items()
+    )
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+gaussian = st.builds(QQi, rationals, st.one_of(st.just(Fraction(0)), rationals))
+monomials = st.builds(
+    lambda a, b, d, p, q, tag: Monomial(a, 0 if a else b, d, p, q, tag),
+    *(st.integers(0, 2) for _ in range(5)),
+    st.integers(-2, 2),
+)
+expressions = st.dictionaries(monomials, gaussian, max_size=4).map(OperatorExpr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions, expressions)
+def test_engine_arithmetic_equals_reference(x, y):
+    assert (x * y).terms == reference_product(x, y)
+    assert (x + y).terms == reference_terms(list(x.terms.items()) + list(y.terms.items()))
+    assert (x - y).terms == reference_terms(
+        list(x.terms.items()) + [(m, QQi(0) - c) for m, c in y.terms.items()]
+    )
+    assert normal_form(x * y).terms == reference_normal_form(x * y)
+    assert normal_form(x).terms == reference_normal_form(x)
+    for c in (QQi(0), QQi(Fraction(-1, 2), 3)):
+        assert (x * c).terms == reference_terms((m, cc * c) for m, cc in x.terms.items())

@@ -321,6 +321,53 @@ def test_unknown_relation_rejected():
         recurrence_residual("raise-q", 1, 0, 1.0)
 
 
+@pytest.mark.parametrize("relation", FIRST_ORDER_RELATIONS + COMPOSED_RELATIONS)
+def test_unknown_form_rejected(relation):
+    with pytest.raises(DomainError, match="unknown form 'bogus'"):
+        recurrence_check(relation, 2, 0, 1.0, form="bogus")
+    for form in ("printed", "corrected"):
+        recurrence_check(relation, 2, 0, 1.0, form=form)
+
+
+def test_index_arguments_take_numpy_integers():
+    i64 = np.int64
+    assert laguerre_eval(i64(3), i64(1), 1.0) == laguerre_eval(3, 1, 1.0)
+    assert laguerre_deriv(i64(3), 1, 1.0, i64(2)) == laguerre_deriv(3, 1, 1.0, 2)
+    assert laguerre_reflect(i64(3), i64(-1), 1.0) == laguerre_reflect(3, -1, 1.0)
+    check = recurrence_check("raise-n", i64(3), i64(1), 1.0)
+    assert check == recurrence_check("raise-n", 3, 1, 1.0)
+    index = LaguerreIndex(np.int32(2), i64(-1))
+    assert index == LaguerreIndex(2, -1) and type(index.n) is type(index.alpha) is int
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: laguerre_eval(True, 0, 1.0),
+        lambda: laguerre_eval(1, False, 1.0),
+        lambda: laguerre_eval(2.0, 0, 1.0),
+        lambda: laguerre_eval(np.array([True, False]), 0, 1.0),
+        lambda: laguerre_eval(np.array([1.0, 2.0]), 0, 1.0),
+        lambda: laguerre_deriv(2, 0, 1.0, True),
+        lambda: laguerre_deriv(2, 0, 1.0, 1.0),
+        lambda: laguerre_deriv(True, 0, 1.0),
+        lambda: laguerre_reflect(True, 0, 1.0),
+        lambda: laguerre_reflect(2, np.array([False]), 1.0),
+        lambda: recurrence_check("raise-n", True, 0, 1.0),
+        lambda: LaguerreIndex(True, 0),
+        lambda: LaguerreIndex(1, False),
+    ],
+)
+def test_bool_and_non_integer_indices_rejected(evaluate):
+    with pytest.raises(DomainError):
+        evaluate()
+
+
+def test_negative_degree_in_an_array_rejected():
+    with pytest.raises(DomainError, match="n=-2"):
+        laguerre_eval(np.array([3, -2, 0]), 0, 1.0)
+
+
 # --------------------------------------------------------------- property
 
 
@@ -396,6 +443,47 @@ def test_array_recurrence_check_equals_scalar_checks(relation, form):
             assert same_bits(getattr(grid, field), expected), (n, field)
 
 
+# The verify grid as axes that broadcast to (n, alpha, y).
+N_AXIS = np.array(NGRID)[:, None, None]
+A_AXIS = np.array(AGRID)[:, None]
+Y_AXIS = np.array(YGRID)
+
+
+def scalar_grid3(fn, alphas=AGRID):
+    return np.array([[[fn(n, a, y) for y in YGRID] for a in alphas] for n in NGRID])
+
+
+def test_degree_array_eval_and_deriv_equal_scalar_calls():
+    assert same_bits(laguerre_eval(N_AXIS, A_AXIS, Y_AXIS), scalar_grid3(laguerre_eval))
+    # Orders up to 2 include order > n at n = 0 and 1.
+    for order in (0, 1, 2):
+        assert same_bits(
+            laguerre_deriv(N_AXIS, A_AXIS, Y_AXIS, order),
+            scalar_grid3(lambda n, a, y: laguerre_deriv(n, a, y, order)),
+        ), order
+
+
+def test_degree_array_reflect_equals_scalar_calls():
+    pairs = np.array([(n, a) for n in NGRID for a in AGRID if -n <= a <= 0])
+    got = laguerre_reflect(pairs[:, :1], pairs[:, 1:], Y_AXIS)
+    expected = [[laguerre_reflect(int(n), int(a), y) for y in YGRID] for n, a in pairs]
+    assert same_bits(got, expected)
+
+
+ALL_FORMS = VARIANTS + [(r, "printed") for r in FIRST_ORDER_RELATIONS]
+
+
+@pytest.mark.parametrize("relation, form", ALL_FORMS)
+def test_degree_array_recurrence_check_equals_scalar_checks(relation, form):
+    alphas = [a for a in AGRID if (relation, form, a) != ("lower-n-raise-alpha2", "printed", -1)]
+    grid = recurrence_check(relation, N_AXIS, np.array(alphas)[:, None], Y_AXIS, form)
+    points = scalar_grid3(lambda n, a, y: recurrence_check(relation, n, a, y, form), alphas)
+    assert grid.form == points.flat[0].form
+    for field in ("lhs", "rhs", "scale", "residual", "relative_residual"):
+        expected = np.vectorize(lambda c: getattr(c, field))(points)
+        assert same_bits(getattr(grid, field), expected), field
+
+
 @pytest.mark.parametrize("form", ("printed", "corrected"))
 def test_three_term_lhs_equals_fsum(form):
     for n in WIDE_N:
@@ -437,6 +525,35 @@ def test_value_outside_double_range_raises_naming_the_point():
     # L_300(1500) is finite, but y (alpha - 1) L' is not.
     with pytest.raises(DomainError, match=r"recurrence_check\(n=300, alpha=0\).*y=1500\.0"):
         recurrence_check("raise-n-lower-alpha2", 300, 0, 1500.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_degree_array_outside_double_range_names_the_first_bad_point():
+    # L_600^(3) and L_600^(0) overflow at y = 2000; the degree-10 values do not.
+    n = np.array([[10], [600], [600]])
+    with pytest.raises(DomainError, match=r"laguerre_eval\(n=600, alpha=3\).*y=2000\.0"):
+        laguerre_eval(n, np.array([[0], [3], [0]]), np.array([1.0, 2000.0]))
+    with pytest.raises(DomainError, match=r"laguerre_deriv\(n=601, alpha=0\).*y=2000\.0"):
+        laguerre_deriv(np.array([1, 601]), 0, 2000.0)
+    with pytest.raises(DomainError, match=r"recurrence_check\(n=300, alpha=0\).*y=1500\.0"):
+        recurrence_check("raise-n-lower-alpha2", np.array([2, 300]), 0, 1500.0)
+    assert np.isfinite(laguerre_eval(n[:1], 0, np.array([1.0, 2000.0]))).all()
+
+
+def test_laguerre_suite_makes_few_evaluator_calls(monkeypatch):
+    from planeharm import laguerre, verify
+
+    calls = []
+    for name in ("laguerre_eval", "laguerre_deriv", "laguerre_reflect", "recurrence_check"):
+
+        def counted(*args, _name=name, _original=getattr(laguerre, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(laguerre, name, counted)
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.run_suite("laguerre", 8).overall_pass
+    assert 0 < calls.count("laguerre_eval") and len(calls) <= 50
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
