@@ -11,11 +11,12 @@ Jx = (J+ + J-)/2, which a diagonal phase turns into Jy (Feng, Wang, Yang &
 Jin, Phys. Rev. E 92, 043307, 2015).  The eigenvectors of Jx solve a
 three-term recurrence in m; they are Krawtchouk polynomials, the entries of
 d^j(pi/2) (Koornwinder, SIAM J. Math. Anal. 13, 1982).  The recurrence runs
-inward from the edge m = -j for all 2j+1 exact eigenvalues at once, with
+inward from the edge m = -j for the exact eigenvalues mu >= 0 at once, with
 power-of-two rescaling against overflow, so a multiplet costs O(j^2) rather
-than a dense eigensolve.  Jx commutes with the reversal m -> -m, so each
-eigenvector is reversal-symmetric or reversal-antisymmetric, and the
-recurrence only has to reach the middle row.  The two parity halves are
+than a dense eigensolve; the eigenvector of -mu is that of mu with every
+other row negated, which is exact.  Jx commutes with the reversal m -> -m,
+so each eigenvector is reversal-symmetric or reversal-antisymmetric, and
+the recurrence only has to reach the middle row.  The two parity halves are
 folded back together, so the assembly is two half-size products instead of
 full-size ones.
 
@@ -26,16 +27,24 @@ gives U* U - I = D_c* W Lambda* E Lambda W* D_c in exact arithmetic on the
 computed V, so max|U* U - I| <= 4 ||E||_2 (1 + ||E||_2) <= 4 r (1 + r) for
 every angle, where r is the largest row sum of |E| over both halves.  A bound above 1e-12
 raises rather than being silently re-orthogonalized.
+
+The eigenvectors and their gate depend on j alone, so each 2j's eigendata is
+built and gated once per process and kept as the read-only mu >= 0 columns
+of its halves: about 2 (2j+1)^2 bytes per spin, 1.5 MB for both sectors up
+to 2j = 129, 11.8 MB up to 2j = 259, and about 45 MB for the int sector at
+j_max 256.  A 2j that fails the gate is not kept, so it raises on every
+call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnitarityError
+from .errors import DomainError, UnitarityError, _as_int
 
 __all__ = [
     "RotationSpec",
@@ -49,15 +58,17 @@ __all__ = [
 _UNITARITY_TOL = 1e-12
 # Recurrence columns are scaled down past this, so their squares sum without overflow.
 _RESCALE_ABOVE = 2.0**256
+# The gated eigendata of every two_j built in this process (see _eigendata).
+_EIGENDATA: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
 class RotationSpec:
     """Euler angles (a, b, c) of a rotation in z-y-z order, radians.
 
-    Any finite real values are accepted; the angles are not reduced
-    modulo 2*pi because the half-integer blocks distinguish a full turn
-    from the identity.
+    Any finite real number is accepted (numpy scalars included, bool not)
+    and stored as a float; the angles are not reduced modulo 2*pi because
+    the half-integer blocks distinguish a full turn from the identity.
     """
 
     a: float
@@ -67,16 +78,20 @@ class RotationSpec:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise DomainError(f"angle {name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                angle = float(value)
+            except OverflowError:
+                angle = math.inf
+            if not math.isfinite(angle):
                 raise DomainError(f"angle {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, angle)
 
 
-def _check_two_j(two_j: int) -> int:
-    if not isinstance(two_j, int) or isinstance(two_j, bool):
-        raise DomainError(f"two_j must be an int, got {two_j!r}")
+def _check_two_j(two_j) -> int:
+    """two_j as a Python int (numpy integers included, bool not), or DomainError."""
+    two_j = _as_int("two_j", two_j)
     if two_j < 0:
         raise DomainError(f"two_j must be nonnegative, got {two_j}")
     return two_j
@@ -89,7 +104,7 @@ def ladder_matrix(two_j: int, direction: str) -> np.ndarray:
     sends column m to row m+1 with entry sqrt((j-m)(j+m+1)); lowering
     sends column m to row m-1 with entry sqrt((j+m)(j-m+1)).
     """
-    _check_two_j(two_j)
+    two_j = _check_two_j(two_j)
     if direction not in ("+", "-"):
         raise DomainError(f"direction must be '+' or '-', got {direction!r}")
     j = two_j / 2.0
@@ -100,7 +115,7 @@ def ladder_matrix(two_j: int, direction: str) -> np.ndarray:
 
 def j3_matrix(two_j: int) -> np.ndarray:
     """Diagonal matrix of J3 on the spin-j block, ascending m."""
-    _check_two_j(two_j)
+    two_j = _check_two_j(two_j)
     j = two_j / 2.0
     return np.diag([-j + i for i in range(two_j + 1)])
 
@@ -141,21 +156,14 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
-def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The two parity halves of Jx as (exact eigenvalues, eigenvectors).
-
-    The eigenvectors are folded onto (e_k + e_(n-1-k)) / sqrt(2) and
-    (e_k - e_(n-1-k)) / sqrt(2), k < n // 2 ascending, with n = 2j+1 and the
-    middle e_(n//2) appended to the symmetric half when n is odd.  The
-    eigenvector for mu has the parity (-1)^(j - mu) under m -> -m, so the
-    symmetric half holds the mu with j - mu even and the antisymmetric half
-    those with j - mu odd, each in ascending order.
+def _jx_columns(two_j: int):
+    """The mu >= 0 columns of the two parity halves of Jx (see _jx_halves).
 
     Row i = m + j of Jx v = mu v reads
     beta_(i-1) v_(i-1) + beta_i v_(i+1) = mu v_i with
     beta_i = sqrt((i+1)(n-1-i)) / 2, so each column follows from v_0 = 1 at
     the edge m = -j.  Inward from the edge the eigenvector is the dominant
-    solution, so the recurrence is stable; it runs for all n exact mu at once
+    solution, so the recurrence is stable; it runs for every mu >= 0 at once
     and stops at the middle row, which is all the fold needs.  Columns grow
     by up to about 2^j.  A cheap bound on the last two rows is carried
     along, and once it passes 2^256 every column is scaled by the power of
@@ -167,18 +175,20 @@ def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
     rows = h + odd  # v_0 .. v_(h-1), and the middle v_h when n is odd
     k = np.arange(1.0, rows)
     beta = np.sqrt(k * (n - k)) / 2.0  # beta[i] couples rows i and i+1
-    mu = np.arange(n) - two_j / 2.0
+    mu = (np.arange(n) - two_j / 2.0)[h:]
     # v_(i+1) = a[i] v_i - c[i] v_(i-1)
     a, c = mu / beta[:, None], np.append(0.0, beta[:-1] / beta[1:])
     # |v_(i+1)| <= growth[i] max(|v_i|, |v_(i-1)|), and every growth[i] >= 1.
     growth = (0.5 * two_j / beta + c).tolist()
-    v = np.empty((rows, n))
+    v = np.empty((rows, n - h))
     v[0] = 1.0
     top = 1.0  # bounds the last two rows
+    # The loop is bound by per-call overhead, so rows and factors are indexed once.
+    vr, ar, cl, tmp = list(v), list(a), c.tolist(), np.empty(n - h)
     for i in range(rows - 1):
-        row = np.multiply(a[i], v[i], out=v[i + 1])
+        row = np.multiply(ar[i], vr[i], out=vr[i + 1])
         if i:
-            row -= c[i] * v[i - 1]
+            row -= np.multiply(cl[i], vr[i - 1], out=tmp)
         top *= growth[i]
         if top > _RESCALE_ABOVE:
             # Bring the last two rows of every column below 1.
@@ -186,11 +196,77 @@ def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
             v[: i + 2] = np.ldexp(v[: i + 2], -shift)
             top = 1.0
     v[h:] *= math.sqrt(0.5)  # folded, the rows k < h read sqrt(2) v_k and the middle v_h
-    halves = []
-    for cols, size in ((slice(two_j % 2, None, 2), rows), (slice(1 - two_j % 2, None, 2), h)):
+    columns = []
+    # Column h + p of the full v has mu = mu[p] and is symmetric when j - mu is even.
+    for cols, size in ((slice((two_j - h) % 2, None, 2), rows), (slice((two_j - h + 1) % 2, None, 2), h)):
         u = v[:size, cols]
-        halves.append((mu[cols], u / np.linalg.norm(u, axis=0)))
+        columns.append(u / np.linalg.norm(u, axis=0))
+    return columns
+
+
+def _unfold(two_j: int, columns) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both parity halves of Jx, as _jx_halves gives them, from the mu >= 0
+    columns of each (_jx_columns).
+
+    Negating mu negates every other step of the recurrence, so the
+    eigenvector of -mu is that of mu with row i signed (-1)^i, folded or
+    not, which is exact.  For integer j it has the parity of mu, so it comes
+    from the same half; for half-integer j it comes from the other half.
+    """
+    m = np.arange(two_j + 1) - two_j / 2.0
+    halves = []
+    for p, u in enumerate(columns):
+        mu = m[(two_j + p) % 2 :: 2]
+        neg = len(mu) - u.shape[1]
+        half = np.empty((len(u), len(mu)))
+        half[:, neg:] = u
+        half[:, :neg] = columns[p ^ (two_j % 2)][:, : -neg - 1 : -1]  # the neg largest mu, descending
+        # 0 - x rather than -x: an entry the recurrence cancels to 0.0 is +0.0 for either sign of mu.
+        np.subtract(0.0, half[1::2, :neg], out=half[1::2, :neg])
+        halves.append((mu, half))
     return halves
+
+
+def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two parity halves of Jx as (exact eigenvalues, eigenvectors).
+
+    The eigenvectors are folded onto (e_k + e_(n-1-k)) / sqrt(2) and
+    (e_k - e_(n-1-k)) / sqrt(2), k < n // 2 ascending, with n = 2j+1 and the
+    middle e_(n//2) appended to the symmetric half when n is odd.  The
+    eigenvector for mu has the parity (-1)^(j - mu) under m -> -m, so the
+    symmetric half holds the mu with j - mu even and the antisymmetric half
+    those with j - mu odd, each in ascending order.  The recurrence
+    (_jx_columns) runs for mu >= 0 only, and the mu < 0 columns are their
+    exact mirrors (_unfold).
+    """
+    return _unfold(two_j, _jx_columns(two_j))
+
+
+def _eigendata(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_jx_halves(two_j), built and passed through the unitarity gate once
+    per process.
+
+    _EIGENDATA keeps the mu >= 0 columns of each half, read-only: about
+    n^2 / 4 doubles, or 2 (2j+1)^2 bytes, per spin.  Every call unfolds them
+    again, to exactly the halves the gate read, since _jx_halves unfolds the
+    same columns.  A two_j whose eigenvectors fail the gate is not stored,
+    so it raises UnitarityError on every call.
+    """
+    columns = _EIGENDATA.get(two_j)
+    if columns is None:
+        halves = _jx_halves(two_j)
+        r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in halves)
+        bound = 4.0 * r * (1.0 + r)
+        if bound > _UNITARITY_TOL:
+            raise UnitarityError(
+                f"rotation matrix for two_j={two_j}: eigenvector defect bounds "
+                f"max|U* U - I| by {bound:.3e} > {_UNITARITY_TOL:g}"
+            )
+        columns = tuple(u[:, mu >= 0] for mu, u in halves)
+        for u in columns:
+            u.flags.writeable = False
+        _EIGENDATA[two_j] = columns
+    return _unfold(two_j, columns)
 
 
 def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
@@ -206,25 +282,20 @@ def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
     expm1 form keeps the identity rotation exact.  Raises UnitarityError
     if the eigenvectors' defect r (largest row sum of |u^T u - I| over both
     halves) gives a bound 4 r (1 + r) on max|U* U - I| above 1e-12, a bound
-    that holds for every angle (see the module docstring).
+    that holds for every angle (see the module docstring).  The halves and
+    their gate are built on the first call for two_j in the process and
+    kept at about 2 (2j+1)^2 bytes; later calls only assemble.  two_j may
+    be any integer (numpy integers included, bool not).
     """
-    _check_two_j(two_j)
+    two_j = _check_two_j(two_j)
     if not isinstance(spec, RotationSpec):
         raise DomainError(f"spec must be a RotationSpec, got {spec!r}")
     return _rotation_matrices(two_j, [spec])[0]
 
 
 def _rotation_matrices(two_j: int, specs) -> list[np.ndarray]:
-    """rotation_matrix(two_j, spec) for each of specs, valid arguments, from
-    one _jx_halves call and one unitarity gate: both depend on j alone."""
-    halves = _jx_halves(two_j)
-    r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in halves)
-    bound = 4.0 * r * (1.0 + r)
-    if bound > _UNITARITY_TOL:
-        raise UnitarityError(
-            f"rotation matrix for two_j={two_j}: eigenvector defect bounds "
-            f"max|U* U - I| by {bound:.3e} > {_UNITARITY_TOL:g}"
-        )
+    """rotation_matrix(two_j, spec) for each of specs, valid arguments."""
+    halves = _eigendata(two_j)
     return [_assemble(two_j, halves, spec) for spec in specs]
 
 

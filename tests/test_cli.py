@@ -291,6 +291,7 @@ class TestRotate:
             return [(mu, 1.001 * u) for mu, u in real_jx_halves(two_j)]
 
         monkeypatch.setattr(rotation, "_jx_halves", jx_halves)
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
         block = CoefficientBlock("int", 1, {(2, 0): 1.0})
         code, out, err = run_cli("rotate", "--euler", "0.1,0.2,0.3", stdin_text=block.to_json())
         assert code == 2

@@ -105,6 +105,17 @@ class TestRotationSpec:
         with pytest.raises(DomainError):
             RotationSpec("0", 0.0, 0.0)
 
+    def test_accepts_numpy_and_fraction_reals_as_floats(self):
+        spec = RotationSpec(np.float32(0.5), np.int64(1), Fraction(1, 4))
+        assert (spec.a, spec.b, spec.c) == (0.5, 1.0, 0.25)
+        assert all(type(x) is float for x in (spec.a, spec.b, spec.c))
+        assert spec == RotationSpec(0.5, 1.0, 0.25)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), 1j, np.float32("nan"), np.float64("-inf"), 10**400])
+    def test_rejects_bools_complex_and_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            RotationSpec(0.0, bad, 0.0)
+
 
 class TestGenerators:
     def test_ladder_entries_spin_one(self):
@@ -140,6 +151,22 @@ class TestGenerators:
             ladder_matrix(-1, "+")
         with pytest.raises(DomainError):
             ladder_matrix(2, "x")
+
+    @pytest.mark.parametrize("two_j", [np.int64(3), np.int32(4), np.uint8(2)])
+    def test_numpy_integer_two_j_is_accepted(self, two_j, monkeypatch):
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        spec = RotationSpec(0.3, -1.1, 2.0)
+        for build, args in ((ladder_matrix, ("+",)), (ladder_matrix, ("-",)), (j3_matrix, ()), (jy_matrix, ())):
+            assert np.array_equal(build(two_j, *args), build(int(two_j), *args))
+        assert np.array_equal(rotation_matrix(two_j, spec), rotation_matrix(int(two_j), spec))
+        assert [type(key) for key in rotation._EIGENDATA] == [int]
+
+    @pytest.mark.parametrize("bad", [True, 2.0, np.float64(2.0), "2", -1, np.int64(-3)])
+    def test_two_j_must_be_a_nonnegative_integer(self, bad):
+        for call in (lambda: ladder_matrix(bad, "+"), lambda: j3_matrix(bad), lambda: jy_matrix(bad),
+                     lambda: rotation_matrix(bad, RotationSpec(0, 0, 0))):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestExpm:
@@ -256,6 +283,7 @@ class TestRotationGate:
         angles = np.random.default_rng(4).uniform(-7.0, 7.0, size=(20, 3))
         for delta in DELTAS:
             monkeypatch.setattr(rotation, "_jx_halves", perturbed_halves(kind, delta))
+            monkeypatch.setattr(rotation, "_EIGENDATA", {})
             for two_j in (6, 9, 40):
                 raised = 0
                 for a, b, c in angles:
@@ -278,6 +306,7 @@ class TestRotationGate:
         spec = RotationSpec(0.4, -1.3, 2.2)
         for delta in DELTAS:
             monkeypatch.setattr(rotation, "_jx_halves", perturbed_halves(kind, delta))
+            monkeypatch.setattr(rotation, "_EIGENDATA", {})
             for two_j in (6, 9, 40):
                 block = top_multiplet(two_j, seed=two_j)
                 try:
@@ -345,15 +374,100 @@ class TestRotationHalves:
         assert block_gap(back, block) <= 1e-12
 
     def test_matrices_of_one_j_share_its_eigendata(self, monkeypatch):
-        # One _jx_halves call per j for several specs, and one per rotation_matrix.
+        # One _jx_halves call per j, across repeated rotation_matrix and
+        # _rotation_matrices calls.
         specs = [RotationSpec(0.3, -1.2, 2.5), RotationSpec(0, 0, 0), RotationSpec(-4, 5.5, 0.1)]
         calls = []
         halves = rotation._jx_halves
         monkeypatch.setattr(rotation, "_jx_halves", lambda t: calls.append(t) or halves(t))
-        for two_j in (0, 1, 2, 7, 30):
-            for u, spec in zip(rotation._rotation_matrices(two_j, specs), specs):
-                assert np.array_equal(u, rotation_matrix(two_j, spec))
-        assert calls == [t for t in (0, 1, 2, 7, 30) for _ in range(1 + len(specs))]
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        for _ in range(2):
+            for two_j in (0, 1, 2, 7, 30):
+                for u, spec in zip(rotation._rotation_matrices(two_j, specs), specs):
+                    assert np.array_equal(u, rotation_matrix(two_j, spec))
+        assert calls == [0, 1, 2, 7, 30]
+
+
+def full_recurrence_halves(two_j: int):
+    """The parity halves of Jx from the inward recurrence over every mu,
+    with no mirror: the oracle for the stored mu >= 0 columns."""
+    n = two_j + 1
+    h, odd = divmod(n, 2)
+    rows = h + odd
+    k = np.arange(1.0, rows)
+    beta = np.sqrt(k * (n - k)) / 2.0
+    mu = np.arange(n) - two_j / 2.0
+    a, c = mu / beta[:, None], np.append(0.0, beta[:-1] / beta[1:])
+    growth = (0.5 * two_j / beta + c).tolist()
+    v = np.empty((rows, n))
+    v[0] = 1.0
+    top = 1.0
+    for i in range(rows - 1):
+        row = np.multiply(a[i], v[i], out=v[i + 1])
+        if i:
+            row -= c[i] * v[i - 1]
+        top *= growth[i]
+        if top > 2.0**256:
+            shift = np.maximum(np.frexp(np.maximum(np.abs(v[i]), np.abs(row)))[1], 0)
+            v[: i + 2] = np.ldexp(v[: i + 2], -shift)
+            top = 1.0
+    v[h:] *= math.sqrt(0.5)
+    halves = []
+    for cols, size in ((slice(two_j % 2, None, 2), rows), (slice(1 - two_j % 2, None, 2), h)):
+        u = v[:size, cols]
+        halves.append((mu[cols], u / np.linalg.norm(u, axis=0)))
+    return halves
+
+
+class TestRotationEigendata:
+    """Each two_j's Jx eigendata is built and gated once per process."""
+
+    @pytest.mark.parametrize("two_js", [range(0, 301), [1024, 1025, 2049]], ids=["to-300", "large"])
+    def test_stored_halves_are_the_full_recurrence_bit_for_bit(self, two_js, monkeypatch):
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        for two_j in two_js:
+            for (mu, u), (mu_ref, u_ref) in zip(rotation._eigendata(two_j), full_recurrence_halves(two_j)):
+                assert mu.tobytes() == mu_ref.tobytes(), two_j
+                assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes(), two_j
+            # About n^2 / 4 doubles per spin: the mu >= 0 columns of each half.
+            assert sum(u.size for u in rotation._EIGENDATA[two_j]) <= (two_j + 2) ** 2 // 4
+
+    def test_stored_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        for two_j in (0, 1, 6, 9, 40):
+            rotation_matrix(two_j, RotationSpec(0.1, 0.2, 0.3))
+            for u in rotation._EIGENDATA[two_j]:
+                assert not u.flags.writeable
+                with pytest.raises(ValueError):
+                    u[...] = 0.0
+
+    def test_a_two_j_that_fails_the_gate_raises_on_every_call_and_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        calls = []
+        spoiled = perturbed_halves("scale", 1e-6)
+        with monkeypatch.context() as patch:
+            patch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or spoiled(two_j))
+            for _ in range(3):
+                with pytest.raises(UnitarityError):
+                    rotation_matrix(9, RotationSpec(0.4, -1.3, 2.2))
+                with pytest.raises(UnitarityError):
+                    rotate(top_multiplet(9, seed=9), RotationSpec(0.4, -1.3, 2.2))
+            assert calls == [9] * 6
+            assert 9 not in rotation._EIGENDATA
+        u = rotation_matrix(9, RotationSpec(0.4, -1.3, 2.2))
+        assert 9 in rotation._EIGENDATA
+        assert np.max(np.abs(u.conj().T @ u - np.eye(10))) <= 1e-12
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 24), ("half", Fraction(47, 2))])
+    def test_rotate_is_the_same_from_an_empty_store_and_a_full_one(self, sector, j_max, monkeypatch):
+        block = random_block(sector, j_max, seed=5)
+        spec = RotationSpec(0.9, -2.3, 1.7)
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        cold = rotate(block, spec)
+        assert len(rotation._EIGENDATA) == int(2 * j_max) // 2 + 1
+        warm = rotate(block, spec)
+        assert cold._values.tobytes() == warm._values.tobytes()
+        assert cold.to_json() == warm.to_json()
 
 
 class TestCoefficientBlock:

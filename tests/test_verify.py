@@ -292,18 +292,21 @@ def test_rotation_unitarity_takes_the_eigendata_once_per_j(monkeypatch):
     calls = []
     halves = rotation._jx_halves
     monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
+    monkeypatch.setattr(rotation, "_EIGENDATA", {})
     verify._worst(verify._CHECKS["transform.rotation-unitarity"][2](Fraction(8), 0))
     assert calls == list(range(17))
 
 
-def test_rotation_group_law_takes_the_eigendata_once_per_j_and_pair(monkeypatch):
-    # Per pair of specs: two rotates of the block and one reference call
-    # per multiplet, over 7 int and 6 half multiplets at j_max 8.
+def test_rotation_group_law_builds_the_eigendata_once_per_j(monkeypatch):
+    # Every pair of specs rotates the block twice and makes one reference
+    # call per multiplet, but the 7 int and 6 half multiplets at j_max 8
+    # build their eigendata once each.
     calls = []
     halves = rotation._jx_halves
     monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
+    monkeypatch.setattr(rotation, "_EIGENDATA", {})
     assert verify._worst(verify._CHECKS["transform.rotation-group-law"][2](Fraction(8), 0)) < 1e-14
-    assert len(calls) == 117
+    assert len(calls) == len(set(calls)) == 13
 
 
 def test_plane_gram_fails_on_a_gram_entry_that_is_not_finite(monkeypatch):
