@@ -28,12 +28,13 @@ computed V, so max|U* U - I| <= 4 ||E||_2 (1 + ||E||_2) <= 4 r (1 + r) for
 every angle, where r is the largest row sum of |E| over both halves.  A bound above 1e-12
 raises rather than being silently re-orthogonalized.
 
-The eigenvectors and their gate depend on j alone, so each 2j's eigendata is
-built and gated once per process and kept as the read-only mu >= 0 columns
-of its halves: about 2 (2j+1)^2 bytes per spin, 1.5 MB for both sectors up
-to 2j = 129, 11.8 MB up to 2j = 259, and about 45 MB for the int sector at
-j_max 256.  A 2j that fails the gate is not kept, so it raises on every
-call.
+The eigenvectors and their gate depend on j alone, so the eigendata of each
+2j up to 259 is built and gated once per process and kept as the read-only
+mu >= 0 columns of its halves: about 2 (2j+1)^2 bytes per spin, 1.5 MB for
+both sectors up to 2j = 129 and at most 11.8 MB in all.  A larger 2j is
+built and gated on every call, as a one-shot rotation would be, so the
+store stays bounded however large a block is rotated.  A 2j that fails the
+gate is not kept, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ __all__ = [
 _UNITARITY_TOL = 1e-12
 # Recurrence columns are scaled down past this, so their squares sum without overflow.
 _RESCALE_ABOVE = 2.0**256
-# The gated eigendata of every two_j built in this process (see _eigendata).
+# The gated eigendata of every two_j up to _STORE_TWO_J_MAX built in this
+# process (see _eigendata): at most 11.8 MB for both sectors together.  The
+# cap reaches int j_max 128 and half j_max 257/2; past it the build is about
+# a third of a call, and storing every spin of an int j_max 512 block would
+# take about 360 MB.
+_STORE_TWO_J_MAX = 259
 _EIGENDATA: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -243,30 +249,32 @@ def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _eigendata(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_jx_halves(two_j), built and passed through the unitarity gate once
-    per process.
+    """_jx_halves(two_j), passed through the unitarity gate.
 
-    _EIGENDATA keeps the mu >= 0 columns of each half, read-only: about
-    n^2 / 4 doubles, or 2 (2j+1)^2 bytes, per spin.  Every call unfolds them
-    again, to exactly the halves the gate read, since _jx_halves unfolds the
-    same columns.  A two_j whose eigenvectors fail the gate is not stored,
-    so it raises UnitarityError on every call.
+    The gate reads exactly the halves that are returned for assembly.  For
+    two_j up to _STORE_TWO_J_MAX, the mu >= 0 columns they unfold from are
+    kept in _EIGENDATA, read-only, once the gate passes: about n^2 / 4
+    doubles, or 2 (2j+1)^2 bytes, per spin.  Later calls unfold the stored
+    columns again, to the same bits.  A two_j whose eigenvectors fail the
+    gate is not stored, so it raises UnitarityError on every call.
     """
     columns = _EIGENDATA.get(two_j)
-    if columns is None:
-        halves = _jx_halves(two_j)
-        r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in halves)
-        bound = 4.0 * r * (1.0 + r)
-        if bound > _UNITARITY_TOL:
-            raise UnitarityError(
-                f"rotation matrix for two_j={two_j}: eigenvector defect bounds "
-                f"max|U* U - I| by {bound:.3e} > {_UNITARITY_TOL:g}"
-            )
-        columns = tuple(u[:, mu >= 0] for mu, u in halves)
+    if columns is not None:
+        return _unfold(two_j, columns)
+    columns = _jx_columns(two_j)
+    halves = _unfold(two_j, columns)
+    r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in halves)
+    bound = 4.0 * r * (1.0 + r)
+    if bound > _UNITARITY_TOL:
+        raise UnitarityError(
+            f"rotation matrix for two_j={two_j}: eigenvector defect bounds "
+            f"max|U* U - I| by {bound:.3e} > {_UNITARITY_TOL:g}"
+        )
+    if two_j <= _STORE_TWO_J_MAX:
         for u in columns:
             u.flags.writeable = False
-        _EIGENDATA[two_j] = columns
-    return _unfold(two_j, columns)
+        _EIGENDATA[two_j] = tuple(columns)
+    return halves
 
 
 def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
@@ -282,10 +290,11 @@ def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
     expm1 form keeps the identity rotation exact.  Raises UnitarityError
     if the eigenvectors' defect r (largest row sum of |u^T u - I| over both
     halves) gives a bound 4 r (1 + r) on max|U* U - I| above 1e-12, a bound
-    that holds for every angle (see the module docstring).  The halves and
-    their gate are built on the first call for two_j in the process and
-    kept at about 2 (2j+1)^2 bytes; later calls only assemble.  two_j may
-    be any integer (numpy integers included, bool not).
+    that holds for every angle (see the module docstring).  For two_j up to
+    259, the halves and their gate are built on the first call in the
+    process and kept at about 2 (2j+1)^2 bytes, and later calls only
+    assemble; a larger two_j builds them on every call.  two_j may be any
+    integer (numpy integers included, bool not).
     """
     two_j = _check_two_j(two_j)
     if not isinstance(spec, RotationSpec):

@@ -285,12 +285,12 @@ class TestRotate:
 
     def test_unitarity_failure_is_a_typed_error(self, monkeypatch):
         # Eigenvectors stretched by 1e-3 fail the rotation's unitarity gate.
-        real_jx_halves = rotation._jx_halves
+        real_jx_columns = rotation._jx_columns
 
-        def jx_halves(two_j):
-            return [(mu, 1.001 * u) for mu, u in real_jx_halves(two_j)]
+        def jx_columns(two_j):
+            return [1.001 * u for u in real_jx_columns(two_j)]
 
-        monkeypatch.setattr(rotation, "_jx_halves", jx_halves)
+        monkeypatch.setattr(rotation, "_jx_columns", jx_columns)
         monkeypatch.setattr(rotation, "_EIGENDATA", {})
         block = CoefficientBlock("int", 1, {(2, 0): 1.0})
         code, out, err = run_cli("rotate", "--euler", "0.1,0.2,0.3", stdin_text=block.to_json())

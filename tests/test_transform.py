@@ -238,33 +238,45 @@ class TestRotationMatrix:
             assert defect < 1e-12
 
 
-REAL_JX_HALVES = rotation._jx_halves
+REAL_JX_COLUMNS = rotation._jx_columns
 DELTAS = [10.0**-k for k in range(16, 8, -1)]
 
 
-def perturbed_halves(kind: str, delta: float):
-    """rotation._jx_halves with each half's eigenvectors spoiled by delta, the same way on every call.
+def perturbed_columns(kind: str, delta: float):
+    """rotation._jx_columns with each half's stored mu > 0 eigenvectors
+    spoiled by delta, the same way on every call, so that every spoil
+    reaches both the gate and the assembled matrix.
 
-    "scale" stretches one column by 1 + delta, "noise" adds delta times a
-    fixed normal draw, and "givens" turns two columns by the angle delta,
-    which keeps them orthonormal.
+    "scale" stretches the largest-mu column by 1 + delta, "noise" adds delta
+    times a fixed normal draw, and "givens" turns the two largest-mu columns
+    by the angle delta (when both have mu > 0), which keeps the unfolded
+    halves orthonormal.  "mirror" adds delta times an eigenvector of a
+    mu < 0 to the largest-mu column; it stays orthogonal to the stored
+    columns, so only the unfolded halves show the defect.
     """
 
-    def spoil(u):
+    def spoil(u, positive, mirror):
         u = u.copy()
-        if kind == "scale":
-            u[:, 0] *= 1.0 + delta
+        if kind == "mirror":
+            u[:, -1] += delta * mirror
+        elif kind == "scale":
+            u[:, -1] *= 1.0 + delta
         elif kind == "noise":
-            u += delta * np.random.default_rng(0).standard_normal(u.shape)
-        else:
+            u[:, positive] += delta * np.random.default_rng(0).standard_normal((len(u), positive.sum()))
+        elif positive.sum() >= 2:
             c, s = math.cos(delta), math.sin(delta)
-            u[:, :2] = u[:, :2] @ np.array([[c, -s], [s, c]])
+            u[:, -2:] = u[:, -2:] @ np.array([[c, -s], [s, c]])
         return u
 
-    def jx_halves(two_j):
-        return [(mu, spoil(u)) for mu, u in REAL_JX_HALVES(two_j)]
+    def jx_columns(two_j):
+        m = np.arange(two_j + 1) - two_j / 2.0
+        mus = [mu[mu >= 0] for mu in (m[two_j % 2 :: 2], m[1 - two_j % 2 :: 2])]
+        columns = REAL_JX_COLUMNS(two_j)
+        # The eigenvector of -mu is that of mu with every other row negated (see rotation._unfold).
+        mirrors = [(-1.0) ** np.arange(len(u)) * columns[p ^ (two_j % 2)][:, -1] for p, u in enumerate(columns)]
+        return [spoil(u, mu > 0, mirror) for u, mu, mirror in zip(columns, mus, mirrors)]
 
-    return jx_halves
+    return jx_columns
 
 
 def top_multiplet(two_j: int, seed: int) -> CoefficientBlock:
@@ -278,15 +290,16 @@ def top_multiplet(two_j: int, seed: int) -> CoefficientBlock:
 class TestRotationGate:
     """The gate reads the eigenvectors of the Jx halves, not U* U."""
 
-    @pytest.mark.parametrize("kind", ["scale", "noise", "givens"])
+    @pytest.mark.parametrize("kind", ["scale", "noise", "givens", "mirror"])
     def test_raises_or_returns_a_unitary(self, kind, monkeypatch):
         angles = np.random.default_rng(4).uniform(-7.0, 7.0, size=(20, 3))
+        unspoiled = {two_j: [rotation_matrix(two_j, RotationSpec(*abc)) for abc in angles] for two_j in (6, 9, 40)}
         for delta in DELTAS:
-            monkeypatch.setattr(rotation, "_jx_halves", perturbed_halves(kind, delta))
+            monkeypatch.setattr(rotation, "_jx_columns", perturbed_columns(kind, delta))
             monkeypatch.setattr(rotation, "_EIGENDATA", {})
             for two_j in (6, 9, 40):
                 raised = 0
-                for a, b, c in angles:
+                for (a, b, c), ref in zip(angles, unspoiled[two_j]):
                     try:
                         u = rotation_matrix(two_j, RotationSpec(a, b, c))
                     except UnitarityError as exc:
@@ -294,6 +307,9 @@ class TestRotationGate:
                         raised += 1
                         continue
                     assert np.max(np.abs(u.conj().T @ u - np.eye(two_j + 1))) <= 1e-12
+                    # The spoil reaches the matrix the gate passed.
+                    if delta >= 1e-13:
+                        assert not np.array_equal(u, ref), (kind, two_j, delta)
                 # The gate does not depend on the angles.
                 assert raised in (0, len(angles))
                 if kind == "givens":
@@ -301,11 +317,11 @@ class TestRotationGate:
                 elif delta >= 1e-11:
                     assert raised, (kind, two_j, delta)
 
-    @pytest.mark.parametrize("kind", ["scale", "noise", "givens"])
+    @pytest.mark.parametrize("kind", ["scale", "noise", "givens", "mirror"])
     def test_rotate_raises_where_rotation_matrix_raises(self, kind, monkeypatch):
         spec = RotationSpec(0.4, -1.3, 2.2)
         for delta in DELTAS:
-            monkeypatch.setattr(rotation, "_jx_halves", perturbed_halves(kind, delta))
+            monkeypatch.setattr(rotation, "_jx_columns", perturbed_columns(kind, delta))
             monkeypatch.setattr(rotation, "_EIGENDATA", {})
             for two_j in (6, 9, 40):
                 block = top_multiplet(two_j, seed=two_j)
@@ -374,12 +390,12 @@ class TestRotationHalves:
         assert block_gap(back, block) <= 1e-12
 
     def test_matrices_of_one_j_share_its_eigendata(self, monkeypatch):
-        # One _jx_halves call per j, across repeated rotation_matrix and
+        # One eigendata build per j, across repeated rotation_matrix and
         # _rotation_matrices calls.
         specs = [RotationSpec(0.3, -1.2, 2.5), RotationSpec(0, 0, 0), RotationSpec(-4, 5.5, 0.1)]
         calls = []
-        halves = rotation._jx_halves
-        monkeypatch.setattr(rotation, "_jx_halves", lambda t: calls.append(t) or halves(t))
+        columns = rotation._jx_columns
+        monkeypatch.setattr(rotation, "_jx_columns", lambda t: calls.append(t) or columns(t))
         monkeypatch.setattr(rotation, "_EIGENDATA", {})
         for _ in range(2):
             for two_j in (0, 1, 2, 7, 30):
@@ -426,11 +442,33 @@ class TestRotationEigendata:
     def test_stored_halves_are_the_full_recurrence_bit_for_bit(self, two_js, monkeypatch):
         monkeypatch.setattr(rotation, "_EIGENDATA", {})
         for two_j in two_js:
-            for (mu, u), (mu_ref, u_ref) in zip(rotation._eigendata(two_j), full_recurrence_halves(two_j)):
-                assert mu.tobytes() == mu_ref.tobytes(), two_j
-                assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes(), two_j
-            # About n^2 / 4 doubles per spin: the mu >= 0 columns of each half.
-            assert sum(u.size for u in rotation._EIGENDATA[two_j]) <= (two_j + 2) ** 2 // 4
+            want = full_recurrence_halves(two_j)
+            # Built, then (up to the cap) unfolded from the store.
+            for _ in range(2):
+                for (mu, u), (mu_ref, u_ref) in zip(rotation._eigendata(two_j), want):
+                    assert mu.tobytes() == mu_ref.tobytes(), two_j
+                    assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes(), two_j
+            if two_j <= rotation._STORE_TWO_J_MAX:
+                # About n^2 / 4 doubles per spin: the mu >= 0 columns of each half.
+                assert sum(u.size for u in rotation._EIGENDATA[two_j]) <= (two_j + 2) ** 2 // 4
+            else:
+                assert two_j not in rotation._EIGENDATA
+
+    def test_the_store_keeps_spins_up_to_its_cap_only(self, monkeypatch):
+        calls = []
+        columns = rotation._jx_columns
+        monkeypatch.setattr(rotation, "_jx_columns", lambda t: calls.append(t) or columns(t))
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        cap = rotation._STORE_TWO_J_MAX
+        spec = RotationSpec(0.9, -2.3, 1.7)
+        for _ in range(2):
+            for two_j in (cap - 1, cap, cap + 1, cap + 2):
+                rotation_matrix(two_j, spec)
+        assert calls == [cap - 1, cap, cap + 1, cap + 2, cap + 1, cap + 2]
+        assert sorted(rotation._EIGENDATA) == [cap - 1, cap]
+        # Both sectors stored in full take 2 (2j+1)^2 bytes a spin, 11.8 MB in all.
+        full = {two_j: rotation._jx_columns(two_j) for two_j in range(cap + 1)}
+        assert sum(u.nbytes for cols in full.values() for u in cols) < 11.9e6
 
     def test_stored_arrays_are_read_only(self, monkeypatch):
         monkeypatch.setattr(rotation, "_EIGENDATA", {})
@@ -444,9 +482,9 @@ class TestRotationEigendata:
     def test_a_two_j_that_fails_the_gate_raises_on_every_call_and_is_not_stored(self, monkeypatch):
         monkeypatch.setattr(rotation, "_EIGENDATA", {})
         calls = []
-        spoiled = perturbed_halves("scale", 1e-6)
+        spoiled = perturbed_columns("scale", 1e-6)
         with monkeypatch.context() as patch:
-            patch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or spoiled(two_j))
+            patch.setattr(rotation, "_jx_columns", lambda two_j: calls.append(two_j) or spoiled(two_j))
             for _ in range(3):
                 with pytest.raises(UnitarityError):
                     rotation_matrix(9, RotationSpec(0.4, -1.3, 2.2))

@@ -290,8 +290,8 @@ def test_hermiticity_spans_of_every_m_equal_one_m_at_a_time():
 
 def test_rotation_unitarity_takes_the_eigendata_once_per_j(monkeypatch):
     calls = []
-    halves = rotation._jx_halves
-    monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
+    columns = rotation._jx_columns
+    monkeypatch.setattr(rotation, "_jx_columns", lambda two_j: calls.append(two_j) or columns(two_j))
     monkeypatch.setattr(rotation, "_EIGENDATA", {})
     verify._worst(verify._CHECKS["transform.rotation-unitarity"][2](Fraction(8), 0))
     assert calls == list(range(17))
@@ -302,8 +302,8 @@ def test_rotation_group_law_builds_the_eigendata_once_per_j(monkeypatch):
     # call per multiplet, but the 7 int and 6 half multiplets at j_max 8
     # build their eigendata once each.
     calls = []
-    halves = rotation._jx_halves
-    monkeypatch.setattr(rotation, "_jx_halves", lambda two_j: calls.append(two_j) or halves(two_j))
+    columns = rotation._jx_columns
+    monkeypatch.setattr(rotation, "_jx_columns", lambda two_j: calls.append(two_j) or columns(two_j))
     monkeypatch.setattr(rotation, "_EIGENDATA", {})
     assert verify._worst(verify._CHECKS["transform.rotation-group-law"][2](Fraction(8), 0)) < 1e-14
     assert len(calls) == len(set(calls)) == 13
