@@ -277,18 +277,29 @@ def default_n_phi(j_max) -> int:
 def _plane_grid(j_max: Fraction, n_phi, n_radial):
     """(phis, nodes, lifted weights) of every plane integral at band limit j_max.
 
-    n_phi equispaced angles from -pi (default default_n_phi(j_max)) times the
-    alpha-0 rule of order n_radial (default ceil(j_max) + 2).  One grid for
-    analyze's projections and plane_inner's norms is what makes Parseval hold.
+    n_phi equispaced angles from -pi times the alpha-0 rule of order
+    n_radial, sized by _grid_sizes.  One grid for analyze's projections and
+    plane_inner's norms is what makes Parseval hold.
+    """
+    n_phi, n_radial = _grid_sizes(j_max, n_phi, n_radial)
+    rule = gauss_laguerre(n_radial, 0)
+    phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
+    return phis, rule.nodes, rule.lifted_weights()
+
+
+def _grid_sizes(j_max: Fraction, n_phi=None, n_radial=None) -> tuple[int, int]:
+    """(n_phi, n_radial) of the plane grid at band limit j_max.
+
+    A size left None takes its default, default_n_phi(j_max) angles and
+    ceil(j_max) + 2 radial nodes; a given size must be an integer >= 1,
+    else DomainError.
     """
     n_phi = default_n_phi(j_max) if n_phi is None else _as_int("n_phi", n_phi)
     n_radial = int(math.ceil(j_max)) + 2 if n_radial is None else _as_int("n_radial", n_radial)
     for name, size in (("n_phi", n_phi), ("n_radial", n_radial)):
         if size < 1:
             raise DomainError(f"{name} must be >= 1, got {size}")
-    rule = gauss_laguerre(n_radial, 0)
-    phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return phis, rule.nodes, rule.lifted_weights()
+    return n_phi, n_radial
 
 
 def _sample_grid(f, x, phis) -> np.ndarray:

@@ -20,7 +20,16 @@ onto e^(-+i|m|phi) with one matrix product, contracts each step's rows with
 both signs' weighted projections at once, and places all the sums in the
 block at the end, in O(j_max^2 P + j_max n_phi P) time.  Its projection,
 _project, takes a stack of sample grids and gives each the coefficients
-analyze would, so many functions share one run of the recurrence.
+analyze would, so many functions share one run of the recurrence.  What the
+projection derives from the grid alone (the angular matrix, the s_m column,
+the radial rows of every step and the gather index) is its plan.  The plan
+of the default grid of each (sector, two_j_max) with two_j_max <= 64 is
+built once per process and kept read-only, keyed on the sector, two_j_max
+and the bytes of the grid's angles and nodes: at most 0.3 MB a grid, 5.8 MB
+for the grids of each sector's own j_max and 11.5 MB for every (sector,
+two_j_max) up to the cap.  So only a repeated default-grid analyze in one
+process reuses it; a grid of other sizes or a larger two_j_max builds the
+small parts per call and streams its rows, as a one-shot analyze does.
 synthesize runs the recurrence once over its P radial points and picks one
 of two sums from n_phi alone.  With few angles, at each step the coefficients with
 e^(+-i m phi) and the sign s_m folded in form a real (2 n_phi, |m|) matrix,
@@ -57,8 +66,8 @@ from .basis import _as_cap, _as_half_integer, _finite_phi
 # calL is bound here only for perfbench/selftest.py, which checks that
 # tracing leaves transform.calL and basis.calL the same object.
 from .basis import PlanePoint, SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
-from .errors import DomainError, SchemaError
-from .quadrature import _plane_grid, _sample_grid
+from .errors import DomainError, SchemaError, _as_int
+from .quadrature import _grid_sizes, _plane_grid, _sample_grid
 from .rotation import RotationSpec, rotation_matrix
 
 __all__ = [
@@ -361,25 +370,61 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w) -> np.ndarray:
     (phis, x, w) at band limit two_j_max / 2; the result has shape
     (B, labels).  analyze is the case B = 1, and each of B functions gets
     the coefficients analyze gives it, bit for bit: every product and sum
-    below acts on each function's samples alone.  Samples past the double
-    range leave coefficients that are not finite.
+    below acts on each function's samples alone.  What depends on the grid
+    alone comes from _plan, stored for a default grid up to
+    _PLAN_TWO_J_MAX and built per call otherwise; the contraction is the
+    same either way, so a stored plan leaves every coefficient as it was.
+    Samples past the double range leave coefficients that are not finite.
     """
-    ladder = _sector_ladder(sector, two_j_max)
-    count, n_m = len(samples), len(ladder)
-    abs2m = np.array(ladder, dtype=int)
+    angular, signs, rows, source = _plan(sector, two_j_max, phis, x)
+    count, n_m = len(samples), len(signs)
+    if rows is None:
+        rows = _radial_rows(_sector_ladder(sector, two_j_max), two_j_max, x)
     with np.errstate(over="ignore", invalid="ignore"):
         # Angular projections onto m = +|m| and m = -|m|, each times the
         # weights, indexed by (sign of m, function, |m|, point) like
         # synthesize's by_sign; the +|m| side also carries the sign s_m of
         # its radial function.
-        proj = np.exp(0.5j * np.array([-1, 1])[:, None, None, None] * abs2m[:, None] * phis)
-        proj = w * (proj @ samples) / phis.size
-        proj[0] *= np.array([_sign(v) for v in ladder])[:, None]
+        proj = w * (angular @ samples) / phis.size
+        proj[0] *= signs
         # Function and sign on one axis, so each step is one 3-D product.
         proj = proj.swapaxes(0, 1).reshape(2 * count, n_m, x.size)
         sums = np.zeros((2 * count, n_m, n_m), dtype=complex)  # (function and sign, step, |m|)
-        for k, rows in enumerate(_radial_rows(ladder, two_j_max, x)):
-            sums[:, k, : len(rows)] = (proj[:, : len(rows)] * rows).sum(-1)
+        for k, step in enumerate(rows):
+            sums[:, k, : len(step)] = (proj[:, : len(step)] * step).sum(-1)
+    return sums.reshape(count, 2 * n_m * n_m).take(source, axis=1)
+
+
+# The projection plan of analyze's default grid at each (sector, two_j_max)
+# up to _PLAN_TWO_J_MAX built in this process (see _plan), keyed on the grid
+# it was built from: 0.19 MB for the int j_max 20 and half j_max 39/2 grids,
+# 5.8 MB for the grids of each sector's own j_max up to int j_max 32 and
+# half j_max 63/2, and 11.5 MB at most.  Any other grid streams its radial
+# rows on every call, so the store stays bounded.
+_PLAN_TWO_J_MAX = 64
+_PLANS: dict[tuple, tuple] = {}
+
+
+def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
+    """What _project derives from the grid (phis, x) alone.
+
+    (angular, signs, rows, source): the e^(-+i|m|phi) matrix indexed by
+    (sign of m, 1, |m|, angle), the s_m column, the radial rows of every
+    step of the per-m recurrence at x, and the gather index that places
+    entry (sign, j - |m|, |m|) of the step sums at label (j, +-|m|).  The
+    plan of a grid of the default sizes (analyze's default grid) with
+    two_j_max <= _PLAN_TWO_J_MAX is built once per process, kept read-only
+    and keyed on every input it is built from; any other grid gets rows
+    None, for _project to stream them.
+    """
+    key = (sector, two_j_max, phis.tobytes(), x.tobytes())
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    ladder = _sector_ladder(sector, two_j_max)
+    n_m, abs2m = len(ladder), np.array(ladder, dtype=int)
+    angular = np.exp(0.5j * np.array([-1, 1])[:, None, None, None] * abs2m[:, None] * phis)
+    signs = np.array([_sign(v) for v in ladder])[:, None]
     # Label (j, +-|m|) reads entry (sign, j - |m|, |m|) of each function's
     # sums, gathered at once: indexing the stack with one index array on one
     # axis keeps analyze's one function as fast as a 1-D block.
@@ -391,7 +436,13 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w) -> np.ndarray:
     # m = 0 is written twice, the +|m| projection last.
     source[_index(two_j, -abs2m)] = entry + n_m * n_m
     source[_index(two_j, abs2m)] = entry
-    return sums.reshape(count, 2 * n_m * n_m).take(source, axis=1)
+    rows = None
+    if two_j_max <= _PLAN_TWO_J_MAX and (phis.size, x.size) == _grid_sizes(Fraction(two_j_max, 2)):
+        rows = tuple(_radial_rows(ladder, two_j_max, x))
+        for array in (angular, signs, source, *rows):
+            array.flags.writeable = False
+        _PLANS[key] = angular, signs, rows, source
+    return angular, signs, rows, source
 
 
 # Entries (step x angle x |m|) of the coefficient fold built at once, so a
@@ -551,8 +602,15 @@ def parseval_gap(
 
 
 def random_block(sector: str, j_max, seed: int = 0) -> CoefficientBlock:
-    """Dense block with standard complex normal coefficients, seeded."""
+    """Dense block with standard complex normal coefficients, seeded.
+
+    seed must be a nonnegative integer (numpy integers included, bool not),
+    else DomainError.
+    """
     two_j_max, size = _block_size(sector, j_max)
+    seed = _as_int("seed", seed)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     # The same draws, in label order, as one standard_normal(2) per label.
     values = np.random.default_rng(seed).standard_normal((size, 2)).view(complex)[:, 0]
     return object.__new__(CoefficientBlock)._finish(sector, two_j_max, values)

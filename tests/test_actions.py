@@ -149,11 +149,13 @@ class TestOneKernelPass:
         # basis.symmetry-sign 633; one table and one stacked projection per
         # sector for basis.plane-gram, one table per sector and one stream
         # per |m| for quadrature.plane-vs-halfline, and one stream for every
-        # span of algebra.hermiticity makes 243.
+        # span of algebra.hermiticity makes 243; analyze's stored projection
+        # plans, read by 5 of the 11 projections, make 238.
         calls = self.count_kernel_calls(monkeypatch, (basis, quadrature, transform, verify))
         monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(transform, "_PLANS", {})
         run_suite("all", 8, 1)
-        assert len(calls) <= 243
+        assert len(calls) <= 238
 
 
 class TestLadderForms:

@@ -743,6 +743,134 @@ class TestAnalyze:
             assert np.array_equal(gram.view(float), per_label.view(float))
 
 
+
+def count_plan_streams(monkeypatch):
+    """The arguments of every radial-row stream transform starts."""
+    calls = []
+    kernel = transform._radial_rows
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(transform, "_radial_rows", counted)
+    return calls
+
+
+def plan_arrays(plan):
+    angular, signs, rows, source = plan
+    return (angular, signs, source, *rows)
+
+
+class TestAnalyzePlan:
+    """analyze's per-process store of default-grid projection plans."""
+
+    @pytest.mark.parametrize(
+        "sector, j_max",
+        [("int", 20), ("half", Fraction(39, 2)), ("int", Fraction(7, 2)), ("half", 4)],
+    )
+    def test_same_bytes_from_an_empty_store_a_full_one_and_none(self, sector, j_max, monkeypatch):
+        f = as_function(random_block(sector, j_max, seed=17))
+        phis, x, w = _plane_grid(Fraction(j_max), None, None)
+        table = _plane_table(sector, Fraction(j_max), x, phis)
+
+        def outputs(empty):
+            calls = (
+                lambda: analyze(f, sector, j_max)._values,
+                lambda: np.float64(parseval_gap(f, sector, j_max)),
+                lambda: transform._project(table, sector, int(2 * j_max), phis, x, w),
+            )
+            out = []
+            for call in calls:
+                if empty:
+                    monkeypatch.setattr(transform, "_PLANS", {})
+                out.append(call().tobytes())
+            return out
+
+        cold = outputs(empty=True)
+        assert len(transform._PLANS) == 1
+        assert outputs(empty=False) == cold
+        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)  # every grid streams
+        assert outputs(empty=True) == cold
+        assert transform._PLANS == {}
+
+    def test_a_second_default_grid_analyze_makes_no_radial_stream(self, monkeypatch):
+        monkeypatch.setattr(transform, "_PLANS", {})
+        calls = count_plan_streams(monkeypatch)
+        f = lambda y, phi: calZ(SpinIndex(5, 3), (y, phi))
+        first = analyze(f, "half", Fraction(7, 2))
+        assert len(calls) == 1
+        second = analyze(f, "half", Fraction(7, 2))
+        assert len(calls) == 1
+        assert second == first
+
+    def test_non_finite_samples_raise_the_same_error_cold_and_warm(self, monkeypatch):
+        monkeypatch.setattr(transform, "_PLANS", {})
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"label \(0, 0\) must be finite"):
+                analyze(lambda y, phi: np.nan, "int", 2)
+            assert len(transform._PLANS) == 1
+
+    @pytest.mark.parametrize(
+        "sector, j_max, grid",
+        [
+            ("int", 4, {"n_phi": 20}),
+            ("int", 4, {"n_radial": 9}),
+            ("half", Fraction(7, 2), {"n_phi": 11, "n_radial": 3}),
+            ("int", 33, {}),  # two_j_max 66, past the cap
+            ("half", Fraction(65, 2), {}),
+        ],
+    )
+    def test_explicit_or_oversize_grids_are_never_stored_or_read(
+        self, sector, j_max, grid, monkeypatch
+    ):
+        f = lambda y, phi: calZ(SpinIndex(3, 1) if sector == "half" else SpinIndex(4, 2), (y, phi))
+        monkeypatch.setattr(transform, "_PLANS", {})
+        analyze(f, sector, j_max)
+        default = dict(transform._PLANS)
+        calls = count_plan_streams(monkeypatch)
+        blocks = [analyze(f, sector, j_max, **grid) for _ in range(3)]
+        assert len(calls) == 3
+        assert transform._PLANS == default
+        monkeypatch.setattr(transform, "_PLANS", {})
+        assert all(block == analyze(f, sector, j_max, **grid) for block in blocks)
+        assert transform._PLANS == {}
+
+    def test_stored_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(transform, "_PLANS", {})
+        for sector, j_max in (("int", 0), ("int", 3), ("half", Fraction(5, 2)), ("half", 6)):
+            analyze(lambda y, phi: np.exp(-y) + 0 * phi, sector, j_max)
+        assert len(transform._PLANS) == 4
+        for plan in transform._PLANS.values():
+            assert isinstance(plan[2], tuple)
+            for array in plan_arrays(plan):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    def test_the_store_keeps_default_grids_up_to_its_cap_only(self, monkeypatch):
+        monkeypatch.setattr(transform, "_PLANS", {})
+        calls = count_plan_streams(monkeypatch)
+        cap = transform._PLAN_TWO_J_MAX
+        f = lambda y, phi: np.exp(-y) + 0 * phi
+        for _ in range(2):
+            for two_j_max in (cap - 1, cap, cap + 1, cap + 2):
+                analyze(f, "int", Fraction(two_j_max, 2))
+        assert [args[1] for args in calls] == [cap - 1, cap, cap + 1, cap + 2, cap + 1, cap + 2]
+        assert sorted(key[:2] for key in transform._PLANS) == [("int", cap - 1), ("int", cap)]
+        # Every default grid up to the cap, in both sectors: at most 11.5 MB,
+        # and 5.8 MB for the grids of each sector's own j_max.
+        sizes = {}
+        for sector in ("int", "half"):
+            for two_j_max in range(cap + 1):
+                phis, x, _ = _plane_grid(Fraction(two_j_max, 2), None, None)
+                plan = transform._plan(sector, two_j_max, phis, x)
+                sizes[sector, two_j_max] = sum(a.nbytes for a in plan_arrays(plan))
+        assert len(transform._PLANS) == 2 * (cap + 1)
+        assert sum(sizes.values()) < 11.5e6
+        own = [size for (sector, t), size in sizes.items() if (sector == "half") == (t % 2 == 1)]
+        assert sum(own) < 5.85e6
+
 SYNTH_BLOCKS = [
     random_block("int", 6, seed=11),
     random_block("half", Fraction(11, 2), seed=12),
@@ -1005,7 +1133,8 @@ class TestRandomBlock:
         assert len(block.items()) == len(block.labels()) == 6
 
     @pytest.mark.parametrize(
-        "sector, j_max, seed", [("int", 6, 11), ("half", Fraction(11, 2), 12)]
+        "sector, j_max, seed",
+        [("int", 6, 11), ("half", Fraction(11, 2), 12), ("half", Fraction(5, 2), np.int64(7))],
     )
     def test_matches_one_draw_per_label(self, sector, j_max, seed):
         rng = np.random.default_rng(seed)

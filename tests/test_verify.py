@@ -131,6 +131,8 @@ def test_j_max_that_is_no_half_integer_rejected(j_max):
 def test_seed_that_is_no_nonnegative_integer_rejected(seed):
     with pytest.raises(DomainError, match="seed"):
         run_suite("transform", j_max=1, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        transform.random_block("int", 1, seed=seed)
 
 
 def test_json_shape(full_report):
