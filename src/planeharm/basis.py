@@ -49,6 +49,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -115,6 +116,10 @@ class PlanePoint:
     phi: float
 
     def __post_init__(self):
+        for name in ("y", "phi"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise DomainError(f"need a real {name}, got {type(value).__name__} {value!r}")
         if not self.y >= 0.0:
             raise DomainError(f"need y >= 0, got y={self.y}")
         if not (-math.pi <= self.phi <= math.pi):

@@ -103,6 +103,9 @@ def _emit_table(columns, rows, fmt) -> None:
 def _y_grid(args) -> np.ndarray:
     if args.y_steps < 1:
         raise DomainError(f"--y-steps must be at least 1, got {args.y_steps}")
+    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value}")
     if args.y_min < 0:
         raise DomainError(f"--y-min must be nonnegative, got {args.y_min}")
     if args.y_max < args.y_min:

@@ -27,13 +27,17 @@ of the default grid of each (sector, two_j_max) with two_j_max <= 64 is
 built once per process and kept read-only, keyed on the sector, two_j_max
 and the bytes of the grid's angles and nodes: at most 0.3 MB a grid, 5.8 MB
 for the grids of each sector's own j_max and 11.5 MB for every (sector,
-two_j_max) up to the cap.  So only a repeated default-grid analyze in one
-process reuses it; a grid of other sizes or a larger two_j_max builds the
-small parts per call and streams its rows, as a one-shot analyze does.
-synthesize runs the recurrence once over its P radial points and picks one
-of two sums from n_phi alone.  With few angles, at each step the coefficients with
-e^(+-i m phi) and the sign s_m folded in form a real (2 n_phi, |m|) matrix,
-and one matrix product adds the step to every angle, in O(j_max^2 n_phi P)
+two_j_max) up to the cap.  A grid of other sizes or a larger two_j_max
+builds the small parts once per call and streams its rows.  synthesize
+runs the recurrence once over its P radial points, unless those points and
+angles are a stored grid and its top multiplet is that plan's two_j_max:
+then it reads the plan's rows, the same recurrence on the same inputs.
+analyze takes its plan before it samples f, so a default-grid round trip
+analyze(as_function(b)) up to the cap runs the recurrence once cold and
+not at all warm.  synthesize picks one of two sums from n_phi alone.
+With few angles, at each step the coefficients with e^(+-i m phi) and the
+sign s_m folded in form a real (2 n_phi, |m|) matrix, and one matrix
+product adds the step to every angle, in O(j_max^2 n_phi P)
 time; the fold is built a few steps at a time, never as a whole
 (steps, n_phi, |m|) tensor.  With many angles (_RADIAL_FIRST_ANGLES), each
 step adds its rows, times their coefficients, into one radial sum
@@ -358,12 +362,14 @@ def _analyze(f, sector, j_max, n_phi, n_radial):
     """analyze's block, with the samples and lifted radial weights it used."""
     two_j_max = _block_size(sector, j_max)[0]
     phis, x, w = _plane_grid(Fraction(two_j_max, 2), n_phi, n_radial)
+    # The plan first: a stored one is there for f, if f synthesizes on this grid.
+    plan = _plan(sector, two_j_max, phis, x)
     samples = _sample_grid(f, x, phis)
-    values = _project(samples[None], sector, two_j_max, phis, x, w)[0]
+    values = _project(samples[None], sector, two_j_max, phis, x, w, plan)[0]
     return object.__new__(CoefficientBlock)._finish(sector, two_j_max, values), samples, w
 
 
-def _project(samples, sector: str, two_j_max: int, phis, x, w) -> np.ndarray:
+def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.ndarray:
     """The coefficient arrays, in block order, of a stack of sample grids.
 
     samples has shape (B, n_phi, n_radial), on the grid of _plane_grid
@@ -371,12 +377,12 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w) -> np.ndarray:
     (B, labels).  analyze is the case B = 1, and each of B functions gets
     the coefficients analyze gives it, bit for bit: every product and sum
     below acts on each function's samples alone.  What depends on the grid
-    alone comes from _plan, stored for a default grid up to
-    _PLAN_TWO_J_MAX and built per call otherwise; the contraction is the
+    alone is plan, or _plan's if plan is None: stored for a default grid up
+    to _PLAN_TWO_J_MAX and built per call otherwise; the contraction is the
     same either way, so a stored plan leaves every coefficient as it was.
     Samples past the double range leave coefficients that are not finite.
     """
-    angular, signs, rows, source = _plan(sector, two_j_max, phis, x)
+    angular, signs, rows, source = plan or _plan(sector, two_j_max, phis, x)
     count, n_m = len(samples), len(signs)
     if rows is None:
         rows = _radial_rows(_sector_ladder(sector, two_j_max), two_j_max, x)
@@ -415,9 +421,11 @@ def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
     plan of a grid of the default sizes (analyze's default grid) with
     two_j_max <= _PLAN_TWO_J_MAX is built once per process, kept read-only
     and keyed on every input it is built from; any other grid gets rows
-    None, for _project to stream them.
+    None, for _project to stream them.  synthesize reads the rows of a
+    stored plan under the same key, for a block whose top multiplet is
+    two_j_max on that grid.
     """
-    key = (sector, two_j_max, phis.tobytes(), x.tobytes())
+    key = _plan_key(sector, two_j_max, phis, x)
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
@@ -445,6 +453,11 @@ def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
     return angular, signs, rows, source
 
 
+def _plan_key(sector: str, two_j_max: int, phis, x) -> tuple:
+    """The _PLANS key of a grid: every input its plan is built from."""
+    return sector, two_j_max, phis.tobytes(), x.tobytes()
+
+
 # Entries (step x angle x |m|) of the coefficient fold built at once, so a
 # grid of many angles never holds the whole (steps, n_phi, |m|) tensor.
 _FOLD_ENTRIES = 2**12
@@ -460,29 +473,35 @@ _RADIAL_FIRST_ANGLES = 48
 def synthesize(block: CoefficientBlock, point):
     """Evaluate the expansion sum of c_jm calZ_j^m at a point or a grid.
 
-    ``point`` is a PlanePoint or a (y, phi) pair of scalars or arrays that
-    broadcast as a grid: on every axis one of them has size 1, so y of
+    ``point`` is a PlanePoint or a (y, phi) pair of real scalars or arrays
+    that broadcast as a grid: on every axis one of them has size 1, so y of
     shape (P, 1) with phi of shape (1, A) gives a (P, A) result.  Anything
-    else raises DomainError, and so does a phi that is not finite.  The
-    result has the broadcast shape, and a scalar pair gives a complex.  An
-    empty block evaluates to zero.
+    else, complex or non-numeric values included, raises DomainError, and
+    so does a phi that is not finite.  The result has the broadcast shape,
+    and a scalar pair gives a complex.  An empty block evaluates to zero.
 
-    The per-m radial recurrence runs once over y's own points, and the
-    number of angles n_phi picks how each step is summed.  With few angles
-    the coefficients of step k, with e^(+-i m phi) and the sign s_m folded
-    in, form a real (2 n_phi, n_k) matrix, and the step adds one
-    (2 n_phi x n_k) @ (n_k x P) product: O(j_max^2 n_phi P) in all.  With
-    many angles each step adds its rows, times their coefficients, into the
-    radial sums R_(+-|m|)(y) of its m, and two (n_phi x |m|) @ (|m| x P)
-    products, one per sign of m, give the grid at the end: O(j_max^2 P +
-    j_max n_phi P) in all.
+    The per-m radial recurrence runs once over y's own points, or not at
+    all where they and the angles form a grid whose rows analyze has
+    stored (see _plan), and the number of angles n_phi picks how each step
+    is summed.  With few angles the coefficients of step k, with
+    e^(+-i m phi) and the sign s_m folded in, form a real (2 n_phi, n_k)
+    matrix, and the step adds one (2 n_phi x n_k) @ (n_k x P) product:
+    O(j_max^2 n_phi P) in all.  With many angles each step adds its rows,
+    times their coefficients, into the radial sums R_(+-|m|)(y) of its m,
+    and two (n_phi x |m|) @ (|m| x P) products, one per sign of m, give the
+    grid at the end: O(j_max^2 P + j_max n_phi P) in all.
     """
     if isinstance(point, PlanePoint):
         y, phi = point.y, point.phi
     else:
-        y, phi = point
-    y_arr = np.asarray(y, dtype=float)
-    phi_arr = _finite_phi(phi)
+        try:
+            y, phi = point
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"point must be a PlanePoint or a (y, phi) pair, got {type(point).__name__} {point!r}"
+            ) from None
+    y_arr = _real_array("y", y)
+    phi_arr = _finite_phi(_real_array("phi", phi))
     ndim = max(y_arr.ndim, phi_arr.ndim)
     y_shape = (1,) * (ndim - y_arr.ndim) + y_arr.shape
     phi_shape = (1,) * (ndim - phi_arr.ndim) + phi_arr.shape
@@ -505,7 +524,10 @@ def synthesize(block: CoefficientBlock, point):
         by_sign = keep * block._values[slots]
         by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
         phase = np.exp(0.5j * phis * ladder)
-        stream = _radial_rows(ladder.tolist(), top, flat)
+        # On analyze's default grid its stored plan holds these very rows:
+        # the same ladder, top and points, so the same recurrence output.
+        plan = _PLANS.get(_plan_key(block.sector, top, phis, flat))
+        stream = _radial_rows(ladder.tolist(), top, flat) if plan is None else plan[2]
         if phis.size < _RADIAL_FIRST_ANGLES:
             out = _sum_by_step(by_sign, phase, stream, flat.size)
         else:
@@ -518,6 +540,17 @@ def synthesize(block: CoefficientBlock, point):
     out = out.transpose([i for t in range(ndim) for i in (t, ndim + t)])
     out = out.reshape(np.broadcast_shapes(y_shape, phi_shape))
     return out if out.ndim else complex(out)
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array, else DomainError naming it: complex or not a number."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind != "c":
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{name} must be real, got {type(value).__name__} {value!r}")
 
 
 def _sum_by_step(by_sign, phase, stream, size):
@@ -553,8 +586,9 @@ def as_function(block: CoefficientBlock) -> Callable:
     """The expansion as a callable f(y, phi) suitable for analyze.
 
     It calls synthesize, so y and phi may be scalars or arrays that broadcast
-    as a grid; analyze's single (1, n_radial) x (n_phi, 1) call costs one run
-    of the radial recurrence.
+    as a grid.  analyze's single (1, n_radial) x (n_phi, 1) call costs one run
+    of the radial recurrence, or none on a default grid up to the cap, whose
+    plan analyze has stored before it calls f.
     """
     return lambda y, phi: synthesize(block, (y, phi))
 

@@ -55,6 +55,15 @@ def test_plane_point_domain():
         PlanePoint(-0.1, 0.0)
     with pytest.raises(DomainError):
         PlanePoint(1.0, 3.5)
+    for y, phi, name in [
+        (1j, 0.0, "y"),
+        ("a", 0.0, "y"),
+        (None, 0.0, "y"),
+        (1.0, 1j, "phi"),
+        (1.0, np.array([0.5]), "phi"),
+    ]:
+        with pytest.raises(DomainError, match=f"need a real {name}, got"):
+            PlanePoint(y, phi)
 
 
 def test_sector_labels_counts_and_order():

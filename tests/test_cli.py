@@ -234,6 +234,21 @@ class TestTransform:
             want = synthesize(block, (y, phi))
             assert abs(complex(re, im) - want) <= 1e-14 * max(1.0, abs(want))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bound", ["--y-max=inf", "--y-max=nan", "--y-min=nan", "--y-min=-inf", "--y-min=inf"]
+    )
+    def test_non_finite_y_bound_is_a_domain_error_naming_the_flag(self, bound):
+        block = random_block("int", 3, seed=1)
+        flag, value = bound.split("=")
+        for args in (
+            ("transform", "--mode", "synthesize"),
+            ("eval", "--what", "laguerre", "--n", "1", "--alpha", "0"),
+        ):
+            code, out, err = run_cli(*args, bound, stdin_text=block.to_json())
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag} must be finite, got {float(value)}\n"
+
     def test_schema_violation_names_field(self):
         bad = json.dumps({
             "sector": "int",

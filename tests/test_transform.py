@@ -871,6 +871,96 @@ class TestAnalyzePlan:
         own = [size for (sector, t), size in sizes.items() if (sector == "half") == (t % 2 == 1)]
         assert sum(own) < 5.85e6
 
+    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
+    def test_a_default_grid_roundtrip_streams_once_cold_and_never_warm(
+        self, sector, j_max, monkeypatch
+    ):
+        # synthesize reads the rows analyze's plan stored for the grid.
+        block = random_block(sector, j_max, seed=5)
+        monkeypatch.setattr(transform, "_PLANS", {})
+        calls = count_plan_streams(monkeypatch)
+        cold = analyze(as_function(block), sector, j_max)
+        assert len(calls) == 1
+        warm = analyze(as_function(block), sector, j_max)
+        assert len(calls) == 1
+        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)  # every grid streams
+        monkeypatch.setattr(transform, "_PLANS", {})
+        streamed = analyze(as_function(block), sector, j_max)
+        assert len(calls) == 3
+        assert cold._values.tobytes() == warm._values.tobytes() == streamed._values.tobytes()
+
+    def test_a_roundtrip_above_the_cap_streams_both_halves(self, monkeypatch):
+        block = random_block("int", 40, seed=5)
+        monkeypatch.setattr(transform, "_PLANS", {})
+        calls = count_plan_streams(monkeypatch)
+        for _ in range(2):
+            analyze(as_function(block), "int", 40)
+        assert len(calls) == 4
+        assert transform._PLANS == {}
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            random_block("int", 20, seed=6),
+            # sparse: the top multiplet, j = 18, lies below two_j_max
+            CoefficientBlock("int", 20, {(0, 0): 0.5, (10, -4): 1j, (36, 36): -2.0}),
+            # half sector at integer j_max: the top multiplet is j = 7/2
+            random_block("half", 4, seed=7),
+            random_block("half", Fraction(39, 2), seed=8),
+        ],
+        ids=["dense-int-20", "sparse-int-20", "half-at-integer-4", "dense-half-39/2"],
+    )
+    def test_synthesize_gives_the_same_bytes_from_an_empty_store_a_full_one_and_none(
+        self, block, monkeypatch
+    ):
+        phis, x, _ = _plane_grid(block.j_max, None, None)
+        points = {
+            "grid": (x[None, :], phis[:, None]),
+            "transposed": (x[:, None], phis[None, :]),
+            "nodes-one-ulp-off": (np.nextafter(x, np.inf)[None, :], phis[:, None]),
+            "angles-one-ulp-off": (x[None, :], np.nextafter(phis, np.inf)[:, None]),
+        }
+        # Only a dense block at its own top reads the plan; the others stream.
+        top_is_j_max = block.get(block.two_j_max, block.two_j_max) != 0
+        reads = {"grid": top_is_j_max, "transposed": top_is_j_max}
+
+        def outputs():
+            return {name: synthesize(block, point).tobytes() for name, point in points.items()}
+
+        monkeypatch.setattr(transform, "_PLANS", {})
+        empty = outputs()
+        analyze(lambda y, phi: np.exp(-y) + 0 * phi, block.sector, block.j_max)
+        assert len(transform._PLANS) == 1
+        calls = count_plan_streams(monkeypatch)
+        for name, point in points.items():
+            calls.clear()
+            assert synthesize(block, point).tobytes() == empty[name], name
+            assert len(calls) == (0 if reads.get(name) else 1), name
+        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)
+        monkeypatch.setattr(transform, "_PLANS", {})
+        assert outputs() == empty
+        assert transform._PLANS == {}
+
+    @pytest.mark.parametrize("grid", [{"n_phi": 20}, {"n_radial": 9}, {}])
+    def test_analyze_builds_one_plan_per_call(self, grid, monkeypatch):
+        # A grid that is not stored gets its angular matrix, s_m column and
+        # gather index once, before f is sampled and not again to project.
+        built = []
+        plan = transform._plan
+
+        def spy(*args):
+            built.append(args[:2])
+            return plan(*args)
+
+        monkeypatch.setattr(transform, "_plan", spy)
+        monkeypatch.setattr(transform, "_PLANS", {})
+        f = as_function(random_block("int", 4, seed=9))
+        analyze(f, "int", 4, **grid)
+        assert built == [("int", 8)]
+        parseval_gap(f, "int", 4, **grid)
+        assert built == [("int", 8)] * 2
+
+
 SYNTH_BLOCKS = [
     random_block("int", 6, seed=11),
     random_block("half", Fraction(11, 2), seed=12),
@@ -975,6 +1065,37 @@ class TestSynthesize:
             synthesize(block, (1.0, phi))
         with pytest.raises(DomainError, match=rf"phi={bad}$"):
             synthesize(block, (np.array([0.5, 1.0])[:, None], phi))
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((1 + 1j, 0.0), "y must be real, got complex"),
+            ((np.array([1.0 + 0j]), 0.0), "y must be real, got ndarray"),
+            (([1.0, "a"], 0.0), "y must be real, got list"),
+            ((1.0, "x"), "phi must be real, got str 'x'"),
+            ((1.0, 1j), "phi must be real, got complex"),
+            (1.0, "a PlanePoint or a .y, phi. pair, got float 1.0"),
+            ((1.0,), r"a PlanePoint or a .y, phi. pair, got tuple \(1.0,\)"),
+            (None, "a PlanePoint or a .y, phi. pair, got NoneType None"),
+            ((0.5, 1.0, 2.0), "a PlanePoint or a .y, phi. pair, got tuple"),
+        ],
+    )
+    def test_a_point_that_is_no_real_pair_is_a_domain_error(self, point, message):
+        block = random_block("int", 3, seed=2)
+        with pytest.raises(DomainError, match=message):
+            synthesize(block, point)
+
+    def test_real_points_of_any_numeric_type_keep_their_values(self):
+        block = random_block("half", Fraction(7, 2), seed=3)
+        want = synthesize(block, (2.5, 0.5))
+        for point in [
+            (np.float64(2.5), np.float32(0.5)),
+            (Fraction(5, 2), 0.5),
+            (np.array(2.5), [0.5]),
+            PlanePoint(np.float64(2.5), Fraction(1, 2)),
+        ]:
+            got = synthesize(block, point)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), point
 
     def test_y_and_phi_must_form_a_grid(self):
         block = random_block("int", 2, seed=1)
