@@ -176,9 +176,34 @@ def _sign(two_m: int) -> float:
     return -1.0 if (two_m > 0 and two_m % 2) else 1.0
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array, else DomainError naming it: complex or not a number."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind != "c":
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{name} must be real, got {type(value).__name__} {value!r}")
+
+
+def _point_parts(point) -> tuple:
+    """The y and phi of a PlanePoint or a (y, phi) pair, else DomainError."""
+    if isinstance(point, PlanePoint):
+        return point.y, point.phi
+    try:
+        y, phi = point
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"point must be a PlanePoint or a (y, phi) pair, got {type(point).__name__} {point!r}"
+        ) from None
+    return y, phi
+
+
 def _finite_phi(phi) -> np.ndarray:
-    """phi as a float array, else DomainError naming the first angle that is not finite."""
-    phi = np.asarray(phi, dtype=float)
+    """phi as a float array, else DomainError naming it if it is not real, or
+    the first angle that is not finite."""
+    phi = _real_array("phi", phi)
     bad = ~np.isfinite(phi)
     if bad.any():
         raise DomainError(f"need a finite phi, got phi={float(phi[bad][0])}")
@@ -433,14 +458,15 @@ def _radial_column(labels, ys, order: int, targets: bool = False) -> _Column:
 def _label_column(s: SpinIndex, y, order: int) -> _Column:
     """The _Column of one label at y, flattened, from one kernel call: the
     one-label case of _radial_column."""
-    return _radial_column([s], np.asarray(y, dtype=float).reshape(-1), order)
+    return _radial_column([s], _real_array("y", y).reshape(-1), order)
 
 
 def calL(s: SpinIndex, y):
     """Normalized radial function calL_j^m at y >= 0.
 
     Orthonormal on the half-line at fixed m:
-    integral(0..inf) calL_j^m calL_j'^m dy = delta_{j j'}.
+    integral(0..inf) calL_j^m calL_j'^m dy = delta_{j j'}.  A complex or
+    non-numeric y raises DomainError.
     """
     val = _label_column(s, y, 0).jet[0].reshape(np.shape(y))
     return val if val.ndim else float(val)
@@ -450,6 +476,7 @@ def calL_deriv(s: SpinIndex, y, order: int = 1):
     """calL_j^m (order 0, y >= 0) or its first or second y-derivative (y > 0).
 
     The derivatives are in closed form on the radial rows; see _radial_column.
+    A complex or non-numeric y raises DomainError.
     """
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1, or 2, got {order}")
@@ -463,13 +490,11 @@ def calZ(s: SpinIndex, point) -> complex:
     ``point`` is a PlanePoint or a (y, phi) pair; y and phi may be ndarrays
     that broadcast against each other, such as y of shape (1, P) and phi of
     shape (A, 1), and the result then has the broadcast shape.  Half-integer
-    m gives the antiperiodic (double cover) phase.  A phi that is not finite
-    raises DomainError.
+    m gives the antiperiodic (double cover) phase.  A point that is no pair,
+    a complex or non-numeric y or phi, and a phi that is not finite raise
+    DomainError.
     """
-    if isinstance(point, PlanePoint):
-        y, phi = point.y, point.phi
-    else:
-        y, phi = point
+    y, phi = _point_parts(point)
     m = 0.5 * s.two_m
     val = calL(s, y) * np.exp(1j * m * _finite_phi(phi))
     return val if getattr(val, "ndim", 0) else complex(val)
@@ -498,9 +523,10 @@ def ode_residual(s: SpinIndex, y):
     """Defect of the radial differential equation at y > 0.
 
     Evaluates [y d2/dy2 + d/dy - m^2/y - y/4 + j + 1/2] calL_j^m, which is
-    identically zero in exact arithmetic.
+    identically zero in exact arithmetic.  A complex or non-numeric y raises
+    DomainError.
     """
-    y = np.asarray(y, dtype=float)
+    y = _real_array("y", y)
     if np.any(y <= 0):
         raise DomainError("ode_residual needs y > 0")
     val = _ode_on_jet(_label_column(s, y, 2)).reshape(y.shape)

@@ -16,22 +16,24 @@ one k at a time, and keeps large labels finite.  Both work on a grid of
 n_phi angles times P radial points, the layout of fast spherical transforms
 (Schaeffer, G3 14, 2013): an equispaced sum over angle times a Gauss rule
 in y.  analyze calls f once on the whole (phi, y) grid, projects the samples
-onto e^(-+i|m|phi) with one matrix product, contracts each step's rows with
-both signs' weighted projections at once, and places all the sums in the
-block at the end, in O(j_max^2 P + j_max n_phi P) time.  Its projection,
-_project, takes a stack of sample grids and gives each the coefficients
-analyze would, so many functions share one run of the recurrence.  What the
-projection derives from the grid alone (the angular matrix, the s_m column,
-the radial rows of every step and the gather index) is its plan.  The plan
-of the default grid of each (sector, two_j_max) with two_j_max <= 64 is
-built once per process and kept read-only, keyed on the sector, two_j_max
-and the bytes of the grid's angles and nodes: at most 0.3 MB a grid, 5.8 MB
-for the grids of each sector's own j_max and 11.5 MB for every (sector,
-two_j_max) up to the cap.  A grid of other sizes or a larger two_j_max
-builds the small parts once per call and streams its rows.  synthesize
-runs the recurrence once over its P radial points, unless those points and
-angles are a stored grid and its top multiplet is that plan's two_j_max:
-then it reads the plan's rows, the same recurrence on the same inputs.
+onto e^(-+i|m|phi) with one matrix product, contracts the rows of a block
+of consecutive steps (_row_blocks) with both signs' weighted projections
+at once, one batched real matrix product per |m|, and places all the sums
+in the block at the end, in O(j_max^2 P + j_max n_phi P) time.  Its
+projection, _project, takes a stack of sample grids and gives each the
+coefficients analyze would, so many functions share one run of the
+recurrence.  What the projection derives from the grid alone (the angular
+matrix, the s_m column, the radial rows of every step and the gather
+index) is its plan.  The plan of the default grid of each (sector,
+two_j_max) with two_j_max <= 64 is built once per process and kept
+read-only, keyed on the sector, two_j_max and the bytes of the grid's
+angles and nodes: at most 0.3 MB a grid, 5.8 MB for the grids of each
+sector's own j_max and 11.5 MB for every (sector, two_j_max) up to the
+cap.  A grid of other sizes or a larger two_j_max builds the small parts
+once per call and streams its rows.  synthesize runs the recurrence once
+over its P radial points, unless those points and angles are a stored grid
+and its top multiplet is that plan's two_j_max: then it reads the plan's
+rows and its e^(i|m|phi) matrix, the same computations on the same inputs.
 analyze takes its plan before it samples f, so a default-grid round trip
 analyze(as_function(b)) up to the cap runs the recurrence once cold and
 not at all warm.  synthesize picks one of two sums from n_phi alone.
@@ -39,11 +41,13 @@ With few angles, at each step the coefficients with e^(+-i m phi) and the
 sign s_m folded in form a real (2 n_phi, |m|) matrix, and one matrix
 product adds the step to every angle, in O(j_max^2 n_phi P)
 time; the fold is built a few steps at a time, never as a whole
-(steps, n_phi, |m|) tensor.  With many angles (_RADIAL_FIRST_ANGLES), each
-step adds its rows, times their coefficients, into one radial sum
-R_(+-|m|)(y) per m, and one (n_phi x |m|) @ (|m| x P) product per sign of
-m gives the grid at the end, in O(j_max^2 P + j_max n_phi P) time.  Memory
-stays O(n_phi P + j_max (n_phi + P)) on both paths.
+(steps, n_phi, |m|) tensor.  With many angles (_RADIAL_FIRST_ANGLES), the
+rows, times their coefficients, go a block of steps at a time into one
+radial sum R_(+-|m|)(y) per m, one batched real product per |m| and block,
+and one (n_phi x |m|) @ (|m| x P) product per sign of m gives the grid at
+the end, in O(j_max^2 P + j_max n_phi P) time.  A block of rows holds at
+most _FOLD_ENTRIES entries, or one step if that step alone holds more, so
+memory stays O(n_phi P + j_max (n_phi + P)) on both paths.
 
 Blocks serialize to a flat JSON document::
 
@@ -65,11 +69,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .basis import _as_cap, _as_half_integer, _finite_phi
+from .basis import _as_cap, _as_half_integer, _finite_phi, _point_parts, _real_array
 
 # calL is bound here only for perfbench/selftest.py, which checks that
 # tracing leaves transform.calL and basis.calL the same object.
-from .basis import PlanePoint, SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
+from .basis import SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
 from .errors import DomainError, SchemaError, _as_int
 from .quadrature import _grid_sizes, _plane_grid, _sample_grid
 from .rotation import RotationSpec, rotation_matrix
@@ -380,7 +384,9 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
     alone is plan, or _plan's if plan is None: stored for a default grid up
     to _PLAN_TWO_J_MAX and built per call otherwise; the contraction is the
     same either way, so a stored plan leaves every coefficient as it was.
-    Samples past the double range leave coefficients that are not finite.
+    The blocks of rows (_row_blocks) do not depend on B, so neither do the
+    products.  Samples past the double range leave coefficients that are
+    not finite.
     """
     angular, signs, rows, source = plan or _plan(sector, two_j_max, phis, x)
     count, n_m = len(samples), len(signs)
@@ -393,11 +399,17 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
         # its radial function.
         proj = w * (angular @ samples) / phis.size
         proj[0] *= signs
-        # Function and sign on one axis, so each step is one 3-D product.
+        # One real matrix per |m|, its rows the real parts, then the
+        # imaginary parts, of every (function, sign) projection: indexed by
+        # (|m|, part, point), so a block of steps is one batched product.
         proj = proj.swapaxes(0, 1).reshape(2 * count, n_m, x.size)
-        sums = np.zeros((2 * count, n_m, n_m), dtype=complex)  # (function and sign, step, |m|)
-        for k, step in enumerate(rows):
-            sums[:, k, : len(step)] = (proj[:, : len(step)] * step).sum(-1)
+        proj = np.concatenate([proj.real, proj.imag]).swapaxes(0, 1)
+        sums = np.zeros((n_m, 4 * count, n_m))  # (|m|, part, step)
+        for k, block in _row_blocks(rows, n_m, x.size):
+            n, s = block.shape[:2]
+            sums[:n, :, k : k + s] = proj[:n] @ block.swapaxes(1, 2)
+        # (function and sign, step, |m|), as the gather index reads it.
+        sums = (sums[:, : 2 * count] + 1j * sums[:, 2 * count :]).transpose(1, 2, 0)
     return sums.reshape(count, 2 * n_m * n_m).take(source, axis=1)
 
 
@@ -458,9 +470,38 @@ def _plan_key(sector: str, two_j_max: int, phis, x) -> tuple:
     return sector, two_j_max, phis.tobytes(), x.tobytes()
 
 
-# Entries (step x angle x |m|) of the coefficient fold built at once, so a
-# grid of many angles never holds the whole (steps, n_phi, |m|) tensor.
+# Entries of the coefficient fold (step x angle x |m|) or of a block of
+# radial rows (|m| x step x point) built at once, so a grid of many angles
+# or points never holds a whole (steps, n_phi, |m|) or (|m|, steps, P)
+# tensor.
 _FOLD_ENTRIES = 2**12
+
+
+def _row_blocks(stream, steps: int, size: int):
+    """The rows of a steps-step radial stream over size points, a block of
+    consecutive steps at a time.
+
+    stream yields step k's (n_k, size) rows, n_k not increasing, as
+    _radial_rows does or a stored plan holds them.  Yields (k, block): block
+    has shape (n_k, s, size) and holds steps k .. k + s - 1, block[i, t]
+    being row i of step k + t, or exact zeros past that step's last row.  A
+    block holds at most _FOLD_ENTRIES entries, or one step if that step
+    alone holds more, and the blocks take every step once, in order.
+    """
+    stream = iter(stream)
+    k = 0
+    for first in stream:
+        n = len(first)
+        s = min(steps - k, max(1, _FOLD_ENTRIES // max(1, n * size)))
+        if s == 1:  # a lone step has no padding: its rows, not a copy
+            block = first[:, None]
+        else:
+            block = np.zeros((n, s, size))
+            block[:, 0] = first
+            for t, rows in zip(range(1, s), stream):
+                block[: len(rows), t] = rows
+        yield k, block
+        k += s
 
 # From this many angles on, synthesize sums each m's radial series first and
 # takes its angular products once at the end; below it, every step reaches
@@ -481,27 +522,20 @@ def synthesize(block: CoefficientBlock, point):
     and a scalar pair gives a complex.  An empty block evaluates to zero.
 
     The per-m radial recurrence runs once over y's own points, or not at
-    all where they and the angles form a grid whose rows analyze has
-    stored (see _plan), and the number of angles n_phi picks how each step
-    is summed.  With few angles the coefficients of step k, with
+    all where they and the angles form a grid whose rows and phases
+    analyze has stored (see _plan), and the number of angles n_phi picks
+    how the steps are summed.  With few angles the coefficients of step k, with
     e^(+-i m phi) and the sign s_m folded in, form a real (2 n_phi, n_k)
     matrix, and the step adds one (2 n_phi x n_k) @ (n_k x P) product:
-    O(j_max^2 n_phi P) in all.  With many angles each step adds its rows,
-    times their coefficients, into the radial sums R_(+-|m|)(y) of its m,
-    and two (n_phi x |m|) @ (|m| x P) products, one per sign of m, give the
-    grid at the end: O(j_max^2 P + j_max n_phi P) in all.
+    O(j_max^2 n_phi P) in all.  With many angles the rows, times their
+    coefficients, go a block of steps at a time into the radial sums
+    R_(+-|m|)(y) of each m, and two (n_phi x |m|) @ (|m| x P) products, one
+    per sign of m, give the grid at the end: O(j_max^2 P + j_max n_phi P)
+    in all.
     """
-    if isinstance(point, PlanePoint):
-        y, phi = point.y, point.phi
-    else:
-        try:
-            y, phi = point
-        except (TypeError, ValueError):
-            raise DomainError(
-                f"point must be a PlanePoint or a (y, phi) pair, got {type(point).__name__} {point!r}"
-            ) from None
+    y, phi = _point_parts(point)
     y_arr = _real_array("y", y)
-    phi_arr = _finite_phi(_real_array("phi", phi))
+    phi_arr = _finite_phi(phi)
     ndim = max(y_arr.ndim, phi_arr.ndim)
     y_shape = (1,) * (ndim - y_arr.ndim) + y_arr.shape
     phi_shape = (1,) * (ndim - phi_arr.ndim) + phi_arr.shape
@@ -510,7 +544,7 @@ def synthesize(block: CoefficientBlock, point):
             f"y of shape {y_arr.shape} and phi of shape {phi_arr.shape} do not form "
             "a grid: on every axis one of them must have size 1"
         )
-    flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1, 1)
+    flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1)
     if np.any(block._values):
         # The recurrence stops at the top multiplet with a nonzero entry.
         ladder = np.array(_sector_ladder(block.sector, block.two_j_max))
@@ -523,15 +557,19 @@ def synthesize(block: CoefficientBlock, point):
         slots = np.where(keep, [_index(two_j, ladder), _index(two_j, -ladder)], 0)
         by_sign = keep * block._values[slots]
         by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
-        phase = np.exp(0.5j * phis * ladder)
-        # On analyze's default grid its stored plan holds these very rows:
-        # the same ladder, top and points, so the same recurrence output.
+        # On analyze's default grid its stored plan holds these very rows and
+        # phases: the same recurrence on the same ladder, top and points, and
+        # its angular[1] is this product, as 0.5j * 1 is exactly 0.5j.
         plan = _PLANS.get(_plan_key(block.sector, top, phis, flat))
-        stream = _radial_rows(ladder.tolist(), top, flat) if plan is None else plan[2]
-        if phis.size < _RADIAL_FIRST_ANGLES:
-            out = _sum_by_step(by_sign, phase, stream, flat.size)
+        if plan is None:
+            phase = np.exp(0.5j * ladder[:, None] * phis)
+            stream = _radial_rows(ladder.tolist(), top, flat)
         else:
-            out = _sum_by_m(by_sign, phase, stream, flat.size)
+            phase, stream = plan[0][1, 0], plan[2]
+        if phis.size < _RADIAL_FIRST_ANGLES:
+            out = _sum_by_step(by_sign, phase.T, stream, flat.size)
+        else:
+            out = _sum_by_m(by_sign, phase.T, stream, flat.size)
     else:
         out = np.zeros((phis.size, flat.size), dtype=complex)
     # (angle, point) -> the broadcast shape: interleave phi's axes with y's,
@@ -540,17 +578,6 @@ def synthesize(block: CoefficientBlock, point):
     out = out.transpose([i for t in range(ndim) for i in (t, ndim + t)])
     out = out.reshape(np.broadcast_shapes(y_shape, phi_shape))
     return out if out.ndim else complex(out)
-
-
-def _real_array(name: str, value) -> np.ndarray:
-    """value as a float array, else DomainError naming it: complex or not a number."""
-    try:
-        array = np.asarray(value)
-        if array.dtype.kind != "c":
-            return array.astype(float, copy=False)
-    except (TypeError, ValueError):
-        pass
-    raise DomainError(f"{name} must be real, got {type(value).__name__} {value!r}")
 
 
 def _sum_by_step(by_sign, phase, stream, size):
@@ -571,15 +598,19 @@ def _sum_by_step(by_sign, phase, stream, size):
 
 def _sum_by_m(by_sign, phase, stream, size):
     """The (n_phi, size) grid from each m's radial sum over the row stream,
-    then one matrix product per sign of m."""
-    # Real and imaginary parts apart, so each step is a real product:
-    # (sign of m, re/im, step, |m|) and (sign of m, re/im, |m|, point).
-    coeffs = np.stack([by_sign.real, by_sign.imag], axis=1)
-    radial = np.zeros((2, 2, phase.shape[1], size))
-    for k, rows in enumerate(stream):
-        radial[:, :, : len(rows)] += coeffs[:, :, k, : len(rows), None] * rows
-    sums = radial[:, 0] + 1j * radial[:, 1]
-    return phase @ sums[0] + phase.conj() @ sums[1]
+    a block of steps at a time, then one matrix product per sign of m."""
+    # Real and imaginary parts apart, so each block is one real product per
+    # |m|: (|m|, sign of m and re/im, step) @ (|m|, step, point).
+    steps, n_m = by_sign.shape[1:]
+    coeffs = np.stack([by_sign.real, by_sign.imag], axis=1).reshape(4, steps, n_m)
+    coeffs = np.ascontiguousarray(coeffs.transpose(2, 0, 1))
+    radial = np.zeros((n_m, 4, size))
+    for k, block in _row_blocks(stream, steps, size):
+        n, s = block.shape[:2]
+        # One step is an outer product, which matmul's own loop does slowly.
+        radial[:n] += (np.matmul if s > 1 else np.multiply)(coeffs[:n, :, k : k + s], block)
+    sums = radial[:, 0::2] + 1j * radial[:, 1::2]  # (|m|, sign of m, point)
+    return phase @ sums[:, 0] + phase.conj() @ sums[:, 1]
 
 
 def as_function(block: CoefficientBlock) -> Callable:

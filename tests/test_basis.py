@@ -374,3 +374,41 @@ def test_plane_harmonic_rejects_a_non_finite_angle(phi):
     bad = float(np.asarray(phi).reshape(-1)[-1])
     with pytest.raises(DomainError, match=rf"phi={bad}$"):
         calZ(SpinIndex(3, -1), (1.0, phi))
+
+
+TYPED_ERROR_CALLS = {
+    "calL": lambda y: calL(SpinIndex(2, 0), y),
+    "calL_deriv": lambda y: calL_deriv(SpinIndex(2, 0), y, 1),
+    "ode_residual": lambda y: ode_residual(SpinIndex(2, 0), y),
+    "calZ": lambda y: calZ(SpinIndex(2, 0), (y, 0.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(TYPED_ERROR_CALLS))
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (np.array([1 + 1j]), "y must be real, got ndarray"),
+        (1 + 1j, r"y must be real, got complex \(1\+1j\)"),
+        ("x", "y must be real, got str 'x'"),
+    ],
+    ids=["complex-array", "complex-scalar", "string"],
+)
+def test_a_complex_or_non_numeric_y_is_a_domain_error(name, y, message):
+    with pytest.raises(DomainError, match=message):
+        TYPED_ERROR_CALLS[name](y)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ((1.0, "x"), "phi must be real, got str 'x'"),
+        ((1.0,), r"a PlanePoint or a \(y, phi\) pair, got tuple \(1.0,\)"),
+    ],
+    ids=["string-phi", "one-coordinate"],
+)
+def test_a_plane_harmonic_point_that_is_no_real_pair_is_a_domain_error(point, message):
+    with pytest.raises(DomainError, match=message):
+        calZ(SpinIndex(2, 0), point)

@@ -960,6 +960,107 @@ class TestAnalyzePlan:
         parseval_gap(f, "int", 4, **grid)
         assert built == [("int", 8)] * 2
 
+    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
+    def test_a_warm_default_grid_roundtrip_computes_no_phase(self, sector, j_max, monkeypatch):
+        # synthesize reads e^(i|m|phi) from the stored plan's angular matrix.
+        block = random_block(sector, j_max, seed=4)
+        monkeypatch.setattr(transform, "_PLANS", {})
+        analyze(as_function(block), sector, j_max)
+        calls = []
+        exp = np.exp
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        warm = analyze(as_function(block), sector, j_max)
+        assert calls == []
+        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)  # every grid streams
+        monkeypatch.setattr(transform, "_PLANS", {})
+        assert analyze(as_function(block), sector, j_max)._values.tobytes() == warm._values.tobytes()
+        assert calls
+
+
+def row_stream(sector, two_j_max, size):
+    """A stored plan's rows, or a live stream's: the per-m radial rows at size points."""
+    x = np.geomspace(1e-3, 4.0 * two_j_max + 10.0, size)
+    return lambda: transform._radial_rows(transform._sector_ladder(sector, two_j_max), two_j_max, x)
+
+
+ROW_STREAMS = {
+    "int-20": row_stream("int", 40, 22),  # analyze's default grid sizes
+    "half-39/2": row_stream("half", 39, 22),
+    "int-64": row_stream("int", 128, 66),  # early steps alone exceed the budget
+    "half-5/2-one-point": row_stream("half", 5, 1),
+    "int-3-no-points": row_stream("int", 6, 0),
+}
+
+
+class TestRowBlocks:
+    """_row_blocks: the radial rows packed a block of consecutive steps at a time."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_STREAMS))
+    @pytest.mark.parametrize("stored", [True, False], ids=["tuple", "generator"])
+    def test_blocks_take_every_step_once_in_order_padded_with_exact_zeros(self, name, stored):
+        steps = list(ROW_STREAMS[name]())
+        stream = tuple(steps) if stored else ROW_STREAMS[name]()
+        size = steps[0].shape[1]
+        k = 0
+        for start, block in transform._row_blocks(stream, len(steps), size):
+            assert start == k
+            assert block.shape[0] == len(steps[k]) and block.shape[2] == size
+            for t in range(block.shape[1]):
+                rows = steps[k + t]
+                assert block[: len(rows), t].tobytes() == rows.tobytes()
+                pad = block[len(rows) :, t]
+                assert pad.tobytes() == np.zeros_like(pad).tobytes()
+            k += block.shape[1]
+        assert k == len(steps)
+
+    @pytest.mark.parametrize("name", sorted(ROW_STREAMS))
+    @pytest.mark.parametrize("budget", [1, 100, transform._FOLD_ENTRIES, 2**16])
+    def test_no_block_exceeds_the_budget_unless_one_step_does(self, name, budget, monkeypatch):
+        monkeypatch.setattr(transform, "_FOLD_ENTRIES", budget)
+        steps = tuple(ROW_STREAMS[name]())
+        blocks = list(transform._row_blocks(steps, len(steps), steps[0].shape[1]))
+        assert sum(block.shape[1] for _, block in blocks) == len(steps)
+        for _, block in blocks:
+            assert block.size <= budget or block.shape[1] == 1
+        if budget == 1:
+            assert len(blocks) == len(steps)
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 64), ("half", Fraction(129, 2))])
+    def test_a_streamed_roundtrip_of_several_blocks_each_way(self, sector, j_max, monkeypatch):
+        # Above the plan cap both halves stream, and each contracts its rows
+        # in several blocks: synthesize's many-angle sum, then the projection.
+        counts = []
+        row_blocks = transform._row_blocks
+
+        def counted(*args):
+            counts.append(0)
+            for item in row_blocks(*args):
+                counts[-1] += 1
+                yield item
+
+        monkeypatch.setattr(transform, "_row_blocks", counted)
+        block = random_block(sector, j_max, seed=10)
+        back = analyze(as_function(block), sector, j_max)
+        assert len(counts) == 2 and min(counts) > 1
+        assert block_gap(back, block) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "sector, j_max", [("int", 20), ("half", Fraction(39, 2)), ("int", 40), ("half", 4)]
+    )
+    def test_one_step_per_block_gives_the_same_coefficients(self, sector, j_max, monkeypatch):
+        block = random_block(sector, j_max, seed=12)
+        blocked = analyze(as_function(block), sector, j_max)
+        monkeypatch.setattr(transform, "_FOLD_ENTRIES", 1)
+        monkeypatch.setattr(transform, "_PLANS", {})
+        stepwise = analyze(as_function(block), sector, j_max)
+        assert _max_gap(stepwise, blocked) <= 1e-13
+
+
 
 SYNTH_BLOCKS = [
     random_block("int", 6, seed=11),
