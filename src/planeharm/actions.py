@@ -20,7 +20,15 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import OperatorExpr
-from .basis import PlanePoint, SpinIndex, _Column, _label_column, _radial_column, calL
+from .basis import (
+    SpinIndex,
+    _Column,
+    _label_column,
+    _point_parts,
+    _radial_column,
+    _real_array,
+    calL,
+)
 from .errors import DomainError
 from .quadrature import gauss_laguerre
 
@@ -46,10 +54,12 @@ def apply_to_basis(expr: OperatorExpr, s: SpinIndex, point):
     Rightmost symbols act first: M and J become the eigenvalues m and j, D^d
     becomes the d-th derivative of the radial factor, then Y^a Yi^b
     multiplies by y^(a-b).  A phase tag t contributes e^{i (t/2) phi}.
-    ``point`` is a PlanePoint or a (y, phi) pair; y may be an ndarray.
+    ``point`` is a PlanePoint or a (y, phi) pair; y may be an ndarray.  A
+    point that is no such pair, or a complex or non-numeric y or phi,
+    raises DomainError naming it.
     """
-    y, phi = (point.y, point.phi) if isinstance(point, PlanePoint) else point
-    y, phi = np.asarray(y, dtype=float), float(phi)
+    y, phi = _point_parts(point)
+    y, phi = _real_array("y", y), float(_real_array("phi", phi))
     if np.any(y < 0):
         raise DomainError("apply_to_basis needs y >= 0")
     for mono in expr.terms:
@@ -142,8 +152,9 @@ def _first_order_on_jet(terms, col: _Column) -> np.ndarray:
 
 
 def apply_ladder(name: str, s: SpinIndex, y):
-    """Values of K+- calL_j^m at y > 0."""
-    y = np.asarray(y, dtype=float)
+    """Values of K+- calL_j^m at y > 0; a complex or non-numeric y raises
+    DomainError."""
+    y = _real_array("y", y)
     return _ladder_on_jet(name, _label_column(s, y, 1)).reshape(y.shape)
 
 
@@ -241,8 +252,9 @@ def _pair_on_jet(outer: str, inner: str, col: _Column) -> np.ndarray:
 
 
 def pair_action(outer: str, inner: str, s: SpinIndex, y):
-    """Values of K_outer K_inner calL_j^m at y > 0, tracking the intermediate label."""
-    y = np.asarray(y, dtype=float)
+    """Values of K_outer K_inner calL_j^m at y > 0, tracking the intermediate
+    label; a complex or non-numeric y raises DomainError."""
+    y = _real_array("y", y)
     return _pair_on_jet(outer, inner, _label_column(s, y, 2)).reshape(y.shape)
 
 

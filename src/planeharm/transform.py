@@ -493,13 +493,10 @@ def _row_blocks(stream, steps: int, size: int):
     for first in stream:
         n = len(first)
         s = min(steps - k, max(1, _FOLD_ENTRIES // max(1, n * size)))
-        if s == 1:  # a lone step has no padding: its rows, not a copy
-            block = first[:, None]
-        else:
-            block = np.zeros((n, s, size))
-            block[:, 0] = first
-            for t, rows in zip(range(1, s), stream):
-                block[: len(rows), t] = rows
+        block = np.zeros((n, s, size))
+        block[:, 0] = first
+        for t, rows in zip(range(1, s), stream):
+            block[: len(rows), t] = rows
         yield k, block
         k += s
 
@@ -607,8 +604,7 @@ def _sum_by_m(by_sign, phase, stream, size):
     radial = np.zeros((n_m, 4, size))
     for k, block in _row_blocks(stream, steps, size):
         n, s = block.shape[:2]
-        # One step is an outer product, which matmul's own loop does slowly.
-        radial[:n] += (np.matmul if s > 1 else np.multiply)(coeffs[:n, :, k : k + s], block)
+        radial[:n] += coeffs[:n, :, k : k + s] @ block
     sums = radial[:, 0::2] + 1j * radial[:, 1::2]  # (|m|, sign of m, point)
     return phase @ sums[:, 0] + phase.conj() @ sums[:, 1]
 

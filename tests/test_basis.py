@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from planeharm.actions import apply_ladder, apply_to_basis, pair_action
+from planeharm.algebra import build_operator
 from planeharm.basis import (
     PlanePoint,
     SpinIndex,
@@ -381,6 +383,14 @@ TYPED_ERROR_CALLS = {
     "calL_deriv": lambda y: calL_deriv(SpinIndex(2, 0), y, 1),
     "ode_residual": lambda y: ode_residual(SpinIndex(2, 0), y),
     "calZ": lambda y: calZ(SpinIndex(2, 0), (y, 0.0)),
+    "apply_ladder": lambda y: apply_ladder("K+", SpinIndex(2, 0), y),
+    "pair_action": lambda y: pair_action("K-", "K+", SpinIndex(2, 0), y),
+    "apply_to_basis": lambda y: apply_to_basis(build_operator("K3"), SpinIndex(2, 0), (y, 0.0)),
+}
+
+POINT_CALLS = {
+    "calZ": lambda point: calZ(SpinIndex(2, 0), point),
+    "apply_to_basis": lambda point: apply_to_basis(build_operator("K3"), SpinIndex(2, 0), point),
 }
 
 
@@ -401,14 +411,16 @@ def test_a_complex_or_non_numeric_y_is_a_domain_error(name, y, message):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(POINT_CALLS))
 @pytest.mark.parametrize(
     "point, message",
     [
         ((1.0, "x"), "phi must be real, got str 'x'"),
+        ((1.0, 1 + 1j), r"phi must be real, got complex \(1\+1j\)"),
         ((1.0,), r"a PlanePoint or a \(y, phi\) pair, got tuple \(1.0,\)"),
     ],
-    ids=["string-phi", "one-coordinate"],
+    ids=["string-phi", "complex-phi", "one-coordinate"],
 )
-def test_a_plane_harmonic_point_that_is_no_real_pair_is_a_domain_error(point, message):
+def test_a_plane_harmonic_point_that_is_no_real_pair_is_a_domain_error(name, point, message):
     with pytest.raises(DomainError, match=message):
-        calZ(SpinIndex(2, 0), point)
+        POINT_CALLS[name](point)
