@@ -36,7 +36,12 @@ and its top multiplet is that plan's two_j_max: then it reads the plan's
 rows and its e^(i|m|phi) matrix, the same computations on the same inputs.
 analyze takes its plan before it samples f, so a default-grid round trip
 analyze(as_function(b)) up to the cap runs the recurrence once cold and
-not at all warm.  synthesize picks one of two sums from n_phi alone.
+not at all warm.  Off a stored grid, synthesize keeps the rows of its last
+points, read-only, in a one-entry store keyed on the top multiplet and the
+bytes of the points, when they hold at most 2^18 entries (2 MiB): a later
+call at the same radii and top, at any angles and coefficients, reads them
+instead of running the recurrence again, and larger rows stream and are
+never kept.  synthesize picks one of two sums from n_phi alone.
 With few angles, at each step the coefficients with e^(+-i m phi) and the
 sign s_m folded in form a real (2 n_phi, |m|) matrix, and one matrix
 product adds the step to every angle, in O(j_max^2 n_phi P)
@@ -47,7 +52,8 @@ radial sum R_(+-|m|)(y) per m, one batched real product per |m| and block,
 and one (n_phi x |m|) @ (|m| x P) product per sign of m gives the grid at
 the end, in O(j_max^2 P + j_max n_phi P) time.  A block of rows holds at
 most _FOLD_ENTRIES entries, or one step if that step alone holds more, so
-memory stays O(n_phi P + j_max (n_phi + P)) on both paths.
+memory stays O(n_phi P + j_max (n_phi + P)) on both paths, besides the
+2 MiB at most of synthesize's kept rows.
 
 Blocks serialize to a flat JSON document::
 
@@ -386,7 +392,10 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
     same either way, so a stored plan leaves every coefficient as it was.
     The blocks of rows (_row_blocks) do not depend on B, so neither do the
     products.  Samples past the double range leave coefficients that are
-    not finite.
+    not finite.  The bytes of the result hold at one BLAS thread count
+    only: from about int j_max 32 on, the angular and batched products are
+    large enough for a threaded BLAS to split them, and their last bits then
+    depend on how many threads it uses.
     """
     angular, signs, rows, source = plan or _plan(sector, two_j_max, phis, x)
     count, n_m = len(samples), len(signs)
@@ -516,19 +525,22 @@ def synthesize(block: CoefficientBlock, point):
     shape (P, 1) with phi of shape (1, A) gives a (P, A) result.  Anything
     else, complex or non-numeric values included, raises DomainError, and
     so does a phi that is not finite.  The result has the broadcast shape,
-    and a scalar pair gives a complex.  An empty block evaluates to zero.
+    and a scalar pair gives a complex.
 
     The per-m radial recurrence runs once over y's own points, or not at
     all where they and the angles form a grid whose rows and phases
-    analyze has stored (see _plan), and the number of angles n_phi picks
-    how the steps are summed.  With few angles the coefficients of step k, with
-    e^(+-i m phi) and the sign s_m folded in, form a real (2 n_phi, n_k)
-    matrix, and the step adds one (2 n_phi x n_k) @ (n_k x P) product:
-    O(j_max^2 n_phi P) in all.  With many angles the rows, times their
-    coefficients, go a block of steps at a time into the radial sums
-    R_(+-|m|)(y) of each m, and two (n_phi x |m|) @ (|m| x P) products, one
-    per sign of m, give the grid at the end: O(j_max^2 P + j_max n_phi P)
-    in all.
+    analyze has stored (see _plan), or where y's points and the top
+    multiplet are those of the last call off such a grid whose rows were
+    kept (see _synthesis_rows); every output is the streamed one bit for
+    bit.  No angles, or an empty block, give zeros of the broadcast shape.
+    The number of angles n_phi picks how the steps are summed.  With few
+    angles the coefficients of step k, with e^(+-i m phi) and the sign s_m
+    folded in, form a real (2 n_phi, n_k) matrix, and the step adds one
+    (2 n_phi x n_k) @ (n_k x P) product: O(j_max^2 n_phi P) in all.  With
+    many angles the rows, times their coefficients, go a block of steps at
+    a time into the radial sums R_(+-|m|)(y) of each m, and two
+    (n_phi x |m|) @ (|m| x P) products, one per sign of m, give the grid at
+    the end: O(j_max^2 P + j_max n_phi P) in all.
     """
     y, phi = _point_parts(point)
     y_arr = _real_array("y", y)
@@ -542,7 +554,7 @@ def synthesize(block: CoefficientBlock, point):
             "a grid: on every axis one of them must have size 1"
         )
     flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1)
-    if np.any(block._values):
+    if phis.size and np.any(block._values):
         # The recurrence stops at the top multiplet with a nonzero entry.
         ladder = np.array(_sector_ladder(block.sector, block.two_j_max))
         ladder = ladder[_index(ladder, -ladder) <= np.flatnonzero(block._values)[-1]]
@@ -560,7 +572,7 @@ def synthesize(block: CoefficientBlock, point):
         plan = _PLANS.get(_plan_key(block.sector, top, phis, flat))
         if plan is None:
             phase = np.exp(0.5j * ladder[:, None] * phis)
-            stream = _radial_rows(ladder.tolist(), top, flat)
+            stream = _synthesis_rows(ladder, top, flat)
         else:
             phase, stream = plan[0][1, 0], plan[2]
         if phis.size < _RADIAL_FIRST_ANGLES:
@@ -575,6 +587,36 @@ def synthesize(block: CoefficientBlock, point):
     out = out.transpose([i for t in range(ndim) for i in (t, ndim + t)])
     out = out.reshape(np.broadcast_shapes(y_shape, phi_shape))
     return out if out.ndim else complex(out)
+
+
+# synthesize's kept radial rows (see _synthesis_rows): one entry of at most
+# _KEPT_ROW_ENTRIES entries (2 MiB), so the store stays bounded.
+_KEPT_ROW_ENTRIES = 2**18
+_ROWS: dict[tuple, tuple] = {}
+
+
+def _synthesis_rows(ladder, top: int, flat):
+    """The per-m radial rows of ladder up to top at the points flat.
+
+    The store _ROWS is keyed on every input the rows are built from: top,
+    which fixes the sector and the ladder, and the bytes of flat.  On a hit
+    it gives the kept read-only rows; else a fresh run of the recurrence,
+    kept in place of the old entry if it holds at most _KEPT_ROW_ENTRIES
+    entries and streamed otherwise.  Points the recurrence rejects raise its
+    DomainError and leave the store as it was.
+    """
+    entries = flat.size * int(np.sum((top - ladder) // 2 + 1))
+    if entries > _KEPT_ROW_ENTRIES:
+        return _radial_rows(ladder.tolist(), top, flat)
+    key = top, flat.tobytes()
+    rows = _ROWS.get(key)
+    if rows is None:
+        rows = tuple(_radial_rows(ladder.tolist(), top, flat))
+        for array in rows:
+            array.flags.writeable = False
+        _ROWS.clear()
+        _ROWS[key] = rows
+    return rows
 
 
 def _sum_by_step(by_sign, phase, stream, size):

@@ -895,7 +895,8 @@ class TestAnalyzePlan:
         calls = count_plan_streams(monkeypatch)
         for _ in range(2):
             analyze(as_function(block), "int", 40)
-        assert len(calls) == 4
+        # The second synthesize reads the rows the first kept (_ROWS).
+        assert len(calls) == 3
         assert transform._PLANS == {}
 
     @pytest.mark.parametrize(
@@ -934,6 +935,7 @@ class TestAnalyzePlan:
         calls = count_plan_streams(monkeypatch)
         for name, point in points.items():
             calls.clear()
+            monkeypatch.setattr(transform, "_ROWS", {})  # only a plan read skips the recurrence
             assert synthesize(block, point).tobytes() == empty[name], name
             assert len(calls) == (0 if reads.get(name) else 1), name
         monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)
@@ -1206,6 +1208,15 @@ class TestSynthesize:
         with pytest.raises(DomainError):
             synthesize(block, (y[:, None], np.zeros((3, 2))))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "block", [random_block("int", 4, seed=1), CoefficientBlock("int", 4)], ids=["dense", "zero"]
+    )
+    @pytest.mark.parametrize("y_shape", [(3, 1), (0, 1)])
+    def test_no_angles_give_an_empty_grid(self, block, y_shape):
+        got = synthesize(block, (np.ones(y_shape), np.zeros((1, 0))))
+        assert got.shape == (y_shape[0], 0) and got.dtype == complex
+
     def test_roundtrip_random_blocks(self):
         # ("half", 4): the sector, not the parity of 2 j_max, sets the m ladder.
         for sector, j_max, seed in (
@@ -1225,6 +1236,174 @@ class TestSynthesize:
         block = random_block(sector, j_max, seed=8)
         back = analyze(as_function(block), sector, j_max)
         assert block_gap(back, block) <= 1e-11
+
+
+def kept_rows():
+    """The one entry of synthesize's row store, as (key, rows)."""
+    assert len(transform._ROWS) == 1
+    return next(iter(transform._ROWS.items()))
+
+
+SYNTH_ANGLE_PATHS = pytest.mark.parametrize(
+    "n_phi", [1, _RADIAL_FIRST_ANGLES], ids=["one-angle", "many-angle"]
+)
+
+
+class TestSynthesizeRows:
+    """synthesize's one-entry per-process store of the radial rows of its last points."""
+
+    RADII = np.random.default_rng(40).integers(1, 60 * 1024, 256) / 1024.0
+
+    @staticmethod
+    def grid(y, n_phi, seed=0):
+        phis = np.random.default_rng(seed).uniform(-math.pi, math.pi, n_phi)
+        return y[None, :], phis[:, None]
+
+    @SYNTH_ANGLE_PATHS
+    def test_sixteen_calls_at_the_same_radii_stream_once(self, n_phi, monkeypatch):
+        block = random_block("int", 32, seed=41)
+        points = [self.grid(self.RADII, n_phi, seed) for seed in range(16)]
+        monkeypatch.setattr(transform, "_ROWS", {})
+        calls = count_plan_streams(monkeypatch)
+        warm = [synthesize(block, point) for point in points]
+        assert len(calls) == 1
+        for point, out in zip(points, warm):
+            monkeypatch.setattr(transform, "_ROWS", {})
+            assert synthesize(block, point).tobytes() == out.tobytes()
+        assert len(calls) == 17
+
+    @SYNTH_ANGLE_PATHS
+    @pytest.mark.parametrize(
+        "sector, j_max", [("int", 20), ("half", Fraction(39, 2)), ("int", 32), ("int", 64)]
+    )
+    def test_the_same_bytes_from_an_empty_store_a_full_one_and_none(
+        self, sector, j_max, n_phi, monkeypatch
+    ):
+        block = random_block(sector, j_max, seed=42)
+        point = self.grid(np.geomspace(1e-3, 4.0 * j_max + 10.0, 60), n_phi)
+        monkeypatch.setattr(transform, "_ROWS", {})
+        calls = count_plan_streams(monkeypatch)
+        empty = synthesize(block, point).tobytes()
+        kept_rows()
+        full = synthesize(block, point).tobytes()
+        assert len(calls) == 1
+        monkeypatch.setattr(transform, "_KEPT_ROW_ENTRIES", -1)  # every call streams
+        monkeypatch.setattr(transform, "_ROWS", {})
+        none = synthesize(block, point).tobytes()
+        assert transform._ROWS == {}
+        assert len(calls) == 2
+        assert empty == full == none
+
+    @SYNTH_ANGLE_PATHS
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda y: (random_block("int", 32, seed=43), np.append(y[:-1], np.nextafter(y[-1], 0))),
+            # sparse: the top multiplet, j = 20, lies below j_max
+            lambda y: (CoefficientBlock("int", 32, {(0, 0): 0.5, (40, 2): 1j}), y),
+            lambda y: (random_block("half", Fraction(63, 2), seed=44), y),
+        ],
+        ids=["y-one-ulp-off", "sparse-lower-top", "other-sector"],
+    )
+    def test_other_radii_or_another_top_stream(self, other, n_phi, monkeypatch):
+        block, y = other(self.RADII)
+        monkeypatch.setattr(transform, "_ROWS", {})
+        synthesize(random_block("int", 32, seed=43), self.grid(self.RADII, n_phi))
+        calls = count_plan_streams(monkeypatch)
+        out = synthesize(block, self.grid(y, n_phi)).tobytes()
+        assert len(calls) == 1
+        monkeypatch.setattr(transform, "_ROWS", {})
+        assert synthesize(block, self.grid(y, n_phi)).tobytes() == out
+
+    def test_rows_past_the_budget_stream_and_are_never_kept(self, monkeypatch):
+        block = random_block("int", 32, seed=45)
+        # 33 values of |m|, with 33, 32, ..., 1 steps, each a row over every radius.
+        entries = sum(range(1, 34)) * self.RADII.size
+        for budget, kept in [(entries, True), (entries - 1, False)]:
+            monkeypatch.setattr(transform, "_KEPT_ROW_ENTRIES", budget)
+            monkeypatch.setattr(transform, "_ROWS", {})
+            calls = count_plan_streams(monkeypatch)
+            for _ in range(2):
+                synthesize(block, (self.RADII, 0.3))
+            assert len(calls) == (1 if kept else 2)
+            assert len(transform._ROWS) == kept
+            if kept:
+                assert sum(rows.size for rows in kept_rows()[1]) == entries
+        # At the default budget 4,096 radii stream, and the store keeps what it held.
+        monkeypatch.undo()
+        monkeypatch.setattr(transform, "_ROWS", {})
+        synthesize(block, (self.RADII, 0.3))
+        held = kept_rows()
+        calls = count_plan_streams(monkeypatch)
+        many = np.linspace(0.01, 60.0, 4096)
+        for _ in range(2):
+            synthesize(block, (many, 0.3))
+        assert len(calls) == 2
+        assert kept_rows()[0] == held[0] and kept_rows()[1] is held[1]
+
+    def test_kept_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(transform, "_ROWS", {})
+        for sector, j_max in [("int", 3), ("half", Fraction(63, 2))]:
+            synthesize(random_block(sector, j_max, seed=46), (self.RADII, 0.3))
+            rows = kept_rows()[1]
+            assert isinstance(rows, tuple) and rows
+            for array in rows:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_rejected_radii_raise_the_same_error_cold_and_warm(self, bad, monkeypatch):
+        block = random_block("int", 32, seed=47)
+        y = self.RADII.copy()
+        y[7] = bad
+        monkeypatch.setattr(transform, "_ROWS", {})
+        with pytest.raises(DomainError, match="finite y >= 0") as cold:
+            synthesize(block, (y, 0.3))
+        assert transform._ROWS == {}
+        synthesize(block, (self.RADII, 0.3))
+        held = kept_rows()
+        with pytest.raises(DomainError) as warm:
+            synthesize(block, (y, 0.3))
+        assert str(warm.value) == str(cold.value)
+        assert kept_rows()[0] == held[0] and kept_rows()[1] is held[1]
+
+    def test_the_store_holds_one_entry_the_last_points(self, monkeypatch):
+        monkeypatch.setattr(transform, "_ROWS", {})
+        calls = count_plan_streams(monkeypatch)
+        cases = [
+            (random_block("int", 32, seed=48), self.RADII),
+            (random_block("half", Fraction(39, 2), seed=49), self.RADII),
+            (random_block("int", 32, seed=48), self.RADII[:100]),
+            (random_block("int", 8, seed=50), self.RADII),
+        ]
+        for block, y in cases:
+            synthesize(block, (y, 0.3))
+            key = kept_rows()[0]
+        assert len(calls) == 4
+        # The last points and top are kept, at any angle; the first ones are not.
+        (last, y_last), (first, y_first) = cases[-1], cases[0]
+        synthesize(last, (y_last, 1.1))
+        assert len(calls) == 4 and kept_rows()[0] == key
+        synthesize(first, (y_first, 1.1))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
+    def test_a_default_grid_reads_the_plan_and_leaves_the_store_alone(
+        self, sector, j_max, monkeypatch
+    ):
+        block = random_block(sector, j_max, seed=51)
+        phis, x, _ = _plane_grid(Fraction(j_max), None, None)
+        monkeypatch.setattr(transform, "_PLANS", {})
+        monkeypatch.setattr(transform, "_ROWS", {})
+        calls = count_plan_streams(monkeypatch)
+        analyze(as_function(block), sector, j_max)
+        assert len(calls) == 1 and len(transform._PLANS) == 1
+        synthesize(block, (x[None, :], phis[:, None]))
+        synthesize(block, (x[:, None], phis[None, :]))
+        assert len(calls) == 1
+        assert transform._ROWS == {}
 
 
 class TestParseval:
