@@ -36,12 +36,13 @@ and its top multiplet is that plan's two_j_max: then it reads the plan's
 rows and its e^(i|m|phi) matrix, the same computations on the same inputs.
 analyze takes its plan before it samples f, so a default-grid round trip
 analyze(as_function(b)) up to the cap runs the recurrence once cold and
-not at all warm.  Off a stored grid, synthesize keeps the rows of its last
-points, read-only, in a one-entry store keyed on the top multiplet and the
-bytes of the points, when they hold at most 2^18 entries (2 MiB): a later
-call at the same radii and top, at any angles and coefficients, reads them
-instead of running the recurrence again, and larger rows stream and are
-never kept.  synthesize picks one of two sums from n_phi alone.
+not at all warm.  Off a stored grid, synthesize remembers the top
+multiplet and the bytes of its last points in a one-entry store, and the
+second call in a row at them keeps its rows there, read-only, when rows
+and key hold at most 2^18 entries (2 MiB): later calls at the same radii
+and top, at any angles and coefficients, read them instead of running the
+recurrence again.  Points that never repeat, or larger rows, stream and
+are never kept.  synthesize picks one of two sums from n_phi alone.
 With few angles, at each step the coefficients with e^(+-i m phi) and the
 sign s_m folded in form a real (2 n_phi, |m|) matrix, and one matrix
 product adds the step to every angle, in O(j_max^2 n_phi P)
@@ -529,11 +530,11 @@ def synthesize(block: CoefficientBlock, point):
 
     The per-m radial recurrence runs once over y's own points, or not at
     all where they and the angles form a grid whose rows and phases
-    analyze has stored (see _plan), or where y's points and the top
-    multiplet are those of the last call off such a grid whose rows were
-    kept (see _synthesis_rows); every output is the streamed one bit for
-    bit.  No angles, or an empty block, give zeros of the broadcast shape.
-    The number of angles n_phi picks how the steps are summed.  With few
+    analyze has stored (see _plan), or where the last two calls off such a
+    grid had y's points and top multiplet and kept their rows (see
+    _synthesis_rows); every output is the streamed one bit for bit.  No
+    angles, or an empty block, give zeros of the broadcast shape.  The
+    number of angles n_phi picks how the steps are summed.  With few
     angles the coefficients of step k, with e^(+-i m phi) and the sign s_m
     folded in, form a real (2 n_phi, n_k) matrix, and the step adds one
     (2 n_phi x n_k) @ (n_k x P) product: O(j_max^2 n_phi P) in all.  With
@@ -589,34 +590,49 @@ def synthesize(block: CoefficientBlock, point):
     return out if out.ndim else complex(out)
 
 
-# synthesize's kept radial rows (see _synthesis_rows): one entry of at most
-# _KEPT_ROW_ENTRIES entries (2 MiB), so the store stays bounded.
+# synthesize's kept radial rows (see _synthesis_rows): one entry whose rows
+# and key hold at most _KEPT_ROW_ENTRIES float64 entries (2 MiB) in all, so
+# the store stays bounded.
 _KEPT_ROW_ENTRIES = 2**18
-_ROWS: dict[tuple, tuple] = {}
+_ROWS: dict[tuple, tuple | None] = {}
 
 
 def _synthesis_rows(ladder, top: int, flat):
     """The per-m radial rows of ladder up to top at the points flat.
 
-    The store _ROWS is keyed on every input the rows are built from: top,
+    Rows and key past _KEPT_ROW_ENTRIES entries in all just stream.  Else
+    the store _ROWS is keyed on every input the rows are built from: top,
     which fixes the sector and the ladder, and the bytes of flat.  On a hit
-    it gives the kept read-only rows; else a fresh run of the recurrence,
-    kept in place of the old entry if it holds at most _KEPT_ROW_ENTRIES
-    entries and streamed otherwise.  Points the recurrence rejects raise its
-    DomainError and leave the store as it was.
+    it gives the kept read-only rows.  On a miss it streams a fresh run of
+    the recurrence, each step summed as it comes, and once the stream is
+    consumed its key becomes the one entry, holding the rows, read-only,
+    if the key was there already: the rows are kept by the second call in
+    a row at the same points.  Keeping rows costs a call about a tenth of
+    its time (each step is new memory, not the last one's), so points that
+    never repeat pay for their key only.  Points the recurrence rejects
+    raise its DomainError and leave the store as it was.
     """
-    entries = flat.size * int(np.sum((top - ladder) // 2 + 1))
+    entries = flat.size * (1 + int(np.sum((top - ladder) // 2 + 1)))
     if entries > _KEPT_ROW_ENTRIES:
         return _radial_rows(ladder.tolist(), top, flat)
     key = top, flat.tobytes()
     rows = _ROWS.get(key)
     if rows is None:
-        rows = tuple(_radial_rows(ladder.tolist(), top, flat))
-        for array in rows:
-            array.flags.writeable = False
-        _ROWS.clear()
-        _ROWS[key] = rows
+        rows = _entered(key, _radial_rows(ladder.tolist(), top, flat), keep=key in _ROWS)
     return rows
+
+
+def _entered(key, stream, keep: bool):
+    """Yield stream's rows, read-only if keep; once it is consumed, make key
+    _ROWS's one entry, holding the rows if keep."""
+    rows = []
+    for array in stream:
+        if keep:
+            array.flags.writeable = False
+            rows.append(array)
+        yield array
+    _ROWS.clear()
+    _ROWS[key] = tuple(rows) if keep else None
 
 
 def _sum_by_step(by_sign, phase, stream, size):

@@ -895,8 +895,7 @@ class TestAnalyzePlan:
         calls = count_plan_streams(monkeypatch)
         for _ in range(2):
             analyze(as_function(block), "int", 40)
-        # The second synthesize reads the rows the first kept (_ROWS).
-        assert len(calls) == 3
+        assert len(calls) == 4
         assert transform._PLANS == {}
 
     @pytest.mark.parametrize(
@@ -1239,7 +1238,7 @@ class TestSynthesize:
 
 
 def kept_rows():
-    """The one entry of synthesize's row store, as (key, rows)."""
+    """The one entry of synthesize's row store, as (key, rows or None)."""
     assert len(transform._ROWS) == 1
     return next(iter(transform._ROWS.items()))
 
@@ -1259,18 +1258,24 @@ class TestSynthesizeRows:
         phis = np.random.default_rng(seed).uniform(-math.pi, math.pi, n_phi)
         return y[None, :], phis[:, None]
 
+    def fill(self, block, y):
+        """Two calls at y: the first enters its key, the second keeps its rows."""
+        for _ in range(2):
+            synthesize(block, (y, 0.3))
+        return kept_rows()
+
     @SYNTH_ANGLE_PATHS
-    def test_sixteen_calls_at_the_same_radii_stream_once(self, n_phi, monkeypatch):
+    def test_sixteen_calls_at_the_same_radii_stream_twice(self, n_phi, monkeypatch):
         block = random_block("int", 32, seed=41)
         points = [self.grid(self.RADII, n_phi, seed) for seed in range(16)]
         monkeypatch.setattr(transform, "_ROWS", {})
         calls = count_plan_streams(monkeypatch)
         warm = [synthesize(block, point) for point in points]
-        assert len(calls) == 1
+        assert len(calls) == 2
         for point, out in zip(points, warm):
             monkeypatch.setattr(transform, "_ROWS", {})
             assert synthesize(block, point).tobytes() == out.tobytes()
-        assert len(calls) == 17
+        assert len(calls) == 18
 
     @SYNTH_ANGLE_PATHS
     @pytest.mark.parametrize(
@@ -1284,15 +1289,17 @@ class TestSynthesizeRows:
         monkeypatch.setattr(transform, "_ROWS", {})
         calls = count_plan_streams(monkeypatch)
         empty = synthesize(block, point).tobytes()
-        kept_rows()
+        assert kept_rows()[1] is None
+        keeping = synthesize(block, point).tobytes()
+        assert kept_rows()[1]
         full = synthesize(block, point).tobytes()
-        assert len(calls) == 1
+        assert len(calls) == 2
         monkeypatch.setattr(transform, "_KEPT_ROW_ENTRIES", -1)  # every call streams
         monkeypatch.setattr(transform, "_ROWS", {})
-        none = synthesize(block, point).tobytes()
+        none = [synthesize(block, point).tobytes() for _ in range(2)]
         assert transform._ROWS == {}
-        assert len(calls) == 2
-        assert empty == full == none
+        assert len(calls) == 4
+        assert empty == keeping == full == none[0] == none[1]
 
     @SYNTH_ANGLE_PATHS
     @pytest.mark.parametrize(
@@ -1308,32 +1315,48 @@ class TestSynthesizeRows:
     def test_other_radii_or_another_top_stream(self, other, n_phi, monkeypatch):
         block, y = other(self.RADII)
         monkeypatch.setattr(transform, "_ROWS", {})
-        synthesize(random_block("int", 32, seed=43), self.grid(self.RADII, n_phi))
+        self.fill(random_block("int", 32, seed=43), self.RADII)
         calls = count_plan_streams(monkeypatch)
         out = synthesize(block, self.grid(y, n_phi)).tobytes()
         assert len(calls) == 1
+        assert kept_rows()[1] is None
         monkeypatch.setattr(transform, "_ROWS", {})
         assert synthesize(block, self.grid(y, n_phi)).tobytes() == out
 
+    def test_points_that_never_repeat_are_never_kept(self, monkeypatch):
+        block = random_block("int", 32, seed=44)
+        monkeypatch.setattr(transform, "_ROWS", {})
+        calls = count_plan_streams(monkeypatch)
+        for seed in range(4):
+            y = np.random.default_rng(seed).uniform(0.01, 60.0, 256)
+            synthesize(block, (y, 0.3))
+            assert kept_rows() == ((64, y.tobytes()), None)
+        # Points that alternate are never two calls in a row either.
+        for y in [self.RADII, self.RADII[:100]] * 2:
+            synthesize(block, (y, 0.3))
+            assert kept_rows()[1] is None
+        assert len(calls) == 8
+
     def test_rows_past_the_budget_stream_and_are_never_kept(self, monkeypatch):
         block = random_block("int", 32, seed=45)
-        # 33 values of |m|, with 33, 32, ..., 1 steps, each a row over every radius.
-        entries = sum(range(1, 34)) * self.RADII.size
+        # 33 values of |m|, with 33, 32, ..., 1 steps, each a row over every
+        # radius, and the key's copy of the radii.
+        rows = sum(range(1, 34)) * self.RADII.size
+        entries = rows + self.RADII.size
         for budget, kept in [(entries, True), (entries - 1, False)]:
             monkeypatch.setattr(transform, "_KEPT_ROW_ENTRIES", budget)
             monkeypatch.setattr(transform, "_ROWS", {})
             calls = count_plan_streams(monkeypatch)
-            for _ in range(2):
+            for _ in range(3):
                 synthesize(block, (self.RADII, 0.3))
-            assert len(calls) == (1 if kept else 2)
+            assert len(calls) == (2 if kept else 3)
             assert len(transform._ROWS) == kept
             if kept:
-                assert sum(rows.size for rows in kept_rows()[1]) == entries
+                assert sum(array.size for array in kept_rows()[1]) == rows
         # At the default budget 4,096 radii stream, and the store keeps what it held.
         monkeypatch.undo()
         monkeypatch.setattr(transform, "_ROWS", {})
-        synthesize(block, (self.RADII, 0.3))
-        held = kept_rows()
+        held = self.fill(block, self.RADII)
         calls = count_plan_streams(monkeypatch)
         many = np.linspace(0.01, 60.0, 4096)
         for _ in range(2):
@@ -1344,8 +1367,7 @@ class TestSynthesizeRows:
     def test_kept_arrays_are_read_only(self, monkeypatch):
         monkeypatch.setattr(transform, "_ROWS", {})
         for sector, j_max in [("int", 3), ("half", Fraction(63, 2))]:
-            synthesize(random_block(sector, j_max, seed=46), (self.RADII, 0.3))
-            rows = kept_rows()[1]
+            rows = self.fill(random_block(sector, j_max, seed=46), self.RADII)[1]
             assert isinstance(rows, tuple) and rows
             for array in rows:
                 assert not array.flags.writeable
@@ -1362,12 +1384,17 @@ class TestSynthesizeRows:
         with pytest.raises(DomainError, match="finite y >= 0") as cold:
             synthesize(block, (y, 0.3))
         assert transform._ROWS == {}
-        synthesize(block, (self.RADII, 0.3))
-        held = kept_rows()
-        with pytest.raises(DomainError) as warm:
-            synthesize(block, (y, 0.3))
-        assert str(warm.value) == str(cold.value)
-        assert kept_rows()[0] == held[0] and kept_rows()[1] is held[1]
+        # Warm: a key entered without rows, then one with them.
+        for calls in [1, 2]:
+            monkeypatch.setattr(transform, "_ROWS", {})
+            for _ in range(calls):
+                synthesize(block, (self.RADII, 0.3))
+            held = kept_rows()
+            for _ in range(2):
+                with pytest.raises(DomainError) as warm:
+                    synthesize(block, (y, 0.3))
+                assert str(warm.value) == str(cold.value)
+                assert kept_rows()[0] == held[0] and kept_rows()[1] is held[1]
 
     def test_the_store_holds_one_entry_the_last_points(self, monkeypatch):
         monkeypatch.setattr(transform, "_ROWS", {})
@@ -1379,15 +1406,16 @@ class TestSynthesizeRows:
             (random_block("int", 8, seed=50), self.RADII),
         ]
         for block, y in cases:
-            synthesize(block, (y, 0.3))
+            for _ in range(2):
+                synthesize(block, (y, 0.3))
             key = kept_rows()[0]
-        assert len(calls) == 4
+        assert len(calls) == 8
         # The last points and top are kept, at any angle; the first ones are not.
         (last, y_last), (first, y_first) = cases[-1], cases[0]
         synthesize(last, (y_last, 1.1))
-        assert len(calls) == 4 and kept_rows()[0] == key
+        assert len(calls) == 8 and kept_rows()[0] == key
         synthesize(first, (y_first, 1.1))
-        assert len(calls) == 5
+        assert len(calls) == 9 and kept_rows()[1] is None
 
     @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
     def test_a_default_grid_reads_the_plan_and_leaves_the_store_alone(
@@ -1400,8 +1428,9 @@ class TestSynthesizeRows:
         calls = count_plan_streams(monkeypatch)
         analyze(as_function(block), sector, j_max)
         assert len(calls) == 1 and len(transform._PLANS) == 1
-        synthesize(block, (x[None, :], phis[:, None]))
-        synthesize(block, (x[:, None], phis[None, :]))
+        for _ in range(2):
+            synthesize(block, (x[None, :], phis[:, None]))
+            synthesize(block, (x[:, None], phis[None, :]))
         assert len(calls) == 1
         assert transform._ROWS == {}
 
