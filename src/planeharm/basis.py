@@ -229,6 +229,16 @@ def _plain_start_fits(a_lo: int, a_hi: int, lo: float, hi: float) -> bool:
     )
 
 
+def _y_bounds(y: np.ndarray) -> tuple[float, float]:
+    """The least and largest of y, a 1-D float array ((1.0, 1.0) if it is
+    empty), or DomainError naming its first entry that is not finite and >= 0."""
+    lo, hi = (float(y.min()), float(y.max())) if y.size else (1.0, 1.0)
+    if not (lo >= 0.0 and hi < math.inf):
+        i = int(np.argmin((y >= 0.0) & (y < math.inf)))
+        raise DomainError(f"radial functions need finite y >= 0, got y[{i}] = {float(y[i])}")
+    return lo, hi
+
+
 def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
     """Stream calL_{|m|+k}^(-|m|)(y) for k = 0, 1, ... over several |m|.
 
@@ -239,11 +249,9 @@ def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
     none is left.  The label (2|m| + 2k, +2|m|) is _sign(2|m|) times the
     same row.  Each yielded array is new and not touched afterwards.
     Raises DomainError, at the first step, unless every y is finite and
-    nonnegative.
+    nonnegative (see _y_bounds).
     """
-    lo, hi = (float(y.min()), float(y.max())) if y.size else (1.0, 1.0)
-    if not (lo >= 0.0 and hi < math.inf):
-        raise DomainError(f"radial functions need finite y >= 0, got y in [{lo}, {hi}]")
+    lo, hi = _y_bounds(y)
     n = bisect.bisect_right(abs2ms, two_j_max)
     if not n:
         return
@@ -349,11 +357,13 @@ class _Column:
 
     def with_mirror(self) -> "_Column":
         """These labels (j, m) of one m, built with targets, then (j, -m) at
-        the same nodes.
+        the same nodes; m = 0 is its own mirror, so that column is itself.
 
         calL_j^(-m) = (-1)^(2m) calL_j^m, and the ladder targets of (j, -m)
         are those of (j, m) in the other direction, with the same factor.
         """
+        if not self.two_m[0]:
+            return self
         p = -1.0 if self.two_m[0] % 2 else 1.0
         return _Column(
             np.concatenate([self.two_j, self.two_j]),

@@ -11,12 +11,15 @@ space; a rule with one whose reciprocal overflows a double raises DomainError.
 
 Each rule is built once per process: gauss_laguerre hands every caller the
 same QuadratureRule for one (order, alpha), with read-only node and weight
-arrays.  _rules builds the missing rules of one alpha at several orders
-together: each order gets its own eigenvalues, and each Newton polish and
-the weight sum is one kernel stream over the nodes of all the orders, each
-order reading its own step.  A cold verify run asks for the orders of each
-|m| column and of each quadrature check that way, and builds its 248
-distinct rules in 23 batches at j_max 8, and 4,294 in 134 at j_max 64.
+arrays.  _rules builds the missing rules of one request, several orders at
+each of several alphas, together: each alpha's Jacobi matrix is built once,
+at its top order, and the rules of one order take the eigenvalues of their
+leading blocks from one stacked eigvalsh across the alphas; per alpha, each
+Newton polish and the weight sum is one kernel stream over the nodes of all
+its orders, each order reading its own step.  A cold verify run makes one
+request for the rules of every |m| column and one for the quadrature
+checks, and builds its 248 distinct rules in 3 requests at j_max 8 (the
+third is algebra.hermiticity's order 30), and 4,294 in 2 at j_max 64.
 
 plane_inner, analyze and parseval_gap sample each function once on the
 (phi, y) grid of _plane_grid: the callable gets y of shape (1, n_radial) and
@@ -115,25 +118,28 @@ def gauss_laguerre(order: int, alpha: int) -> QuadratureRule:
     try:
         return _RULES[order, alpha]
     except KeyError:
-        return _rules(alpha, [order])[0]
+        return _rules({alpha: [order]})[alpha][0]
 
 
-def _rules(alpha: int, orders) -> list[QuadratureRule]:
-    """gauss_laguerre(order, alpha) for each of orders (ints >= 1, alpha >= 0).
+def _rules(requests) -> dict[int, list[QuadratureRule]]:
+    """The rules gauss_laguerre(order, alpha) of requests, a mapping from
+    each alpha (an int >= 0) to its orders (ints >= 1), as lists by alpha.
 
-    The orders not yet memoized are built together by _build_rules.  An order
-    whose weights underflow raises DomainError, after the other orders of the
-    call are memoized.
+    The rules not yet memoized are built together by _build_rules.  An order
+    whose weights underflow raises DomainError, after the other rules of the
+    request are memoized.
     """
-    missing = sorted({order for order in orders if (order, alpha) not in _RULES})
-    if missing:
-        _build_rules(alpha, missing)
-    rules = [_RULES.get((order, alpha)) for order in orders]
-    if None in rules:
-        raise DomainError(
-            f"gauss_laguerre(order={orders[rules.index(None)]}, alpha={alpha}): the rule's "
-            "weights underflow double precision"
-        )
+    missing = {a: sorted({n for n in ns if (n, a) not in _RULES}) for a, ns in requests.items()}
+    if any(missing.values()):
+        _build_rules({alpha: orders for alpha, orders in missing.items() if orders})
+    rules = {}
+    for alpha, orders in requests.items():
+        rules[alpha] = [_RULES.get((order, alpha)) for order in orders]
+        if None in rules[alpha]:
+            raise DomainError(
+                f"gauss_laguerre(order={orders[rules[alpha].index(None)]}, alpha={alpha}): "
+                "the rule's weights underflow double precision"
+            )
     return rules
 
 
@@ -176,42 +182,53 @@ def _kernel_stream(x, orders, alpha):
     return f_n, f_up, csum
 
 
-def _build_rules(alpha: int, orders: list[int]) -> None:
-    """Memoize the rules of one alpha at the ascending orders, but for those
-    whose weights underflow.
+def _build_rules(requests: dict[int, list[int]]) -> None:
+    """Memoize the rules at the ascending orders that requests gives each
+    alpha, but for those whose weights underflow.
 
-    Each order gets the eigenvalues of its own Jacobi matrix; the two Newton
-    polishes and the lifted weights each stream _kernel_rows over the nodes
-    of every order at once.
+    Each alpha's Jacobi matrix is built once, at its top order, and the
+    rules of one order N take their eigenvalues from one stacked eigvalsh of
+    the leading N x N blocks of every alpha that asks for N: each block is
+    the order-N matrix entry for entry, so it gets that matrix's
+    eigenvalues.  Per alpha, the two Newton polishes and the lifted weights
+    each stream _kernel_rows over the nodes of all its orders at once, and
+    the log-weights are taken once.
     """
-    x = []
-    for order in orders:
-        k = np.arange(order, dtype=float)
+    jacobi, by_order = {}, {}
+    for alpha, orders in requests.items():
+        k = np.arange(orders[-1], dtype=float)
         off = np.sqrt(k[1:] * (k[1:] + alpha))
-        jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-        x.append(np.linalg.eigvalsh(jacobi))
-    x = np.concatenate(x)
-    root_n = np.repeat(np.sqrt(np.array(orders, dtype=float)), orders)
-    # Two Newton polish steps, p_N / p_N' = -sqrt(x) f_N^a / (sqrt(N) f_(N-1)^(a+1))
-    # by d/dy L_N^(a) = -L_(N-1)^(a+1), sharpen the LAPACK eigenvalues; the power
-    # amplification in high moments (x^k inflates node error k-fold) otherwise
-    # eats the 1e-12 exactness budget at order ~40.
-    for _ in range(2):
-        f_n, f_up, _ = _kernel_rows(x, orders, alpha)
-        x = x + np.sqrt(x) * f_n / (root_n * f_up)
-    lifted = 1.0 / _kernel_rows(x, orders, alpha)[2]
-    for order, start in zip(orders, itertools.accumulate(orders, initial=0)):
-        nodes, lifted_n = x[start:start + order].copy(), lifted[start:start + order].copy()
-        # From order 187 (alpha 0) the smallest raw weight, about e^(-x_max),
-        # has no finite reciprocal; that order is not built.
-        log_weights = np.log(lifted_n) - nodes + alpha * np.log(nodes)
-        if -log_weights.min() > math.log(np.finfo(float).max):
-            continue
-        weights = np.exp(log_weights)
-        # Every caller shares the rule, so none may write to it.
-        for array in (nodes, weights, lifted_n):
-            array.flags.writeable = False
-        _RULES[order, alpha] = QuadratureRule(order, alpha, nodes, weights, lifted_n)
+        jacobi[alpha] = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+        for order in orders:
+            by_order.setdefault(order, []).append(alpha)
+    eigenvalues = {}
+    for order, alphas in by_order.items():
+        blocks = np.stack([jacobi[alpha][:order, :order] for alpha in alphas])
+        eigenvalues.update(zip(((order, a) for a in alphas), np.linalg.eigvalsh(blocks)))
+    for alpha, orders in requests.items():
+        x = np.concatenate([eigenvalues[order, alpha] for order in orders])
+        root_n = np.repeat(np.sqrt(np.array(orders, dtype=float)), orders)
+        # Two Newton polish steps, p_N / p_N' = -sqrt(x) f_N^a / (sqrt(N) f_(N-1)^(a+1))
+        # by d/dy L_N^(a) = -L_(N-1)^(a+1), sharpen the LAPACK eigenvalues; the power
+        # amplification in high moments (x^k inflates node error k-fold) otherwise
+        # eats the 1e-12 exactness budget at order ~40.
+        for _ in range(2):
+            f_n, f_up, _ = _kernel_rows(x, orders, alpha)
+            x = x + np.sqrt(x) * f_n / (root_n * f_up)
+        lifted = 1.0 / _kernel_rows(x, orders, alpha)[2]
+        log_weights = np.log(lifted) - x + alpha * np.log(x)
+        for order, start in zip(orders, itertools.accumulate(orders, initial=0)):
+            part = slice(start, start + order)
+            # From order 187 (alpha 0) the smallest raw weight, about e^(-x_max),
+            # has no finite reciprocal; that order is not built.
+            if -log_weights[part].min() > math.log(np.finfo(float).max):
+                continue
+            nodes, lifted_n = x[part].copy(), lifted[part].copy()
+            weights = np.exp(log_weights[part])
+            # Every caller shares the rule, so none may write to it.
+            for array in (nodes, weights, lifted_n):
+                array.flags.writeable = False
+            _RULES[order, alpha] = QuadratureRule(order, alpha, nodes, weights, lifted_n)
 
 
 def halfline_inner(f, g, m, j_cap) -> float:

@@ -76,7 +76,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .basis import _as_cap, _as_half_integer, _finite_phi, _point_parts, _real_array
+from .basis import _as_cap, _as_half_integer, _finite_phi, _point_parts, _real_array, _y_bounds
 
 # calL is bound here only for perfbench/selftest.py, which checks that
 # tracing leaves transform.calL and basis.calL the same object.
@@ -525,8 +525,9 @@ def synthesize(block: CoefficientBlock, point):
     that broadcast as a grid: on every axis one of them has size 1, so y of
     shape (P, 1) with phi of shape (1, A) gives a (P, A) result.  Anything
     else, complex or non-numeric values included, raises DomainError, and
-    so does a phi that is not finite.  The result has the broadcast shape,
-    and a scalar pair gives a complex.
+    so does a phi that is not finite or, whatever the block, a y that is
+    not finite and >= 0.  The result has the broadcast shape, and a scalar
+    pair gives a complex.
 
     The per-m radial recurrence runs once over y's own points, or not at
     all where they and the angles form a grid whose rows and phases
@@ -581,6 +582,7 @@ def synthesize(block: CoefficientBlock, point):
         else:
             out = _sum_by_m(by_sign, phase.T, stream, flat.size)
     else:
+        _y_bounds(flat)  # the points the nonzero path would reject
         out = np.zeros((phis.size, flat.size), dtype=complex)
     # (angle, point) -> the broadcast shape: interleave phi's axes with y's,
     # then merge each pair, one of which has size 1.

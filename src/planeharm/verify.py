@@ -25,10 +25,15 @@ labels by |m| column: one kernel stream per column gives every label of
 both signs of m its jet and its ladder targets at the label's own
 quadrature nodes, and the residual cores of actions and basis take the
 whole column at once; the one-label functions in actions are the same
-cores on a column of one label.  The plane-grid checks (basis.plane-gram,
-quadrature.plane-vs-halfline) take every harmonic of a sector from one
-table and project or pair the whole table with the stack cores that
-analyze, plane_inner and halfline_inner run for one function or pair.
+cores on a column of one label.  The rules of every column come from one
+request, and so do those of the quadrature checks.  The plane-grid checks
+(basis.plane-gram, quadrature.plane-vs-halfline) take every harmonic of a
+sector from one table and project or pair the whole table with the stack
+cores that analyze, plane_inner and halfline_inner run for one function
+or pair.  A check run alone builds all of this itself; run_suite sweeps
+the columns once per call, handing each column to every label check it
+runs (the edge sweep of algebra.annihilation aside), and builds the plane
+tables once for both plane-grid checks.
 """
 
 from __future__ import annotations
@@ -317,12 +322,15 @@ def _check_derivatives(j_max, seed):
 # basis suite
 
 
-def _column_rules(j_max, a: int):
-    """The rules of |m| column a = 2|m| in one batch: order j - |m| + 2 for
-    each of its labels (actions._default_nodes), up to ceil(j_max - |m|) + 2
-    for basis.radial-orthonormality's Gram matrix, one order more than the
+def _column_rules(j_max) -> dict[int, list]:
+    """The rules of every |m| column a = 2|m| of _sector_sweep(j_max), by a,
+    in one request: order j - |m| + 2 for each of its labels
+    (actions._default_nodes), up to ceil(j_max - |m|) + 2 for
+    basis.radial-orthonormality's Gram matrix, one order more than the
     labels need where the column's top j is j_max - 1/2."""
-    return _rules(a, range(2, math.ceil(j_max - Fraction(a, 2)) + 3))
+    return _rules({
+        a: range(2, math.ceil(j_max - Fraction(a, 2)) + 3) for a in range(int(2 * j_max) + 1)
+    })
 
 
 def _columns(j_max, edges: bool = False):
@@ -335,21 +343,53 @@ def _columns(j_max, edges: bool = False):
     ladder targets, calL of (j, m +- 1) or 0 past the multiplet's edge, come
     from one kernel stream over alphas |a - 2| .. a + 2 at the concatenated
     nodes of the labels (j, -|m|); the labels (j, +|m|) take the same values
-    times their sign.
+    times their sign.  The generator holds no column it has yielded.
     """
     two_j_max = int(2 * j_max)
+    rules = _column_rules(j_max)
     for a in range(two_j_max + 1):
         labels = [SpinIndex(two_j, -a) for two_j in range(a, (a if edges else two_j_max) + 1, 2)]
-        nodes = [rule.nodes for rule in _column_rules(j_max, a)[: len(labels)]]
-        column = _radial_column(labels, nodes, 2, targets=True)
-        yield column.with_mirror() if a else column
+        nodes = [rule.nodes for rule in rules[a][: len(labels)]]
+        yield _radial_column(labels, nodes, 2, targets=True).with_mirror()
 
 
-@_check("basis.ode", 1e-9, "radial functions satisfy their second-order differential equation")
-def _check_ode(j_max, seed):
-    for col in _columns(j_max):
-        f, _, ddf = col.jet
-        yield _ode_on_jet(col) / np.maximum(1.0, np.maximum(np.abs(f), np.abs(col.y * ddf)))
+def _sweep(j_max, cores: Mapping[str, Callable]) -> dict[str, list]:
+    """The gaps of each core, by key, over one pass of _columns(j_max): the
+    _worst of core(col) for every column in turn, so that one column is
+    alive at a time and no gap array outlives its column."""
+    gaps = {key: [] for key in cores}
+    for col in _columns(j_max) if cores else ():
+        for key, core in cores.items():
+            gaps[key].append(_worst(core(col)))
+        del col  # dropped before the next column is built
+    return gaps
+
+
+# The cores of the label checks that read the column sweep, by check id:
+# each gives the gaps of one _Column.  A check run alone sweeps for itself;
+# run_suite sweeps once for all the checks it runs, and hands each its gaps.
+_CORES: dict[str, Callable] = {}
+
+
+def _column_check(check_id: str, tolerance: float, identity: str):
+    """Declare the decorated core as check check_id over _columns(j_max)."""
+
+    def register(core: Callable) -> Callable:
+        _CORES[check_id] = core
+        _check(check_id, tolerance, identity)(
+            lambda j_max, seed, gaps=None: _sweep(j_max, {0: core})[0] if gaps is None else gaps
+        )
+        return core
+
+    return register
+
+
+@_column_check(
+    "basis.ode", 1e-9, "radial functions satisfy their second-order differential equation"
+)
+def _ode_gaps(col):
+    f, _, ddf = col.jet
+    return [_ode_on_jet(col) / np.maximum(1.0, np.maximum(np.abs(f), np.abs(col.y * ddf)))]
 
 
 @_check(
@@ -361,8 +401,8 @@ def _check_radial_orthonormality(j_max, seed):
     # its column's rules; s_m^2 = 1, so it covers every (j, j') pair of both
     # signs of m.
     two_j_cap = int(2 * j_max)
-    for a in range(two_j_cap + 1):
-        rule = _column_rules(j_max, a)[-1]
+    for a, rules in _column_rules(j_max).items():
+        rule = rules[-1]
         rows = np.concatenate(list(_radial_rows([a], two_j_cap, rule.nodes)))
         yield (rows * rule.lifted_weights()) @ rows.T - np.eye(len(rows))
 
@@ -392,14 +432,21 @@ def _check_symmetry_sign(j_max, seed):
     return _Verdict(signed, note, unsigned_gap >= 0.5)
 
 
-@_check("basis.plane-gram", 1e-10, "plane harmonics have an identity Gram matrix within a sector")
-def _check_plane_gram(j_max, seed):
-    # Row b of each sector's Gram matrix is analyze's block of calZ_b: one
-    # stacked projection of a table of every label's harmonic on analyze's grid.
+def _plane_tables(j_max):
+    """(j_eff, (phis, x, w), tables): the plane grid at j_eff = min(j_max, 6)
+    and the _plane_table of each sector on it, which basis.plane-gram and
+    quadrature.plane-vs-halfline read; run_suite builds them once for both."""
     j_eff = min(j_max, Fraction(6))
     phis, x, w = _plane_grid(j_eff, None, None)
-    for sector in ("int", "half"):
-        table = _plane_table(sector, j_eff, x, phis)
+    return j_eff, (phis, x, w), {s: _plane_table(s, j_eff, x, phis) for s in ("int", "half")}
+
+
+@_check("basis.plane-gram", 1e-10, "plane harmonics have an identity Gram matrix within a sector")
+def _check_plane_gram(j_max, seed, plane=None):
+    # Row b of each sector's Gram matrix is analyze's block of calZ_b: one
+    # stacked projection of a table of every label's harmonic on analyze's grid.
+    j_eff, (phis, x, w), tables = plane or _plane_tables(j_max)
+    for sector, table in tables.items():
         yield _project(table, sector, int(2 * j_eff), phis, x, w) - np.eye(len(table))
 
 
@@ -407,9 +454,9 @@ def _check_plane_gram(j_max, seed):
 # algebra suite
 
 
-@_check("algebra.ladder", 1e-9, "ladder actions map basis functions to their neighbors")
-def _check_ladder(j_max, seed):
-    return (actions._ladder_defect(col, d) for col in _columns(j_max) for d in "+-")
+@_column_check("algebra.ladder", 1e-9, "ladder actions map basis functions to their neighbors")
+def _ladder_gaps(col):
+    return [actions._ladder_defect(col, d) for d in "+-"]
 
 
 @_check("algebra.annihilation", 1e-9, "ladders annihilate the edge labels m = +-j")
@@ -417,19 +464,16 @@ def _check_annihilation(j_max, seed):
     return map(actions._annihilation_defect, _columns(j_max, edges=True))
 
 
-@_check(
+@_column_check(
     "algebra.su2-on-basis", 1e-8, "commutators [K+,K-] = 2K3 and [K3,K+-] = +-K+- on the basis"
 )
-def _check_su2(j_max, seed):
-    for col in _columns(j_max):
-        yield from (
-            actions._su2_defect(col), actions._k3_defect(col, "+"), actions._k3_defect(col, "-")
-        )
+def _su2_gaps(col):
+    return [actions._su2_defect(col), actions._k3_defect(col, "+"), actions._k3_defect(col, "-")]
 
 
-@_check("algebra.casimir", 1e-8, "Casimir combination acts as j(j+1)")
-def _check_casimir(j_max, seed):
-    return map(actions._casimir_defect, _columns(j_max))
+@_column_check("algebra.casimir", 1e-8, "Casimir combination acts as j(j+1)")
+def _casimir_gaps(col):
+    return [actions._casimir_defect(col)]
 
 
 @_check(
@@ -443,11 +487,21 @@ def _check_hermiticity(j_max, seed):
     return actions._hermiticity_gaps(range(-two_j_cap, two_j_cap - 1), j_cap, seed)
 
 
+# The closure shadow sweeps the columns up to this j_max, and shares run_suite's
+# sweep where that is the same one.
+_SHADOW_J_MAX = Fraction(8)
+
+
+def _shadow_gaps(col):
+    return [actions._su2_defect(col), actions._casimir_defect(col)]
+
+
 @_check(
     "algebra.closure-residuals", 1e-8,
     "formal closure identities leave pinned residuals; actions satisfy them",
 )
-def _check_closure(j_max, seed):
+def _check_closure(j_max, seed, gaps=None):
+    # gaps: the shadow's, if run_suite swept _columns(_SHADOW_J_MAX) already.
     report = verify_e_correction()
     bracket_pin = errata.get("closure-bracket-residual").frozen[0][1]
     casimir_pin = errata.get("closure-casimir-residual").frozen[0][1]
@@ -457,11 +511,7 @@ def _check_closure(j_max, seed):
         and report.residual_bracket.serialize() == bracket_pin
         and report.residual_casimir.serialize() == casimir_pin
     )
-    shadow = [
-        defect
-        for col in _columns(min(j_max, Fraction(8)))
-        for defect in (actions._su2_defect(col), actions._casimir_defect(col))
-    ]
+    shadow = _sweep(min(j_max, _SHADOW_J_MAX), {0: _shadow_gaps})[0] if gaps is None else gaps
     note = (
         "formal residuals reproduce the pinned 12- and 17-term canonical "
         f"forms; label-tracked action satisfies both identities at {_worst(shadow):.3e}"
@@ -512,10 +562,16 @@ def _check_determinism(j_max, seed):
 # quadrature suite
 
 
+def _check_rules() -> dict[int, list]:
+    """The rules the quadrature checks read, by alpha, in one request:
+    orders 1 .. 40 at each alpha of 0, 1, 2, 3 and 5."""
+    return _rules(dict.fromkeys((0, 1, 2, 3, 5), range(1, 41)))
+
+
 @_check("quadrature.moments", 1e-12, "rules integrate monomials below degree 2N exactly")
 def _check_moments(j_max, seed):
-    for alpha in (0, 1, 2, 3, 5):
-        for order, rule in enumerate(_rules(alpha, range(1, 41)), start=1):
+    for alpha, rules in _check_rules().items():
+        for order, rule in enumerate(rules, start=1):
             # Row k holds x^k, built as ((x * x) * x) ... one factor at a time.
             powers = np.ones((2 * order, order))
             powers[1:] = np.cumprod(np.broadcast_to(rule.nodes, (2 * order - 1, order)), axis=0)
@@ -525,18 +581,18 @@ def _check_moments(j_max, seed):
 
 @_check("quadrature.weight-sum", 1e-12, "weights sum to Gamma(alpha+1)")
 def _check_weight_sum(j_max, seed):
-    for alpha in (0, 1, 2, 3, 5):
+    for alpha, rules in _check_rules().items():
         target = math.exp(math.lgamma(alpha + 1))
-        for rule in _rules(alpha, range(1, 41)):
+        for rule in rules:
             yield (float(np.sum(rule.weights)) - target) / target
 
 
 @_check("quadrature.interlacing", 0.0, "nodes are positive, sorted, and interlace the next order")
 def _check_interlacing(j_max, seed):
     violations = 0
-    for alpha in (0, 1, 2, 3, 5):
+    for rules in _check_rules().values():
         previous = None
-        for rule in _rules(alpha, range(1, 41)):
+        for rule in rules:
             x = rule.nodes
             if np.any(x <= 0) or np.any(np.diff(x) <= 0):
                 violations += 1
@@ -551,17 +607,15 @@ def _check_interlacing(j_max, seed):
 @_check(
     "quadrature.plane-vs-halfline", 1e-13, "plane inner products reduce to radial ones at equal m"
 )
-def _check_plane_vs_halfline(j_max, seed):
+def _check_plane_vs_halfline(j_max, seed, plane=None):
     # Every pair (j <= j') of one m: the planar side from a table of every
     # label's harmonic on plane_inner's grid, the radial side from one column
     # per |m| on halfline_inner's rule, each pair summed as those functions
     # sum it.
-    j_eff = min(j_max, Fraction(6))
-    phis, x, w = _plane_grid(j_eff, None, None)
-    for sector in ("int", "half"):
+    j_eff, (phis, x, w), tables = plane or _plane_tables(j_max)
+    for sector, table in tables.items():
         labels = sector_labels(sector, j_eff)
         two_ms = np.array([s.two_m for s in labels])
-        table = _plane_table(sector, j_eff, x, phis)
         for a in sorted({abs(s.two_m) for s in labels}):
             rule = _halfline_rule(Fraction(a, 2), j_eff)
             column = _radial_column([s for s in labels if abs(s.two_m) == a], rule.nodes, 0)
@@ -729,10 +783,23 @@ def run_suite(
         if key not in tols:
             raise DomainError(f"unknown check id in tolerance override: {key!r}")
         tols[key] = float(value)
+    ids = sorted(SUITES[suite])
+    # What several checks read is made once here and handed to each: one
+    # column sweep gives every label check its gaps, the closure shadow's
+    # too where it sweeps the same columns, and the plane-grid checks share
+    # one set of tables.  None of it outlives this call.
+    cores = {cid: _CORES[cid] for cid in ids if cid in _CORES}
+    if "algebra.closure-residuals" in ids and j_max <= _SHADOW_J_MAX:
+        cores["algebra.closure-residuals"] = _shadow_gaps
+    shared = {cid: {"gaps": gaps} for cid, gaps in _sweep(j_max, cores).items()}
+    plane = [cid for cid in ids if cid in ("basis.plane-gram", "quadrature.plane-vs-halfline")]
+    if plane:
+        tables = _plane_tables(j_max)
+        shared.update((cid, {"plane": tables}) for cid in plane)
     results = []
-    for check_id in sorted(SUITES[suite]):
+    for check_id in ids:
         identity, _, fn = _CHECKS[check_id]
-        out = fn(j_max, seed)
+        out = fn(j_max, seed, **shared.pop(check_id, {}))
         gaps, note, reproduced = out if isinstance(out, _Verdict) else _Verdict(out)
         residual = _worst(gaps)
         results.append(

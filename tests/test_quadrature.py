@@ -205,9 +205,9 @@ def test_verify_run_builds_each_distinct_rule_once(monkeypatch):
     built = []
     build = quadrature._build_rules
 
-    def spy(alpha, orders):
-        built.extend((order, alpha) for order in orders)
-        return build(alpha, orders)
+    def spy(requests):
+        built.extend((order, alpha) for alpha, orders in requests.items() for order in orders)
+        return build(requests)
 
     monkeypatch.setattr(quadrature, "_build_rules", spy)
     run_suite("all", 8)
@@ -227,22 +227,33 @@ def _assert_same_rule(got, want):
     assert np.array_equal(got.lifted_weights(), want.lifted_weights())
 
 
-@pytest.mark.parametrize(
-    "alpha, orders",
-    [(alpha, _orders_at_j_max_64(alpha)) for alpha in (0, 1, 5, 16, 63, 127)]
+_COLUMN_REQUESTS = [{alpha: _orders_at_j_max_64(alpha)} for alpha in (0, 1, 5, 16, 63, 127)] + [
     # The column of 2|m| = 242 at j_max 128: the kernel stream of a rule
     # starts plain up to order 7 and log-scaled from order 8.
-    + [(242, list(range(2, 10)))],
+    {242: list(range(2, 10))}
+]
+
+
+@pytest.mark.parametrize(
+    "requests",
+    # The last is one request of every alpha above: each alpha's Jacobi
+    # matrix built once, and one stacked eigensolve per order across them.
+    _COLUMN_REQUESTS + [{k: v for request in _COLUMN_REQUESTS for k, v in request.items()}],
+    ids=["0", "1", "5", "16", "63", "127", "242", "all-alphas"],
 )
-def test_batch_build_equals_one_order_builds(monkeypatch, alpha, orders):
+def test_batch_build_equals_one_order_builds(monkeypatch, requests):
     monkeypatch.setattr(quadrature, "_RULES", {})
     with np.errstate(over="ignore"):  # raw weights overflow from alpha 171
-        batch = quadrature._rules(alpha, orders)
-        assert [rule.order for rule in batch] == orders
-        assert all(gauss_laguerre(order, alpha) is rule for order, rule in zip(orders, batch))
-        for order, rule in zip(orders, batch):
-            quadrature._RULES.clear()
-            _assert_same_rule(rule, gauss_laguerre(order, alpha))
+        batch = quadrature._rules(requests)
+        assert list(batch) == list(requests)
+        assert len(quadrature._RULES) == sum(map(len, requests.values()))
+        for alpha, orders in requests.items():
+            assert [rule.order for rule in batch[alpha]] == orders
+            assert all(gauss_laguerre(n, alpha) is rule for n, rule in zip(orders, batch[alpha]))
+        for alpha, orders in requests.items():
+            for order, rule in zip(orders, batch[alpha]):
+                quadrature._RULES.clear()
+                _assert_same_rule(rule, gauss_laguerre(order, alpha))
 
 
 def test_an_underflowing_order_does_not_stop_its_batch(monkeypatch):
@@ -250,7 +261,7 @@ def test_an_underflowing_order_does_not_stop_its_batch(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="order=187, alpha=0.*underflow"):
-            quadrature._rules(0, [185, 186, 187])
+            quadrature._rules({0: [185, 186, 187]})
     batch = dict(quadrature._RULES)
     assert sorted(batch) == [(185, 0), (186, 0)]
     for _ in range(2):

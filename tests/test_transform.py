@@ -336,6 +336,22 @@ class TestRotationGate:
                 assert [got.get(two_j, m) for m in range(-two_j, two_j + 1, 2)] == list(u @ vec)
 
 
+def unfolded(two_j: int, halves) -> np.ndarray:
+    """The Jx eigenvector matrix V, columns of ascending mu, from its parity
+    halves: row k < n // 2 of each is the entry on (e_k +- e_(n-1-k)) / sqrt(2),
+    and the symmetric half's last row, when n = 2j + 1 is odd, on e_(n // 2)."""
+    n = two_j + 1
+    h, odd = divmod(n, 2)
+    full = np.zeros((n, n))
+    for sign, (mu, u) in zip((1.0, -1.0), halves):
+        cols = np.rint(mu + two_j / 2.0).astype(int)
+        full[:h, cols] = u[:h] / math.sqrt(2.0)
+        full[n - h :, cols] = sign * u[:h][::-1] / math.sqrt(2.0)
+        if odd and sign > 0:
+            full[h, cols] = u[h]
+    return full
+
+
 class TestRotationHalves:
     def test_half_eigenvalues_are_exact_ascending_and_of_their_parity(self):
         for two_j in range(0, 301):
@@ -354,16 +370,9 @@ class TestRotationHalves:
         # recurrence's rescale.
         for two_j in two_js:
             n = two_j + 1
-            h, odd = divmod(n, 2)
             halves = rotation._jx_halves(two_j)
             assert all(np.all(np.isfinite(u)) for _, u in halves), two_j
-            full = np.zeros((n, n))
-            for sign, (mu, u) in zip((1.0, -1.0), halves):
-                cols = np.rint(mu + two_j / 2.0).astype(int)
-                full[:h, cols] = u[:h] / math.sqrt(2.0)
-                full[n - h :, cols] = sign * u[:h][::-1] / math.sqrt(2.0)
-                if odd and sign > 0:
-                    full[h, cols] = u[h]
+            full = unfolded(two_j, halves)
             w, v = np.linalg.eigh((ladder_matrix(two_j, "+") + ladder_matrix(two_j, "-")) / 2.0)
             assert np.array_equal(np.rint(2.0 * w), 2.0 * np.arange(n) - two_j)
             cos = np.abs(np.einsum("ij,ij->j", full, v))
@@ -388,6 +397,13 @@ class TestRotationHalves:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         back = rotate(rotated, RotationSpec(-c, -b, -a))
         assert block_gap(back, block) <= 1e-12
+
+    def test_d_of_a_right_angle_is_the_unfolded_eigenvector_matrix(self):
+        # d^j(pi/2) = exp(-i pi/2 Jy) is V, the Jx eigenvectors of ascending
+        # mu, with no phase per column.
+        for two_j in [*range(80), 128, 255, 256]:
+            d = rotation_matrix(two_j, RotationSpec(0.0, math.pi / 2, 0.0))
+            assert np.max(np.abs(d - unfolded(two_j, rotation._eigendata(two_j)))) <= 5e-15, two_j
 
     def test_matrices_of_one_j_share_its_eigendata(self, monkeypatch):
         # One eigendata build per j, across repeated rotation_matrix and
@@ -1088,6 +1104,15 @@ class TestSynthesize:
         block = CoefficientBlock("int", 2)
         assert synthesize(block, (1.0, 0.0)) == 0j
         assert np.all(synthesize(block, (np.array([0.0, 1.0]), 0.5)) == 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, -math.inf])
+    def test_a_zero_block_rejects_the_radii_a_nonzero_block_rejects(self, bad):
+        y = np.array([0.5, 2.0, bad, -3.0])
+        for block in [CoefficientBlock("int", 2), random_block("int", 2, seed=1)]:
+            with pytest.raises(DomainError) as error:
+                synthesize(block, (y, 0.3))
+            assert str(error.value) == f"radial functions need finite y >= 0, got y[2] = {bad}"
 
     def test_plane_point_input(self):
         block = CoefficientBlock("half", Fraction(1, 2), {(1, -1): 2.0})

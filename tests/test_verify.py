@@ -1,5 +1,6 @@
 """Verification harness: suites, reports, tolerance overrides."""
 
+import gc
 import json
 from dataclasses import astuple
 from fractions import Fraction
@@ -165,8 +166,9 @@ def test_text_rendering(full_report):
 
 
 def test_runs_are_deterministic(full_report):
-    again = run_suite("all", j_max=8, seed=0)
-    assert again.to_json() == full_report.to_json()
+    # Two runs in a row, and a run made before other tests, give the same bytes.
+    first, second = (run_suite("all", j_max=8, seed=0).to_json() for _ in range(2))
+    assert first == second == full_report.to_json()
 
 
 def test_seed_recorded():
@@ -265,6 +267,48 @@ def test_column_sweep_equals_the_per_label_helpers():
             (s for s in seen if abs(s.two_m) == s.two_j), key=astuple
         )
         assert verify._worst(verify._check_annihilation(j_max, 0)) == edge_worst
+
+
+def _verify_state():
+    """verify's module attributes and registries, and the count of live columns."""
+    gc.collect()
+    columns = sum(isinstance(o, basis._Column) for o in gc.get_objects())
+    return dict(vars(verify)), dict(verify._CHECKS), dict(verify._CORES), columns
+
+
+def test_run_suite_leaves_no_shared_state():
+    before = _verify_state()
+    assert run_suite("all", 3).overall_pass
+    assert _verify_state() == before
+
+
+def test_run_suite_leaves_no_shared_state_after_a_check_raises(monkeypatch):
+    casimir = actions._casimir_defect
+
+    def fails_on_the_third_column(col):
+        if abs(col.two_m[0]) == 2:
+            raise RuntimeError("casimir core failed")
+        return casimir(col)
+
+    monkeypatch.setattr(actions, "_casimir_defect", fails_on_the_third_column)
+    before = _verify_state()
+    for suite in ("algebra", "all"):
+        with pytest.raises(RuntimeError, match="casimir core failed"):
+            run_suite(suite, 3)
+        assert _verify_state() == before
+
+
+@pytest.mark.parametrize("suite", ["basis", "algebra"])
+def test_a_suite_gives_each_check_the_residual_of_the_all_suite(full_report, suite):
+    # run_suite shares one column sweep and one set of plane tables among the
+    # checks it runs, so a check reads the same residual in every suite, and
+    # called alone, when it builds its inputs itself.
+    everything = {c.id: c for c in full_report.checks}
+    for check in run_suite(suite, 8).checks:
+        assert check == everything[check.id]
+        out = verify._CHECKS[check.id][2](Fraction(8), 0)
+        gaps = out.gaps if isinstance(out, verify._Verdict) else out
+        assert verify._worst(gaps) == check.residual
 
 
 @pytest.mark.parametrize(
