@@ -12,9 +12,9 @@ space; a rule with one whose reciprocal overflows a double raises DomainError.
 Each rule is built once per process: gauss_laguerre hands every caller the
 same QuadratureRule for one (order, alpha), with read-only node and weight
 arrays.  _rules builds the missing rules of one request, several orders at
-each of several alphas, together: each alpha's Jacobi matrix is built once,
-at its top order, and the rules of one order take the eigenvalues of their
-leading blocks from one stacked eigvalsh across the alphas; per alpha, each
+each of several alphas, together: each alpha's Jacobi diagonals are built
+once, at its top order, and the rules of one order take the eigenvalues of
+their matrices from one stacked eigvalsh across the alphas; per alpha, each
 Newton polish and the weight sum is one kernel stream over the nodes of all
 its orders, each order reading its own step.  A cold verify run makes one
 request for the rules of every |m| column and one for the quadrature
@@ -186,24 +186,23 @@ def _build_rules(requests: dict[int, list[int]]) -> None:
     """Memoize the rules at the ascending orders that requests gives each
     alpha, but for those whose weights underflow.
 
-    Each alpha's Jacobi matrix is built once, at its top order, and the
+    Each alpha's Jacobi diagonals are built once, at its top order, and the
     rules of one order N take their eigenvalues from one stacked eigvalsh of
-    the leading N x N blocks of every alpha that asks for N: each block is
-    the order-N matrix entry for entry, so it gets that matrix's
-    eigenvalues.  Per alpha, the two Newton polishes and the lifted weights
-    each stream _kernel_rows over the nodes of all its orders at once, and
-    the log-weights are taken once.
+    the order-N Jacobi matrix of every alpha that asks for N, each filled
+    from the leading entries of its alpha's diagonals.  Per alpha, the two
+    Newton polishes and the lifted weights each stream _kernel_rows over the
+    nodes of all its orders at once, and the log-weights are taken once.
     """
-    jacobi, by_order = {}, {}
+    diagonals, by_order = {}, {}
     for alpha, orders in requests.items():
         k = np.arange(orders[-1], dtype=float)
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
-        jacobi[alpha] = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+        diagonals[alpha] = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
         for order in orders:
             by_order.setdefault(order, []).append(alpha)
     eigenvalues = {}
     for order, alphas in by_order.items():
-        blocks = np.stack([jacobi[alpha][:order, :order] for alpha in alphas])
+        bands = [(d[:order], off[: order - 1]) for d, off in map(diagonals.get, alphas)]
+        blocks = np.stack([np.diag(d) + np.diag(off, 1) + np.diag(off, -1) for d, off in bands])
         eigenvalues.update(zip(((order, a) for a in alphas), np.linalg.eigvalsh(blocks)))
     for alpha, orders in requests.items():
         x = np.concatenate([eigenvalues[order, alpha] for order in orders])

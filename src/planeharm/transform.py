@@ -22,27 +22,23 @@ at once, one batched real matrix product per |m|, and places all the sums
 in the block at the end, in O(j_max^2 P + j_max n_phi P) time.  Its
 projection, _project, takes a stack of sample grids and gives each the
 coefficients analyze would, so many functions share one run of the
-recurrence.  What the projection derives from the grid alone (the angular
-matrix, the s_m column, the radial rows of every step and the gather
-index) is its plan.  The plan of the default grid of each (sector,
-two_j_max) with two_j_max <= 64 is built once per process and kept
-read-only, keyed on the sector, two_j_max and the bytes of the grid's
-angles and nodes: at most 0.3 MB a grid, 5.8 MB for the grids of each
-sector's own j_max and 11.5 MB for every (sector, two_j_max) up to the
-cap.  A grid of other sizes or a larger two_j_max builds the small parts
-once per call and streams its rows.  synthesize runs the recurrence once
-over its P radial points, unless those points and angles are a stored grid
-and its top multiplet is that plan's two_j_max: then it reads the plan's
-rows and its e^(i|m|phi) matrix, the same computations on the same inputs.
-analyze takes its plan before it samples f, so a default-grid round trip
-analyze(as_function(b)) up to the cap runs the recurrence once cold and
-not at all warm.  Off a stored grid, synthesize remembers the top
-multiplet and the bytes of its last points in a one-entry store, and the
-second call in a row at them keeps its rows there, read-only, when rows
-and key hold at most 2^18 entries (2 MiB): later calls at the same radii
-and top, at any angles and coefficients, read them instead of running the
-recurrence again.  Points that never repeat, or larger rows, stream and
-are never kept.  synthesize picks one of two sums from n_phi alone.
+recurrence.  What it derives from the grid alone is its plan: the angular
+matrix of its angles, the s_m column and gather index of its ladder, and
+the radial rows of every step at its nodes.
+
+analyze and synthesize keep such arrays, read-only, in one per-process
+least-recently-used store (_STORE) of 2 MiB at most (_STORE_BYTES), keyed
+on what they derive from: ("angles", top, angle bytes), ("gather", top,
+b"") and ("rows", top, point bytes), top being the ladder's last 2|m|.
+analyze keeps what its grid needs on the first request, before it samples
+f, so a round trip analyze(as_function(b)) whose entries fit runs the
+recurrence once cold and not at all warm: synthesize reads those rows,
+and e^(i|m|phi) from the angular matrix.  synthesize keeps only on the
+second request for a key while that key is held, so points that never
+repeat keep no arrays.  An entry that alone passes the budget, such as
+the rows or the angular matrix of the int j_max 128 default grid, is
+never kept.  Every output is the streamed one bit for bit.  synthesize
+picks one of two sums from n_phi alone.
 With few angles, at each step the coefficients with e^(+-i m phi) and the
 sign s_m folded in form a real (2 n_phi, |m|) matrix, and one matrix
 product adds the step to every angle, in O(j_max^2 n_phi P)
@@ -54,7 +50,7 @@ and one (n_phi x |m|) @ (|m| x P) product per sign of m gives the grid at
 the end, in O(j_max^2 P + j_max n_phi P) time.  A block of rows holds at
 most _FOLD_ENTRIES entries, or one step if that step alone holds more, so
 memory stays O(n_phi P + j_max (n_phi + P)) on both paths, besides the
-2 MiB at most of synthesize's kept rows.
+store's 2 MiB.
 
 Blocks serialize to a flat JSON document::
 
@@ -82,7 +78,7 @@ from .basis import _as_cap, _as_half_integer, _finite_phi, _point_parts, _real_a
 # tracing leaves transform.calL and basis.calL the same object.
 from .basis import SpinIndex, _radial_rows, _sign, calL, sector_labels  # noqa: F401
 from .errors import DomainError, SchemaError, _as_int
-from .quadrature import _grid_sizes, _plane_grid, _sample_grid
+from .quadrature import _plane_grid, _sample_grid
 from .rotation import RotationSpec, rotation_matrix
 
 __all__ = [
@@ -112,13 +108,13 @@ def _block_size(sector: str, j_max) -> tuple[int, int]:
     if sector not in _SECTORS:
         raise DomainError(f"sector must be 'int' or 'half', got {sector!r}")
     two_j_max = int(2 * _as_cap("j_max", j_max))
-    return two_j_max, _label_count(sector, two_j_max)
+    top = _ladder_top(sector, two_j_max)
+    return two_j_max, _index(top, top) + 1
 
 
-def _label_count(sector: str, two_j_max: int) -> int:
-    """The number of labels of a sector with two_j <= two_j_max."""
-    top = two_j_max if _sector_of_two_j(two_j_max) == sector else two_j_max - 1
-    return _index(top, top) + 1
+def _ladder_top(sector: str, two_j_max: int) -> int:
+    """The last 2|m| of a sector up to two_j_max: -1 if there is none."""
+    return two_j_max if _sector_of_two_j(two_j_max) == sector else two_j_max - 1
 
 
 def _past_range(what: str, two_j: int) -> DomainError:
@@ -362,9 +358,12 @@ def analyze(
     e^(-i m phi) per m, one matrix product over the samples, followed by a
     radial Gauss-Laguerre sum against each row of the per-m radial
     recurrence; the grid is plane_inner's, so coefficients of a
-    band-limited f of the sector are exact to roundoff.  A coefficient that
-    is not finite, from samples that are not or from sums past the double
-    range, raises DomainError naming its label.
+    band-limited f of the sector are exact to roundoff.  What the grid
+    alone gives is kept in transform's store before f is called, where it
+    fits, for later calls and for synthesize inside f; the coefficients
+    are the streamed ones bit for bit.  A coefficient that is not finite,
+    from samples that are not or from sums past the double range, raises
+    DomainError naming its label.
     """
     return _analyze(f, sector, j_max, n_phi, n_radial)[0]
 
@@ -373,7 +372,8 @@ def _analyze(f, sector, j_max, n_phi, n_radial):
     """analyze's block, with the samples and lifted radial weights it used."""
     two_j_max = _block_size(sector, j_max)[0]
     phis, x, w = _plane_grid(Fraction(two_j_max, 2), n_phi, n_radial)
-    # The plan first: a stored one is there for f, if f synthesizes on this grid.
+    # The plan first: its kept rows and phases are there for f, if f
+    # synthesizes on this grid.
     plan = _plan(sector, two_j_max, phis, x)
     samples = _sample_grid(f, x, phis)
     values = _project(samples[None], sector, two_j_max, phis, x, w, plan)[0]
@@ -388,9 +388,8 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
     (B, labels).  analyze is the case B = 1, and each of B functions gets
     the coefficients analyze gives it, bit for bit: every product and sum
     below acts on each function's samples alone.  What depends on the grid
-    alone is plan, or _plan's if plan is None: stored for a default grid up
-    to _PLAN_TWO_J_MAX and built per call otherwise; the contraction is the
-    same either way, so a stored plan leaves every coefficient as it was.
+    alone is plan, or _plan's if plan is None; kept or built, it holds the
+    same bytes.
     The blocks of rows (_row_blocks) do not depend on B, so neither do the
     products.  Samples past the double range leave coefficients that are
     not finite.  The bytes of the result hold at one BLAS thread count
@@ -398,10 +397,8 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
     large enough for a threaded BLAS to split them, and their last bits then
     depend on how many threads it uses.
     """
-    angular, signs, rows, source = plan or _plan(sector, two_j_max, phis, x)
+    angular, signs, source, rows = plan or _plan(sector, two_j_max, phis, x)
     count, n_m = len(samples), len(signs)
-    if rows is None:
-        rows = _radial_rows(_sector_ladder(sector, two_j_max), two_j_max, x)
     with np.errstate(over="ignore", invalid="ignore"):
         # Angular projections onto m = +|m| and m = -|m|, each times the
         # weights, indexed by (sign of m, function, |m|, point) like
@@ -423,61 +420,109 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
     return sums.reshape(count, 2 * n_m * n_m).take(source, axis=1)
 
 
-# The projection plan of analyze's default grid at each (sector, two_j_max)
-# up to _PLAN_TWO_J_MAX built in this process (see _plan), keyed on the grid
-# it was built from: 0.19 MB for the int j_max 20 and half j_max 39/2 grids,
-# 5.8 MB for the grids of each sector's own j_max up to int j_max 32 and
-# half j_max 63/2, and 11.5 MB at most.  Any other grid streams its radial
-# rows on every call, so the store stays bounded.
-_PLAN_TWO_J_MAX = 64
-_PLANS: dict[tuple, tuple] = {}
-
-
 def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
-    """What _project derives from the grid (phis, x) alone.
+    """What _project derives from the grid (phis, x) alone, kept on the
+    first request where it fits (see _kept): (angular, signs, source, rows)."""
+    top = _ladder_top(sector, two_j_max)
+    (angular,) = _kept("angles", top, phis, True) or (_angular(top, phis),)
+    signs, source = _kept("gather", top, phis[:0], True) or _gather(top)
+    return angular, signs, source, _kept("rows", top, x, True)
 
-    (angular, signs, rows, source): the e^(-+i|m|phi) matrix indexed by
-    (sign of m, 1, |m|, angle), the s_m column, the radial rows of every
-    step of the per-m recurrence at x, and the gather index that places
-    entry (sign, j - |m|, |m|) of the step sums at label (j, +-|m|).  The
-    plan of a grid of the default sizes (analyze's default grid) with
-    two_j_max <= _PLAN_TWO_J_MAX is built once per process, kept read-only
-    and keyed on every input it is built from; any other grid gets rows
-    None, for _project to stream them.  synthesize reads the rows of a
-    stored plan under the same key, for a block whose top multiplet is
-    two_j_max on that grid.
-    """
-    key = _plan_key(sector, two_j_max, phis, x)
-    plan = _PLANS.get(key)
-    if plan is not None:
-        return plan
-    ladder = _sector_ladder(sector, two_j_max)
-    n_m, abs2m = len(ladder), np.array(ladder, dtype=int)
-    angular = np.exp(0.5j * np.array([-1, 1])[:, None, None, None] * abs2m[:, None] * phis)
-    signs = np.array([_sign(v) for v in ladder])[:, None]
+
+def _angular(top: int, phis) -> np.ndarray:
+    """e^(-+i|m|phi) of the ladder up to top at the angles phis, indexed by
+    (sign of m, 1, |m|, angle)."""
+    abs2m = np.arange(top % 2, top + 1, 2)
+    return np.exp(0.5j * np.array([-1, 1])[:, None, None, None] * abs2m[:, None] * phis)
+
+
+def _gather(top: int) -> tuple:
+    """(signs, source): the s_m column of the ladder up to top, and the
+    gather index that places entry (sign, j - |m|, |m|) of the step sums at
+    label (j, +-|m|)."""
+    abs2m = np.arange(top % 2, top + 1, 2)
+    n_m = len(abs2m)
+    signs = np.array([_sign(v) for v in abs2m.tolist()])[:, None]
     # Label (j, +-|m|) reads entry (sign, j - |m|, |m|) of each function's
     # sums, gathered at once: indexing the stack with one index array on one
     # axis keeps analyze's one function as fast as a 1-D block.
     two_j = abs2m + 2 * np.arange(n_m)[:, None]
-    keep = two_j <= two_j_max
+    keep = two_j <= top
     entry = np.arange(n_m * n_m).reshape(n_m, n_m)[keep]
     two_j, abs2m = two_j[keep], np.broadcast_to(abs2m, keep.shape)[keep]
-    source = np.empty(_label_count(sector, two_j_max), dtype=np.intp)
+    source = np.empty(_index(top, top) + 1, dtype=np.intp)
     # m = 0 is written twice, the +|m| projection last.
     source[_index(two_j, -abs2m)] = entry + n_m * n_m
     source[_index(two_j, abs2m)] = entry
-    rows = None
-    if two_j_max <= _PLAN_TWO_J_MAX and (phis.size, x.size) == _grid_sizes(Fraction(two_j_max, 2)):
-        rows = tuple(_radial_rows(ladder, two_j_max, x))
-        for array in (angular, signs, source, *rows):
-            array.flags.writeable = False
-        _PLANS[key] = angular, signs, rows, source
-    return angular, signs, rows, source
+    return signs, source
 
 
-def _plan_key(sector: str, two_j_max: int, phis, x) -> tuple:
-    """The _PLANS key of a grid: every input its plan is built from."""
-    return sector, two_j_max, phis.tobytes(), x.tobytes()
+def _kept(kind: str, top: int, points, keep_first: bool):
+    """The store's arrays of one kind for the ladder up to top (see
+    _Store.request): "angles", (angular,) at the angles points, or None;
+    "gather", (signs, source), which take no points, or None; "rows", the
+    radial rows of every step at the radii points, n_m, n_m - 1, ..., 1 rows
+    a step, or a fresh stream of them."""
+    n_m, check = top // 2 + 1, None
+    if kind == "angles":
+        size, build = 32 * n_m * points.size, lambda: (_angular(top, points),)
+    elif kind == "gather":
+        size, build = 8 * (n_m + _index(top, top) + 1), lambda: _gather(top)
+    else:
+        stream = lambda: _radial_rows(range(top % 2, top + 1, 2), top, points)
+        size, build = 4 * points.size * n_m * (n_m + 1), lambda: tuple(stream())
+        check = lambda: _y_bounds(points)  # a miss rejects bad radii before the store changes
+    kept = _STORE.request((kind, top, points.tobytes()), size, build, keep_first, check)
+    return stream() if kept is None and kind == "rows" else kept
+
+
+# The bytes the store holds at most, counting each entry's arrays and key.
+_STORE_BYTES = 2**21
+
+
+class _Store(dict):
+    """Read-only arrays that analyze and synthesize derive from points
+    alone, by key, least recently used first: key -> (counted bytes, arrays
+    or None while key is held without them)."""
+
+    nbytes = 0  # the sum of the counted bytes
+
+    def request(self, key: tuple, size: int, build: Callable, keep_first: bool, check=None):
+        """key's kept arrays, or None for the caller to build or stream its own.
+
+        A miss runs check(), if given, then keeps build()'s arrays (size
+        bytes), read-only, if keep_first or if key is held without arrays (a
+        second request), and holds key alone if not; the least recently used
+        entries go until the store is within _STORE_BYTES.  Arrays that with
+        their key pass that alone are never kept nor their key held.
+        """
+        # A key counts its points and 256 bytes for itself: its tuple, bytes
+        # object and dict slot measured about 210 bytes with one point.
+        key_bytes = len(key[-1]) + 256
+        if size + key_bytes > _STORE_BYTES:
+            return None
+        held = self.get(key)
+        if held is not None and held[1] is not None:
+            self[key] = self.pop(key)
+            return held[1]
+        if check is not None:
+            check()
+        arrays = None
+        if keep_first or held is not None:
+            arrays = build()
+            for array in arrays:
+                array.flags.writeable = False
+        if held is not None:
+            self.nbytes -= self.pop(key)[0]
+        counted = key_bytes + (0 if arrays is None else size)
+        while self.nbytes + counted > _STORE_BYTES:
+            self.nbytes -= self.pop(next(iter(self)))[0]
+        self[key] = counted, arrays
+        self.nbytes += counted
+        return arrays
+
+
+_STORE = _Store()
 
 
 # Entries of the coefficient fold (step x angle x |m|) or of a block of
@@ -492,7 +537,7 @@ def _row_blocks(stream, steps: int, size: int):
     consecutive steps at a time.
 
     stream yields step k's (n_k, size) rows, n_k not increasing, as
-    _radial_rows does or a stored plan holds them.  Yields (k, block): block
+    _radial_rows does or the store keeps them.  Yields (k, block): block
     has shape (n_k, s, size) and holds steps k .. k + s - 1, block[i, t]
     being row i of step k + t, or exact zeros past that step's last row.  A
     block holds at most _FOLD_ENTRIES entries, or one step if that step
@@ -530,13 +575,13 @@ def synthesize(block: CoefficientBlock, point):
     pair gives a complex.
 
     The per-m radial recurrence runs once over y's own points, or not at
-    all where they and the angles form a grid whose rows and phases
-    analyze has stored (see _plan), or where the last two calls off such a
-    grid had y's points and top multiplet and kept their rows (see
-    _synthesis_rows); every output is the streamed one bit for bit.  No
-    angles, or an empty block, give zeros of the broadcast shape.  The
-    number of angles n_phi picks how the steps are summed.  With few
-    angles the coefficients of step k, with e^(+-i m phi) and the sign s_m
+    all where the store holds their rows up to the top multiplet: kept by
+    analyze on its grid, or by an earlier call at the same points and top
+    whose key was held (see _Store.request).  e^(i|m|phi) comes from the
+    store's angular matrix in the same way.  Every output is the streamed one
+    bit for bit.  No angles, or an empty block, give zeros of the broadcast
+    shape.  The number of angles n_phi picks how the steps are summed.  With
+    few angles the coefficients of step k, with e^(+-i m phi) and the sign s_m
     folded in, form a real (2 n_phi, n_k) matrix, and the step adds one
     (2 n_phi x n_k) @ (n_k x P) product: O(j_max^2 n_phi P) in all.  With
     many angles the rows, times their coefficients, go a block of steps at
@@ -568,15 +613,12 @@ def synthesize(block: CoefficientBlock, point):
         slots = np.where(keep, [_index(two_j, ladder), _index(two_j, -ladder)], 0)
         by_sign = keep * block._values[slots]
         by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
-        # On analyze's default grid its stored plan holds these very rows and
-        # phases: the same recurrence on the same ladder, top and points, and
-        # its angular[1] is this product, as 0.5j * 1 is exactly 0.5j.
-        plan = _PLANS.get(_plan_key(block.sector, top, phis, flat))
-        if plan is None:
-            phase = np.exp(0.5j * ladder[:, None] * phis)
-            stream = _synthesis_rows(ladder, top, flat)
-        else:
-            phase, stream = plan[0][1, 0], plan[2]
+        # Kept rows are this recurrence on these points, and a kept
+        # angular[1] is this phase, as 0.5j * 1 is exactly 0.5j.  The rows
+        # come first: a miss checks the points before the store changes.
+        stream = _kept("rows", top, flat, False)
+        angles = _kept("angles", top, phis, False)
+        phase = np.exp(0.5j * ladder[:, None] * phis) if angles is None else angles[0][1, 0]
         if phis.size < _RADIAL_FIRST_ANGLES:
             out = _sum_by_step(by_sign, phase.T, stream, flat.size)
         else:
@@ -590,51 +632,6 @@ def synthesize(block: CoefficientBlock, point):
     out = out.transpose([i for t in range(ndim) for i in (t, ndim + t)])
     out = out.reshape(np.broadcast_shapes(y_shape, phi_shape))
     return out if out.ndim else complex(out)
-
-
-# synthesize's kept radial rows (see _synthesis_rows): one entry whose rows
-# and key hold at most _KEPT_ROW_ENTRIES float64 entries (2 MiB) in all, so
-# the store stays bounded.
-_KEPT_ROW_ENTRIES = 2**18
-_ROWS: dict[tuple, tuple | None] = {}
-
-
-def _synthesis_rows(ladder, top: int, flat):
-    """The per-m radial rows of ladder up to top at the points flat.
-
-    Rows and key past _KEPT_ROW_ENTRIES entries in all just stream.  Else
-    the store _ROWS is keyed on every input the rows are built from: top,
-    which fixes the sector and the ladder, and the bytes of flat.  On a hit
-    it gives the kept read-only rows.  On a miss it streams a fresh run of
-    the recurrence, each step summed as it comes, and once the stream is
-    consumed its key becomes the one entry, holding the rows, read-only,
-    if the key was there already: the rows are kept by the second call in
-    a row at the same points.  Keeping rows costs a call about a tenth of
-    its time (each step is new memory, not the last one's), so points that
-    never repeat pay for their key only.  Points the recurrence rejects
-    raise its DomainError and leave the store as it was.
-    """
-    entries = flat.size * (1 + int(np.sum((top - ladder) // 2 + 1)))
-    if entries > _KEPT_ROW_ENTRIES:
-        return _radial_rows(ladder.tolist(), top, flat)
-    key = top, flat.tobytes()
-    rows = _ROWS.get(key)
-    if rows is None:
-        rows = _entered(key, _radial_rows(ladder.tolist(), top, flat), keep=key in _ROWS)
-    return rows
-
-
-def _entered(key, stream, keep: bool):
-    """Yield stream's rows, read-only if keep; once it is consumed, make key
-    _ROWS's one entry, holding the rows if keep."""
-    rows = []
-    for array in stream:
-        if keep:
-            array.flags.writeable = False
-            rows.append(array)
-        yield array
-    _ROWS.clear()
-    _ROWS[key] = tuple(rows) if keep else None
 
 
 def _sum_by_step(by_sign, phase, stream, size):
@@ -674,8 +671,8 @@ def as_function(block: CoefficientBlock) -> Callable:
 
     It calls synthesize, so y and phi may be scalars or arrays that broadcast
     as a grid.  analyze's single (1, n_radial) x (n_phi, 1) call costs one run
-    of the radial recurrence, or none on a default grid up to the cap, whose
-    plan analyze has stored before it calls f.
+    of the radial recurrence, or none where analyze has kept its grid's rows
+    before it calls f.
     """
     return lambda y, phi: synthesize(block, (y, phi))
 

@@ -153,12 +153,15 @@ class TestOneKernelPass:
         # plans, read by 5 of the 11 projections, make 238; synthesize
         # reading the rows of those plans on their own grids makes 230; one
         # column sweep per run for every label check and the closure shadow,
-        # and one plane table per sector for both plane-grid checks, 160.
+        # and one plane table per sector for both plane-grid checks, 160;
+        # transform's one store keying radial rows on the ladder's top and
+        # the points alone, so basis.plane-gram's half-sector rows serve
+        # transform.roundtrip's half block on the same nodes, 159.
         calls = self.count_kernel_calls(monkeypatch, (basis, quadrature, transform, verify))
         monkeypatch.setattr(quadrature, "_RULES", {})
-        monkeypatch.setattr(transform, "_PLANS", {})
+        monkeypatch.setattr(transform, "_STORE", transform._Store())
         run_suite("all", 8, 1)
-        assert len(calls) <= 160
+        assert len(calls) <= 159
 
 
 class TestLadderForms:

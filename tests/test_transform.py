@@ -760,7 +760,7 @@ class TestAnalyze:
 
 
 
-def count_plan_streams(monkeypatch):
+def count_streams(monkeypatch):
     """The arguments of every radial-row stream transform starts."""
     calls = []
     kernel = transform._radial_rows
@@ -773,19 +773,114 @@ def count_plan_streams(monkeypatch):
     return calls
 
 
-def plan_arrays(plan):
-    angular, signs, rows, source = plan
-    return (angular, signs, source, *rows)
+def count_exp(monkeypatch):
+    """The shape of every np.exp argument."""
+    calls = []
+    exp = np.exp
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    return calls
 
 
-class TestAnalyzePlan:
-    """analyze's per-process store of default-grid projection plans."""
+def empty_store(monkeypatch):
+    monkeypatch.setattr(transform, "_STORE", transform._Store())
+    return transform._STORE
+
+
+def kept(kind):
+    """The tops of the store's entries of kind ("angles" or "rows") that hold arrays."""
+    return [key[1] for key, (_, arrays) in transform._STORE.items() if key[0] == kind and arrays]
+
+
+def snapshot(store):
+    """store's keys, counts and array identities, in order, and its byte count."""
+    return [(key, counted, id(arrays)) for key, (counted, arrays) in store.items()], store.nbytes
+
+
+def never():
+    raise AssertionError("built")
+
+
+RADII = np.random.default_rng(40).integers(1, 60 * 1024, 256) / 1024.0
+KEY_BYTES = 256  # what the store counts for a key beside its points
+
+
+class TestStore:
+    """transform's one per-process store of angular matrices, gather
+    indices and radial rows."""
+
+    ONE = 8 + KEY_BYTES  # what a key of one point counts
+
+    @staticmethod
+    def key(i):
+        return "rows", i, bytes(8)
+
+    def test_least_recently_used_entries_go_first(self, monkeypatch):
+        store = empty_store(monkeypatch)
+        monkeypatch.setattr(transform, "_STORE_BYTES", 3 * (800 + self.ONE))
+        held = [store.request(self.key(i), 800, lambda: (np.zeros(100),), True) for i in range(3)]
+        assert store.request(self.key(0), 800, never, True) is held[0]
+        store.request(self.key(3), 800, lambda: (np.zeros(100),), True)
+        assert list(store) == [self.key(2), self.key(0), self.key(3)]
+        assert store.nbytes == transform._STORE_BYTES
+
+    def test_keys_held_without_arrays_count_against_the_budget(self, monkeypatch):
+        store = empty_store(monkeypatch)
+        monkeypatch.setattr(transform, "_STORE_BYTES", 3 * self.ONE)
+        for i in range(4):
+            assert store.request(self.key(i), 8, never, False) is None
+        assert list(store.items()) == [(self.key(i), (self.ONE, None)) for i in (1, 2, 3)]
+        assert store.nbytes == 3 * self.ONE
+        # A second request keeps the arrays, and the least recently used key
+        # makes room for them.
+        arrays = store.request(self.key(2), 8, lambda: (np.zeros(1),), False)
+        assert list(store.items()) == [(self.key(3), (self.ONE, None)), (self.key(2), (self.ONE + 8, arrays))]
+        assert store.nbytes == 2 * self.ONE + 8
+
+    def test_an_entry_over_the_budget_is_never_kept_and_leaves_the_store_as_it_was(
+        self, monkeypatch
+    ):
+        store = empty_store(monkeypatch)
+        store.request(self.key(0), 8, lambda: (np.zeros(1),), True)
+        store.request(self.key(1), 8, never, False)
+        before = snapshot(store)
+        fits = transform._STORE_BYTES - self.ONE
+        for keep_first in (True, False, False):
+            assert store.request(self.key(2), fits + 1, never, keep_first) is None
+            assert snapshot(store) == before
+        assert store.request(self.key(2), fits, lambda: (np.zeros(fits // 8),), True)
+        assert list(store) == [self.key(2)] and store.nbytes == transform._STORE_BYTES
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2)), ("half", 4)])
+    def test_a_default_grid_roundtrip_streams_once_cold_and_never_warm(
+        self, sector, j_max, monkeypatch
+    ):
+        # synthesize reads the rows analyze kept for its grid, and
+        # e^(i|m|phi) from its angular matrix.
+        block = random_block(sector, j_max, seed=5)
+        empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        cold = analyze(as_function(block), sector, j_max)
+        assert len(calls) == 1
+        exps = count_exp(monkeypatch)
+        warm = analyze(as_function(block), sector, j_max)
+        assert len(calls) == 1 and exps == []
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)  # nothing is kept
+        streamed = analyze(as_function(block), sector, j_max)
+        assert len(calls) == 3 and exps
+        assert cold._values.tobytes() == warm._values.tobytes() == streamed._values.tobytes()
 
     @pytest.mark.parametrize(
         "sector, j_max",
         [("int", 20), ("half", Fraction(39, 2)), ("int", Fraction(7, 2)), ("half", 4)],
     )
-    def test_same_bytes_from_an_empty_store_a_full_one_and_none(self, sector, j_max, monkeypatch):
+    def test_analyze_gives_the_same_bytes_from_an_empty_store_a_full_one_and_none(
+        self, sector, j_max, monkeypatch
+    ):
         f = as_function(random_block(sector, j_max, seed=17))
         phis, x, w = _plane_grid(Fraction(j_max), None, None)
         table = _plane_table(sector, Fraction(j_max), x, phis)
@@ -799,120 +894,16 @@ class TestAnalyzePlan:
             out = []
             for call in calls:
                 if empty:
-                    monkeypatch.setattr(transform, "_PLANS", {})
+                    empty_store(monkeypatch)
                 out.append(call().tobytes())
             return out
 
         cold = outputs(empty=True)
-        assert len(transform._PLANS) == 1
+        assert len(kept("angles")) == len(kept("rows")) == 1
         assert outputs(empty=False) == cold
-        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)  # every grid streams
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)
         assert outputs(empty=True) == cold
-        assert transform._PLANS == {}
-
-    def test_a_second_default_grid_analyze_makes_no_radial_stream(self, monkeypatch):
-        monkeypatch.setattr(transform, "_PLANS", {})
-        calls = count_plan_streams(monkeypatch)
-        f = lambda y, phi: calZ(SpinIndex(5, 3), (y, phi))
-        first = analyze(f, "half", Fraction(7, 2))
-        assert len(calls) == 1
-        second = analyze(f, "half", Fraction(7, 2))
-        assert len(calls) == 1
-        assert second == first
-
-    def test_non_finite_samples_raise_the_same_error_cold_and_warm(self, monkeypatch):
-        monkeypatch.setattr(transform, "_PLANS", {})
-        for _ in range(2):
-            with pytest.raises(DomainError, match=r"label \(0, 0\) must be finite"):
-                analyze(lambda y, phi: np.nan, "int", 2)
-            assert len(transform._PLANS) == 1
-
-    @pytest.mark.parametrize(
-        "sector, j_max, grid",
-        [
-            ("int", 4, {"n_phi": 20}),
-            ("int", 4, {"n_radial": 9}),
-            ("half", Fraction(7, 2), {"n_phi": 11, "n_radial": 3}),
-            ("int", 33, {}),  # two_j_max 66, past the cap
-            ("half", Fraction(65, 2), {}),
-        ],
-    )
-    def test_explicit_or_oversize_grids_are_never_stored_or_read(
-        self, sector, j_max, grid, monkeypatch
-    ):
-        f = lambda y, phi: calZ(SpinIndex(3, 1) if sector == "half" else SpinIndex(4, 2), (y, phi))
-        monkeypatch.setattr(transform, "_PLANS", {})
-        analyze(f, sector, j_max)
-        default = dict(transform._PLANS)
-        calls = count_plan_streams(monkeypatch)
-        blocks = [analyze(f, sector, j_max, **grid) for _ in range(3)]
-        assert len(calls) == 3
-        assert transform._PLANS == default
-        monkeypatch.setattr(transform, "_PLANS", {})
-        assert all(block == analyze(f, sector, j_max, **grid) for block in blocks)
-        assert transform._PLANS == {}
-
-    def test_stored_arrays_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(transform, "_PLANS", {})
-        for sector, j_max in (("int", 0), ("int", 3), ("half", Fraction(5, 2)), ("half", 6)):
-            analyze(lambda y, phi: np.exp(-y) + 0 * phi, sector, j_max)
-        assert len(transform._PLANS) == 4
-        for plan in transform._PLANS.values():
-            assert isinstance(plan[2], tuple)
-            for array in plan_arrays(plan):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[...] = 0
-
-    def test_the_store_keeps_default_grids_up_to_its_cap_only(self, monkeypatch):
-        monkeypatch.setattr(transform, "_PLANS", {})
-        calls = count_plan_streams(monkeypatch)
-        cap = transform._PLAN_TWO_J_MAX
-        f = lambda y, phi: np.exp(-y) + 0 * phi
-        for _ in range(2):
-            for two_j_max in (cap - 1, cap, cap + 1, cap + 2):
-                analyze(f, "int", Fraction(two_j_max, 2))
-        assert [args[1] for args in calls] == [cap - 1, cap, cap + 1, cap + 2, cap + 1, cap + 2]
-        assert sorted(key[:2] for key in transform._PLANS) == [("int", cap - 1), ("int", cap)]
-        # Every default grid up to the cap, in both sectors: at most 11.5 MB,
-        # and 5.8 MB for the grids of each sector's own j_max.
-        sizes = {}
-        for sector in ("int", "half"):
-            for two_j_max in range(cap + 1):
-                phis, x, _ = _plane_grid(Fraction(two_j_max, 2), None, None)
-                plan = transform._plan(sector, two_j_max, phis, x)
-                sizes[sector, two_j_max] = sum(a.nbytes for a in plan_arrays(plan))
-        assert len(transform._PLANS) == 2 * (cap + 1)
-        assert sum(sizes.values()) < 11.5e6
-        own = [size for (sector, t), size in sizes.items() if (sector == "half") == (t % 2 == 1)]
-        assert sum(own) < 5.85e6
-
-    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
-    def test_a_default_grid_roundtrip_streams_once_cold_and_never_warm(
-        self, sector, j_max, monkeypatch
-    ):
-        # synthesize reads the rows analyze's plan stored for the grid.
-        block = random_block(sector, j_max, seed=5)
-        monkeypatch.setattr(transform, "_PLANS", {})
-        calls = count_plan_streams(monkeypatch)
-        cold = analyze(as_function(block), sector, j_max)
-        assert len(calls) == 1
-        warm = analyze(as_function(block), sector, j_max)
-        assert len(calls) == 1
-        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)  # every grid streams
-        monkeypatch.setattr(transform, "_PLANS", {})
-        streamed = analyze(as_function(block), sector, j_max)
-        assert len(calls) == 3
-        assert cold._values.tobytes() == warm._values.tobytes() == streamed._values.tobytes()
-
-    def test_a_roundtrip_above_the_cap_streams_both_halves(self, monkeypatch):
-        block = random_block("int", 40, seed=5)
-        monkeypatch.setattr(transform, "_PLANS", {})
-        calls = count_plan_streams(monkeypatch)
-        for _ in range(2):
-            analyze(as_function(block), "int", 40)
-        assert len(calls) == 4
-        assert transform._PLANS == {}
+        assert transform._STORE == {}
 
     @pytest.mark.parametrize(
         "block",
@@ -920,83 +911,198 @@ class TestAnalyzePlan:
             random_block("int", 20, seed=6),
             # sparse: the top multiplet, j = 18, lies below two_j_max
             CoefficientBlock("int", 20, {(0, 0): 0.5, (10, -4): 1j, (36, 36): -2.0}),
-            # half sector at integer j_max: the top multiplet is j = 7/2
+            # half sector at integer j_max: the top multiplet is j = 7/2,
+            # analyze's ladder top on the grid of j_max 4
             random_block("half", 4, seed=7),
             random_block("half", Fraction(39, 2), seed=8),
+            random_block("int", 64, seed=9),  # rows at 256 radii pass the budget
         ],
-        ids=["dense-int-20", "sparse-int-20", "half-at-integer-4", "dense-half-39/2"],
+        ids=["dense-int-20", "sparse-int-20", "half-at-integer-4", "dense-half-39/2", "int-64"],
     )
     def test_synthesize_gives_the_same_bytes_from_an_empty_store_a_full_one_and_none(
         self, block, monkeypatch
     ):
         phis, x, _ = _plane_grid(block.j_max, None, None)
+        many = np.linspace(-3.0, 3.0, _RADIAL_FIRST_ANGLES)
         points = {
             "grid": (x[None, :], phis[:, None]),
             "transposed": (x[:, None], phis[None, :]),
             "nodes-one-ulp-off": (np.nextafter(x, np.inf)[None, :], phis[:, None]),
             "angles-one-ulp-off": (x[None, :], np.nextafter(phis, np.inf)[:, None]),
+            "one-angle": (RADII, 0.3),
+            "many-angle": (RADII[None, :], many[:, None]),
         }
-        # Only a dense block at its own top reads the plan; the others stream.
-        top_is_j_max = block.get(block.two_j_max, block.two_j_max) != 0
-        reads = {"grid": top_is_j_max, "transposed": top_is_j_max}
+        # Only a block whose top is analyze's ladder top reads its rows, at
+        # the grid's nodes and any angles.
+        top = max(two_j for (two_j, _), _ in block.items())
+        reads = top == transform._ladder_top(block.sector, block.two_j_max)
+        at_nodes = ("grid", "transposed", "angles-one-ulp-off")
 
         def outputs():
             return {name: synthesize(block, point).tobytes() for name, point in points.items()}
 
-        monkeypatch.setattr(transform, "_PLANS", {})
+        empty_store(monkeypatch)
         empty = outputs()
-        analyze(lambda y, phi: np.exp(-y) + 0 * phi, block.sector, block.j_max)
-        assert len(transform._PLANS) == 1
-        calls = count_plan_streams(monkeypatch)
+        calls = count_streams(monkeypatch)
         for name, point in points.items():
+            empty_store(monkeypatch)
+            analyze(lambda y, phi: np.exp(-y) + 0 * phi, block.sector, block.j_max)
             calls.clear()
-            monkeypatch.setattr(transform, "_ROWS", {})  # only a plan read skips the recurrence
             assert synthesize(block, point).tobytes() == empty[name], name
-            assert len(calls) == (0 if reads.get(name) else 1), name
-        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)
-        monkeypatch.setattr(transform, "_PLANS", {})
+            assert len(calls) == (0 if reads and name in at_nodes else 1), name
+        for _ in range(2):  # second requests keep, then later ones read
+            assert outputs() == empty
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)
+        empty_store(monkeypatch)
         assert outputs() == empty
-        assert transform._PLANS == {}
+        assert transform._STORE == {}
 
-    @pytest.mark.parametrize("grid", [{"n_phi": 20}, {"n_radial": 9}, {}])
-    def test_analyze_builds_one_plan_per_call(self, grid, monkeypatch):
-        # A grid that is not stored gets its angular matrix, s_m column and
-        # gather index once, before f is sampled and not again to project.
+    @pytest.mark.parametrize("n_phi", [1, _RADIAL_FIRST_ANGLES], ids=["one-angle", "many-angle"])
+    def test_sixteen_calls_at_the_same_radii_stream_twice(self, n_phi, monkeypatch):
+        block = random_block("int", 32, seed=41)
+        points = [
+            (RADII[None, :], np.random.default_rng(seed).uniform(-math.pi, math.pi, n_phi)[:, None])
+            for seed in range(16)
+        ]
+        empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        warm = [synthesize(block, point) for point in points]
+        assert len(calls) == 2 and kept("rows") == [64]
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)
+        for point, out in zip(points, warm):
+            assert synthesize(block, point).tobytes() == out.tobytes()
+        assert len(calls) == 18
+
+    def test_fresh_radii_never_keep_rows(self, monkeypatch):
+        store = empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        block = random_block("int", 32, seed=44)
+        for seed in range(4):
+            y = np.random.default_rng(seed).uniform(0.01, 60.0, 256)
+            synthesize(block, (y, 0.3))
+            assert store["rows", 64, y.tobytes()] == (y.nbytes + KEY_BYTES, None)
+        assert len(calls) == 4 and kept("rows") == []
+
+    def test_a_one_angle_synthesize_keeps_its_angles_on_the_second_request(self, monkeypatch):
+        empty_store(monkeypatch)
+        block = random_block("half", Fraction(63, 2), seed=46)
+        exps = count_exp(monkeypatch)
+        outs = []
+        for angle_plans in ([], [63], [63]):
+            exps.clear()
+            outs.append(synthesize(block, (RADII, 0.3)).tobytes())
+            assert kept("angles") == angle_plans
+        assert exps == []  # the third call computes no phase and runs no recurrence
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda y: (random_block("int", 32, seed=43), np.append(y[:-1], np.nextafter(y[-1], 0))),
+            # sparse: the top multiplet, j = 20, lies below j_max
+            lambda y: (CoefficientBlock("int", 32, {(0, 0): 0.5, (40, 2): 1j}), y),
+            lambda y: (random_block("half", Fraction(63, 2), seed=44), y),
+        ],
+        ids=["y-one-ulp-off", "sparse-lower-top", "other-sector"],
+    )
+    def test_other_radii_or_another_top_stream(self, other, monkeypatch):
+        block, y = other(RADII)
+        empty_store(monkeypatch)
+        for _ in range(2):
+            synthesize(random_block("int", 32, seed=43), (RADII, 0.3))
+        calls = count_streams(monkeypatch)
+        out = synthesize(block, (y, 0.3)).tobytes()
+        assert len(calls) == 1
+        empty_store(monkeypatch)
+        assert synthesize(block, (y, 0.3)).tobytes() == out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_rejected_radii_raise_the_same_error_cold_and_warm_and_leave_the_store_as_it_was(
+        self, bad, monkeypatch
+    ):
+        block = random_block("int", 32, seed=47)
+        y = RADII.copy()
+        y[7] = bad
+        store = empty_store(monkeypatch)
+        with pytest.raises(DomainError, match="finite y >= 0") as cold:
+            synthesize(block, (y, 0.3))
+        assert snapshot(store) == ([], 0)
+        # Warm: keys held without arrays, then with them.
+        for _ in range(2):
+            synthesize(block, (RADII, 0.3))
+            held = snapshot(store)
+            for _ in range(2):
+                with pytest.raises(DomainError) as warm:
+                    synthesize(block, (y, 0.3))
+                assert str(warm.value) == str(cold.value)
+                assert snapshot(store) == held
+
+    def test_non_finite_samples_raise_the_same_error_cold_and_warm(self, monkeypatch):
+        empty_store(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"label \(0, 0\) must be finite"):
+                analyze(lambda y, phi: np.nan, "int", 2)
+            assert kept("angles") == kept("rows") == [4]
+
+    def test_kept_arrays_are_read_only(self, monkeypatch):
+        store = empty_store(monkeypatch)
+        for sector, j_max in (("int", 0), ("half", Fraction(5, 2)), ("half", 6)):
+            analyze(lambda y, phi: np.exp(-y) + 0 * phi, sector, j_max)
+        for _ in range(2):
+            synthesize(random_block("int", 3, seed=46), (RADII, 0.3))
+        assert len(store) == 11 and all(arrays for _, arrays in store.values())
+        for _, arrays in store.values():
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    @pytest.mark.parametrize("grid", [{"n_phi": 20}, {"n_radial": 9}, {"n_phi": 11, "n_radial": 3}])
+    def test_analyze_keeps_an_explicit_grid_on_the_first_request(self, grid, monkeypatch):
+        # Its angular matrix is built once, before f is sampled, and not
+        # again to project or on a later call.
         built = []
-        plan = transform._plan
+        angular = transform._angular
 
         def spy(*args):
-            built.append(args[:2])
-            return plan(*args)
+            built.append(args[0])
+            return angular(*args)
 
-        monkeypatch.setattr(transform, "_plan", spy)
-        monkeypatch.setattr(transform, "_PLANS", {})
-        f = as_function(random_block("int", 4, seed=9))
-        analyze(f, "int", 4, **grid)
-        assert built == [("int", 8)]
+        monkeypatch.setattr(transform, "_angular", spy)
+        empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        f = lambda y, phi: calZ(SpinIndex(4, 2), (y, phi))
+        first = analyze(f, "int", 4, **grid)
         parseval_gap(f, "int", 4, **grid)
-        assert built == [("int", 8)] * 2
+        assert analyze(f, "int", 4, **grid) == first
+        assert built == [8] and len(calls) == 1
 
-    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
-    def test_a_warm_default_grid_roundtrip_computes_no_phase(self, sector, j_max, monkeypatch):
-        # synthesize reads e^(i|m|phi) from the stored plan's angular matrix.
-        block = random_block(sector, j_max, seed=4)
-        monkeypatch.setattr(transform, "_PLANS", {})
-        analyze(as_function(block), sector, j_max)
-        calls = []
-        exp = np.exp
+    def test_the_store_never_holds_more_than_its_budget(self, monkeypatch):
+        # Each entry counts what its arrays and key hold; the int j_max 64
+        # grid's entries, 1.7 MB, push out the least recently used ones.
+        store = empty_store(monkeypatch)
+        for j_max in (8, 32, 20, 64, 20):
+            analyze(lambda y, phi: np.exp(-y) + 0 * phi, "int", j_max)
+            for _ in range(2):
+                synthesize(random_block("int", 32, seed=j_max), (RADII, 0.1 * j_max))
+            assert store.nbytes <= transform._STORE_BYTES
+            assert store.nbytes == sum(counted for counted, _ in store.values())
+            for key, (counted, arrays) in store.items():
+                held = sum(array.nbytes for array in arrays or ()) + len(key[2])
+                assert counted == held + KEY_BYTES, key
+        # The int j_max 8, 32 and 64 grids are gone; one angle costs little.
+        assert kept("rows") == [40, 64] and kept("angles") == [64, 40, 64]
 
-        def counted(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return exp(*args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", counted)
-        warm = analyze(as_function(block), sector, j_max)
-        assert calls == []
-        monkeypatch.setattr(transform, "_PLAN_TWO_J_MAX", -1)  # every grid streams
-        monkeypatch.setattr(transform, "_PLANS", {})
-        assert analyze(as_function(block), sector, j_max)._values.tobytes() == warm._values.tobytes()
-        assert calls
+    def test_an_int_128_roundtrip_streams_without_keeping_its_rows(self, monkeypatch):
+        # Its rows, 8.7 MB, and its angular matrix, 2.1 MB, each pass the
+        # budget alone; only the gather index, 0.13 MB, is kept.
+        store = empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        block = random_block("int", 128, seed=8)
+        for _ in range(2):
+            analyze(as_function(block), "int", 128)
+        assert len(calls) == 4 and [key[:2] for key in store] == [("gather", 256)]
 
 
 def row_stream(sector, two_j_max, size):
@@ -1049,8 +1155,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("sector, j_max", [("int", 64), ("half", Fraction(129, 2))])
     def test_a_streamed_roundtrip_of_several_blocks_each_way(self, sector, j_max, monkeypatch):
-        # Above the plan cap both halves stream, and each contracts its rows
+        # With nothing kept both halves stream, and each contracts its rows
         # in several blocks: synthesize's many-angle sum, then the projection.
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)
         counts = []
         row_blocks = transform._row_blocks
 
@@ -1073,7 +1180,7 @@ class TestRowBlocks:
         block = random_block(sector, j_max, seed=12)
         blocked = analyze(as_function(block), sector, j_max)
         monkeypatch.setattr(transform, "_FOLD_ENTRIES", 1)
-        monkeypatch.setattr(transform, "_PLANS", {})
+        monkeypatch.setattr(transform, "_STORE", transform._Store())
         stepwise = analyze(as_function(block), sector, j_max)
         assert _max_gap(stepwise, blocked) <= 1e-13
 
@@ -1260,204 +1367,6 @@ class TestSynthesize:
         block = random_block(sector, j_max, seed=8)
         back = analyze(as_function(block), sector, j_max)
         assert block_gap(back, block) <= 1e-11
-
-
-def kept_rows():
-    """The one entry of synthesize's row store, as (key, rows or None)."""
-    assert len(transform._ROWS) == 1
-    return next(iter(transform._ROWS.items()))
-
-
-SYNTH_ANGLE_PATHS = pytest.mark.parametrize(
-    "n_phi", [1, _RADIAL_FIRST_ANGLES], ids=["one-angle", "many-angle"]
-)
-
-
-class TestSynthesizeRows:
-    """synthesize's one-entry per-process store of the radial rows of its last points."""
-
-    RADII = np.random.default_rng(40).integers(1, 60 * 1024, 256) / 1024.0
-
-    @staticmethod
-    def grid(y, n_phi, seed=0):
-        phis = np.random.default_rng(seed).uniform(-math.pi, math.pi, n_phi)
-        return y[None, :], phis[:, None]
-
-    def fill(self, block, y):
-        """Two calls at y: the first enters its key, the second keeps its rows."""
-        for _ in range(2):
-            synthesize(block, (y, 0.3))
-        return kept_rows()
-
-    @SYNTH_ANGLE_PATHS
-    def test_sixteen_calls_at_the_same_radii_stream_twice(self, n_phi, monkeypatch):
-        block = random_block("int", 32, seed=41)
-        points = [self.grid(self.RADII, n_phi, seed) for seed in range(16)]
-        monkeypatch.setattr(transform, "_ROWS", {})
-        calls = count_plan_streams(monkeypatch)
-        warm = [synthesize(block, point) for point in points]
-        assert len(calls) == 2
-        for point, out in zip(points, warm):
-            monkeypatch.setattr(transform, "_ROWS", {})
-            assert synthesize(block, point).tobytes() == out.tobytes()
-        assert len(calls) == 18
-
-    @SYNTH_ANGLE_PATHS
-    @pytest.mark.parametrize(
-        "sector, j_max", [("int", 20), ("half", Fraction(39, 2)), ("int", 32), ("int", 64)]
-    )
-    def test_the_same_bytes_from_an_empty_store_a_full_one_and_none(
-        self, sector, j_max, n_phi, monkeypatch
-    ):
-        block = random_block(sector, j_max, seed=42)
-        point = self.grid(np.geomspace(1e-3, 4.0 * j_max + 10.0, 60), n_phi)
-        monkeypatch.setattr(transform, "_ROWS", {})
-        calls = count_plan_streams(monkeypatch)
-        empty = synthesize(block, point).tobytes()
-        assert kept_rows()[1] is None
-        keeping = synthesize(block, point).tobytes()
-        assert kept_rows()[1]
-        full = synthesize(block, point).tobytes()
-        assert len(calls) == 2
-        monkeypatch.setattr(transform, "_KEPT_ROW_ENTRIES", -1)  # every call streams
-        monkeypatch.setattr(transform, "_ROWS", {})
-        none = [synthesize(block, point).tobytes() for _ in range(2)]
-        assert transform._ROWS == {}
-        assert len(calls) == 4
-        assert empty == keeping == full == none[0] == none[1]
-
-    @SYNTH_ANGLE_PATHS
-    @pytest.mark.parametrize(
-        "other",
-        [
-            lambda y: (random_block("int", 32, seed=43), np.append(y[:-1], np.nextafter(y[-1], 0))),
-            # sparse: the top multiplet, j = 20, lies below j_max
-            lambda y: (CoefficientBlock("int", 32, {(0, 0): 0.5, (40, 2): 1j}), y),
-            lambda y: (random_block("half", Fraction(63, 2), seed=44), y),
-        ],
-        ids=["y-one-ulp-off", "sparse-lower-top", "other-sector"],
-    )
-    def test_other_radii_or_another_top_stream(self, other, n_phi, monkeypatch):
-        block, y = other(self.RADII)
-        monkeypatch.setattr(transform, "_ROWS", {})
-        self.fill(random_block("int", 32, seed=43), self.RADII)
-        calls = count_plan_streams(monkeypatch)
-        out = synthesize(block, self.grid(y, n_phi)).tobytes()
-        assert len(calls) == 1
-        assert kept_rows()[1] is None
-        monkeypatch.setattr(transform, "_ROWS", {})
-        assert synthesize(block, self.grid(y, n_phi)).tobytes() == out
-
-    def test_points_that_never_repeat_are_never_kept(self, monkeypatch):
-        block = random_block("int", 32, seed=44)
-        monkeypatch.setattr(transform, "_ROWS", {})
-        calls = count_plan_streams(monkeypatch)
-        for seed in range(4):
-            y = np.random.default_rng(seed).uniform(0.01, 60.0, 256)
-            synthesize(block, (y, 0.3))
-            assert kept_rows() == ((64, y.tobytes()), None)
-        # Points that alternate are never two calls in a row either.
-        for y in [self.RADII, self.RADII[:100]] * 2:
-            synthesize(block, (y, 0.3))
-            assert kept_rows()[1] is None
-        assert len(calls) == 8
-
-    def test_rows_past_the_budget_stream_and_are_never_kept(self, monkeypatch):
-        block = random_block("int", 32, seed=45)
-        # 33 values of |m|, with 33, 32, ..., 1 steps, each a row over every
-        # radius, and the key's copy of the radii.
-        rows = sum(range(1, 34)) * self.RADII.size
-        entries = rows + self.RADII.size
-        for budget, kept in [(entries, True), (entries - 1, False)]:
-            monkeypatch.setattr(transform, "_KEPT_ROW_ENTRIES", budget)
-            monkeypatch.setattr(transform, "_ROWS", {})
-            calls = count_plan_streams(monkeypatch)
-            for _ in range(3):
-                synthesize(block, (self.RADII, 0.3))
-            assert len(calls) == (2 if kept else 3)
-            assert len(transform._ROWS) == kept
-            if kept:
-                assert sum(array.size for array in kept_rows()[1]) == rows
-        # At the default budget 4,096 radii stream, and the store keeps what it held.
-        monkeypatch.undo()
-        monkeypatch.setattr(transform, "_ROWS", {})
-        held = self.fill(block, self.RADII)
-        calls = count_plan_streams(monkeypatch)
-        many = np.linspace(0.01, 60.0, 4096)
-        for _ in range(2):
-            synthesize(block, (many, 0.3))
-        assert len(calls) == 2
-        assert kept_rows()[0] == held[0] and kept_rows()[1] is held[1]
-
-    def test_kept_arrays_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(transform, "_ROWS", {})
-        for sector, j_max in [("int", 3), ("half", Fraction(63, 2))]:
-            rows = self.fill(random_block(sector, j_max, seed=46), self.RADII)[1]
-            assert isinstance(rows, tuple) and rows
-            for array in rows:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[...] = 0
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [math.nan, -0.5])
-    def test_rejected_radii_raise_the_same_error_cold_and_warm(self, bad, monkeypatch):
-        block = random_block("int", 32, seed=47)
-        y = self.RADII.copy()
-        y[7] = bad
-        monkeypatch.setattr(transform, "_ROWS", {})
-        with pytest.raises(DomainError, match="finite y >= 0") as cold:
-            synthesize(block, (y, 0.3))
-        assert transform._ROWS == {}
-        # Warm: a key entered without rows, then one with them.
-        for calls in [1, 2]:
-            monkeypatch.setattr(transform, "_ROWS", {})
-            for _ in range(calls):
-                synthesize(block, (self.RADII, 0.3))
-            held = kept_rows()
-            for _ in range(2):
-                with pytest.raises(DomainError) as warm:
-                    synthesize(block, (y, 0.3))
-                assert str(warm.value) == str(cold.value)
-                assert kept_rows()[0] == held[0] and kept_rows()[1] is held[1]
-
-    def test_the_store_holds_one_entry_the_last_points(self, monkeypatch):
-        monkeypatch.setattr(transform, "_ROWS", {})
-        calls = count_plan_streams(monkeypatch)
-        cases = [
-            (random_block("int", 32, seed=48), self.RADII),
-            (random_block("half", Fraction(39, 2), seed=49), self.RADII),
-            (random_block("int", 32, seed=48), self.RADII[:100]),
-            (random_block("int", 8, seed=50), self.RADII),
-        ]
-        for block, y in cases:
-            for _ in range(2):
-                synthesize(block, (y, 0.3))
-            key = kept_rows()[0]
-        assert len(calls) == 8
-        # The last points and top are kept, at any angle; the first ones are not.
-        (last, y_last), (first, y_first) = cases[-1], cases[0]
-        synthesize(last, (y_last, 1.1))
-        assert len(calls) == 8 and kept_rows()[0] == key
-        synthesize(first, (y_first, 1.1))
-        assert len(calls) == 9 and kept_rows()[1] is None
-
-    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
-    def test_a_default_grid_reads_the_plan_and_leaves_the_store_alone(
-        self, sector, j_max, monkeypatch
-    ):
-        block = random_block(sector, j_max, seed=51)
-        phis, x, _ = _plane_grid(Fraction(j_max), None, None)
-        monkeypatch.setattr(transform, "_PLANS", {})
-        monkeypatch.setattr(transform, "_ROWS", {})
-        calls = count_plan_streams(monkeypatch)
-        analyze(as_function(block), sector, j_max)
-        assert len(calls) == 1 and len(transform._PLANS) == 1
-        for _ in range(2):
-            synthesize(block, (x[None, :], phis[:, None]))
-            synthesize(block, (x[:, None], phis[None, :]))
-        assert len(calls) == 1
-        assert transform._ROWS == {}
 
 
 class TestParseval:
