@@ -806,6 +806,12 @@ def never():
 
 
 RADII = np.random.default_rng(40).integers(1, 60 * 1024, 256) / 1024.0
+ANGLE_PATHS = pytest.mark.parametrize("n_phi", [1, _RADIAL_FIRST_ANGLES], ids=["one-angle", "many-angle"])
+
+
+def at_angles(y, n_phi, seed=0):
+    """The grid of the radii y at n_phi random angles."""
+    return y[None, :], np.random.default_rng(seed).uniform(-math.pi, math.pi, n_phi)[:, None]
 KEY_BYTES = 256  # what the store counts for a key beside its points
 
 
@@ -855,7 +861,11 @@ class TestStore:
         assert store.request(self.key(2), fits, lambda: (np.zeros(fits // 8),), True)
         assert list(store) == [self.key(2)] and store.nbytes == transform._STORE_BYTES
 
-    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2)), ("half", 4)])
+    @pytest.mark.parametrize(
+        "sector, j_max",
+        # int j_max 33 and half 65/2 are the smallest grids past int j_max 32
+        [("int", 20), ("half", Fraction(39, 2)), ("half", 4), ("int", 33), ("half", Fraction(65, 2))],
+    )
     def test_a_default_grid_roundtrip_streams_once_cold_and_never_warm(
         self, sector, j_max, monkeypatch
     ):
@@ -873,6 +883,23 @@ class TestStore:
         streamed = analyze(as_function(block), sector, j_max)
         assert len(calls) == 3 and exps
         assert cold._values.tobytes() == warm._values.tobytes() == streamed._values.tobytes()
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
+    def test_a_default_grid_synthesize_reads_analyzes_entries_and_adds_none(
+        self, sector, j_max, monkeypatch
+    ):
+        block = random_block(sector, j_max, seed=51)
+        phis, x, _ = _plane_grid(Fraction(j_max), None, None)
+        store = empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        analyze(as_function(block), sector, j_max)
+        held = sorted(snapshot(store)[0]), store.nbytes
+        assert len(calls) == 1 and len(store) == 3
+        for _ in range(2):
+            synthesize(block, (x[None, :], phis[:, None]))
+            synthesize(block, (x[:, None], phis[None, :]))
+        assert len(calls) == 1
+        assert (sorted(snapshot(store)[0]), store.nbytes) == held
 
     @pytest.mark.parametrize(
         "sector, j_max",
@@ -957,13 +984,10 @@ class TestStore:
         assert outputs() == empty
         assert transform._STORE == {}
 
-    @pytest.mark.parametrize("n_phi", [1, _RADIAL_FIRST_ANGLES], ids=["one-angle", "many-angle"])
+    @ANGLE_PATHS
     def test_sixteen_calls_at_the_same_radii_stream_twice(self, n_phi, monkeypatch):
         block = random_block("int", 32, seed=41)
-        points = [
-            (RADII[None, :], np.random.default_rng(seed).uniform(-math.pi, math.pi, n_phi)[:, None])
-            for seed in range(16)
-        ]
+        points = [at_angles(RADII, n_phi, seed) for seed in range(16)]
         empty_store(monkeypatch)
         calls = count_streams(monkeypatch)
         warm = [synthesize(block, point) for point in points]
@@ -972,6 +996,29 @@ class TestStore:
         for point, out in zip(points, warm):
             assert synthesize(block, point).tobytes() == out.tobytes()
         assert len(calls) == 18
+
+    @ANGLE_PATHS
+    @pytest.mark.parametrize(
+        "sector, j_max", [("int", 20), ("half", Fraction(39, 2)), ("int", 32), ("int", 64)]
+    )
+    def test_synthesize_at_repeated_radii_gives_the_same_bytes_cold_keeping_warm_and_with_none(
+        self, sector, j_max, n_phi, monkeypatch
+    ):
+        block = random_block(sector, j_max, seed=42)
+        point = at_angles(np.geomspace(1e-3, 4.0 * j_max + 10.0, 60), n_phi)
+        empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        empty = synthesize(block, point).tobytes()
+        assert kept("rows") == []
+        keeping = synthesize(block, point).tobytes()
+        assert kept("rows") == [block.two_j_max]
+        full = synthesize(block, point).tobytes()
+        assert len(calls) == 2
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)  # nothing is kept
+        empty_store(monkeypatch)
+        none = [synthesize(block, point).tobytes() for _ in range(2)]
+        assert transform._STORE == {} and len(calls) == 4
+        assert empty == keeping == full == none[0] == none[1]
 
     def test_fresh_radii_never_keep_rows(self, monkeypatch):
         store = empty_store(monkeypatch)
@@ -982,6 +1029,16 @@ class TestStore:
             synthesize(block, (y, 0.3))
             assert store["rows", 64, y.tobytes()] == (y.nbytes + KEY_BYTES, None)
         assert len(calls) == 4 and kept("rows") == []
+
+    def test_radii_that_alternate_keep_both_rows_on_their_second_request(self, monkeypatch):
+        # Their keys are held between the calls, so neither is a first
+        # request the second time round.
+        empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        block = random_block("int", 32, seed=44)
+        outs = [synthesize(block, (y, 0.3)).tobytes() for y in [RADII, RADII[:100]] * 3]
+        assert len(calls) == 4 and kept("rows") == [64, 64]
+        assert outs[0::2] == [outs[0]] * 3 and outs[1::2] == [outs[1]] * 3
 
     def test_a_one_angle_synthesize_keeps_its_angles_on_the_second_request(self, monkeypatch):
         empty_store(monkeypatch)
@@ -1005,16 +1062,17 @@ class TestStore:
         ],
         ids=["y-one-ulp-off", "sparse-lower-top", "other-sector"],
     )
-    def test_other_radii_or_another_top_stream(self, other, monkeypatch):
+    @ANGLE_PATHS
+    def test_other_radii_or_another_top_stream(self, other, n_phi, monkeypatch):
         block, y = other(RADII)
         empty_store(monkeypatch)
         for _ in range(2):
             synthesize(random_block("int", 32, seed=43), (RADII, 0.3))
         calls = count_streams(monkeypatch)
-        out = synthesize(block, (y, 0.3)).tobytes()
-        assert len(calls) == 1
+        out = synthesize(block, at_angles(y, n_phi)).tobytes()
+        assert len(calls) == 1 and kept("rows") == [64]
         empty_store(monkeypatch)
-        assert synthesize(block, (y, 0.3)).tobytes() == out
+        assert synthesize(block, at_angles(y, n_phi)).tobytes() == out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, -0.5])
@@ -1058,8 +1116,19 @@ class TestStore:
                 with pytest.raises(ValueError):
                     array[...] = 0
 
-    @pytest.mark.parametrize("grid", [{"n_phi": 20}, {"n_radial": 9}, {"n_phi": 11, "n_radial": 3}])
-    def test_analyze_keeps_an_explicit_grid_on_the_first_request(self, grid, monkeypatch):
+    @pytest.mark.parametrize(
+        "sector, j_max, grid",
+        [
+            ("int", 4, {"n_phi": 20}),
+            ("int", 4, {"n_radial": 9}),
+            ("int", 4, {"n_phi": 11, "n_radial": 3}),
+            ("half", Fraction(7, 2), {"n_phi": 11, "n_radial": 3}),
+            ("half", 4, {"n_radial": 5}),
+        ],
+    )
+    def test_analyze_keeps_an_explicit_grid_on_the_first_request(
+        self, sector, j_max, grid, monkeypatch
+    ):
         # Its angular matrix is built once, before f is sampled, and not
         # again to project or on a later call.
         built = []
@@ -1072,11 +1141,12 @@ class TestStore:
         monkeypatch.setattr(transform, "_angular", spy)
         empty_store(monkeypatch)
         calls = count_streams(monkeypatch)
-        f = lambda y, phi: calZ(SpinIndex(4, 2), (y, phi))
-        first = analyze(f, "int", 4, **grid)
-        parseval_gap(f, "int", 4, **grid)
-        assert analyze(f, "int", 4, **grid) == first
-        assert built == [8] and len(calls) == 1
+        label = SpinIndex(3, 1) if sector == "half" else SpinIndex(4, 2)
+        f = lambda y, phi: calZ(label, (y, phi))
+        first = analyze(f, sector, j_max, **grid)
+        parseval_gap(f, sector, j_max, **grid)
+        assert analyze(f, sector, j_max, **grid) == first
+        assert built == [transform._ladder_top(sector, int(2 * j_max))] and len(calls) == 1
 
     def test_the_store_never_holds_more_than_its_budget(self, monkeypatch):
         # Each entry counts what its arrays and key hold; the int j_max 64
