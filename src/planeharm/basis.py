@@ -239,7 +239,7 @@ def _y_bounds(y: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
+def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray, bounds=None):
     """Stream calL_{|m|+k}^(-|m|)(y) for k = 0, 1, ... over several |m|.
 
     ``abs2ms`` is an ascending list of 2|m| values and y a 1-D float array.
@@ -249,9 +249,10 @@ def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray):
     none is left.  The label (2|m| + 2k, +2|m|) is _sign(2|m|) times the
     same row.  Each yielded array is new and not touched afterwards.
     Raises DomainError, at the first step, unless every y is finite and
-    nonnegative (see _y_bounds).
+    nonnegative (see _y_bounds); bounds, if given, is _y_bounds(y) already
+    taken, and the stream does not check y again.
     """
-    lo, hi = _y_bounds(y)
+    lo, hi = _y_bounds(y) if bounds is None else bounds
     n = bisect.bisect_right(abs2ms, two_j_max)
     if not n:
         return

@@ -30,15 +30,19 @@ analyze and synthesize keep such arrays, read-only, in one per-process
 least-recently-used store (_STORE) of 2 MiB at most (_STORE_BYTES), keyed
 on what they derive from: ("angles", top, angle bytes), ("gather", top,
 b"") and ("rows", top, point bytes), top being the ladder's last 2|m|.
-analyze keeps what its grid needs on the first request, before it samples
-f, so a round trip analyze(as_function(b)) whose entries fit runs the
-recurrence once cold and not at all warm: synthesize reads those rows,
-and e^(i|m|phi) from the angular matrix.  synthesize keeps only on the
-second request for a key while that key is held, so points that never
-repeat keep no arrays.  An entry that alone passes the budget, such as
-the rows or the angular matrix of the int j_max 128 default grid, is
-never kept.  Every output is the streamed one bit for bit.  synthesize
-picks one of two sums from n_phi alone.
+The one ("gather", top) entry maps labels both ways: analyze gathers each
+label's coefficient from its step sums through it, and synthesize
+scatters each coefficient through it to the same (sign of m, step, |m|)
+entry; both keep it on the first request.  analyze keeps what its grid
+needs on the first request, before it samples f, so a round trip
+analyze(as_function(b)) whose entries fit runs the recurrence once cold
+and not at all warm: synthesize reads those rows, and e^(i|m|phi) from
+the angular matrix.  synthesize keeps rows and angles only on the second
+request for a key while that key is held, so points that never repeat
+keep no arrays.  An entry that alone passes the budget, such as the rows
+or the angular matrix of the int j_max 128 default grid, is never kept.
+Every output is the streamed one bit for bit.  synthesize picks one of two
+sums from n_phi alone.
 With few angles, at each step the coefficients with e^(+-i m phi) and the
 sign s_m folded in form a real (2 n_phi, |m|) matrix, and one matrix
 product adds the step to every angle, in O(j_max^2 n_phi P)
@@ -442,19 +446,15 @@ def _gather(top: int) -> tuple:
     label (j, +-|m|)."""
     abs2m = np.arange(top % 2, top + 1, 2)
     n_m = len(abs2m)
-    signs = np.array([_sign(v) for v in abs2m.tolist()])[:, None]
-    # Label (j, +-|m|) reads entry (sign, j - |m|, |m|) of each function's
-    # sums, gathered at once: indexing the stack with one index array on one
-    # axis keeps analyze's one function as fast as a 1-D block.
-    two_j = abs2m + 2 * np.arange(n_m)[:, None]
-    keep = two_j <= top
-    entry = np.arange(n_m * n_m).reshape(n_m, n_m)[keep]
-    two_j, abs2m = two_j[keep], np.broadcast_to(abs2m, keep.shape)[keep]
-    source = np.empty(_index(top, top) + 1, dtype=np.intp)
-    # m = 0 is written twice, the +|m| projection last.
-    source[_index(two_j, -abs2m)] = entry + n_m * n_m
-    source[_index(two_j, abs2m)] = entry
-    return signs, source
+    signs = np.full((n_m, 1), _sign(top))  # every |m| of a sector has one s_m
+    # Label (j, m) of the q-th multiplet, 2j = abs2m[q] and 2|m| = abs2m[i],
+    # reads entry (sign of m, q - i, i) of each function's sums, m = 0 on the
+    # + side, gathered at once: indexing the stack with one index array on
+    # one axis keeps analyze's one function as fast as a 1-D block.
+    q = np.repeat(np.arange(n_m), abs2m + 1)
+    two_m = 2 * (np.arange(q.size) - (abs2m * abs2m // 4)[q]) - abs2m[q]
+    i = (np.abs(two_m) - top % 2) // 2
+    return signs, (two_m < 0) * (n_m * n_m) + q * n_m - i * (n_m - 1)
 
 
 def _kept(kind: str, top: int, points, keep_first: bool):
@@ -469,9 +469,12 @@ def _kept(kind: str, top: int, points, keep_first: bool):
     elif kind == "gather":
         size, build = 8 * (n_m + _index(top, top) + 1), lambda: _gather(top)
     else:
-        stream = lambda: _radial_rows(range(top % 2, top + 1, 2), top, points)
+        # A miss rejects bad radii before the store changes, and its stream
+        # starts from the bounds that check took.
+        bounds = []
+        stream = lambda: _radial_rows(range(top % 2, top + 1, 2), top, points, *bounds)
         size, build = 4 * points.size * n_m * (n_m + 1), lambda: tuple(stream())
-        check = lambda: _y_bounds(points)  # a miss rejects bad radii before the store changes
+        check = lambda: bounds.append(_y_bounds(points))
     kept = _STORE.request((kind, top, points.tobytes()), size, build, keep_first, check)
     return stream() if kept is None and kind == "rows" else kept
 
@@ -578,8 +581,11 @@ def synthesize(block: CoefficientBlock, point):
     all where the store holds their rows up to the top multiplet: kept by
     analyze on its grid, or by an earlier call at the same points and top
     whose key was held (see _Store.request).  e^(i|m|phi) comes from the
-    store's angular matrix in the same way.  Every output is the streamed one
-    bit for bit.  No angles, or an empty block, give zeros of the broadcast
+    store's angular matrix in the same way.  The coefficients go to their
+    (sign of m, step, |m|) entries through the store's ("gather", top)
+    index, the one analyze reads them back through, kept on the first
+    request for a top.  Every output is the streamed one bit for bit.  No
+    angles, or an empty block, give zeros of the broadcast
     shape.  The number of angles n_phi picks how the steps are summed.  With
     few angles the coefficients of step k, with e^(+-i m phi) and the sign s_m
     folded in, form a real (2 n_phi, n_k) matrix, and the step adds one
@@ -601,24 +607,29 @@ def synthesize(block: CoefficientBlock, point):
             "a grid: on every axis one of them must have size 1"
         )
     flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1)
-    if phis.size and np.any(block._values):
-        # The recurrence stops at the top multiplet with a nonzero entry.
-        ladder = np.array(_sector_ladder(block.sector, block.two_j_max))
-        ladder = ladder[_index(ladder, -ladder) <= np.flatnonzero(block._values)[-1]]
-        top = int(ladder[-1])
-        # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0 included,
-        # by_sign[1] those of e^(-i|m|phi); indexed by (step, |m|).
-        two_j = ladder + 2 * np.arange(len(ladder))[:, None]
-        keep = np.stack([two_j <= top, (two_j <= top) & (ladder > 0)])
-        slots = np.where(keep, [_index(two_j, ladder), _index(two_j, -ladder)], 0)
-        by_sign = keep * block._values[slots]
-        by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
+    nonzero = np.flatnonzero(block._values) if phis.size else ()
+    if len(nonzero):
+        # The recurrence stops at the top multiplet with a nonzero entry: the
+        # sector's last 2j whose first label, at 2j * 2j // 4, is not past it.
+        top = _ladder_top(block.sector, math.isqrt(4 * int(nonzero[-1]) + 3))
         # Kept rows are this recurrence on these points, and a kept
         # angular[1] is this phase, as 0.5j * 1 is exactly 0.5j.  The rows
         # come first: a miss checks the points before the store changes.
         stream = _kept("rows", top, flat, False)
         angles = _kept("angles", top, phis, False)
-        phase = np.exp(0.5j * ladder[:, None] * phis) if angles is None else angles[0][1, 0]
+        signs, source = _kept("gather", top, phis[:0], True) or _gather(top)
+        # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0 included,
+        # by_sign[1] those of e^(-i|m|phi); indexed by (step, |m|), each
+        # coefficient at the entry that analyze's gather reads it from.
+        n_m = len(signs)
+        by_sign = np.zeros(2 * n_m * n_m, dtype=complex)
+        by_sign[source] = block._values[: source.size]
+        by_sign = by_sign.reshape(2, n_m, n_m)
+        by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
+        if angles is None:
+            phase = np.exp(0.5j * np.arange(top % 2, top + 1, 2)[:, None] * phis)
+        else:
+            phase = angles[0][1, 0]
         if phis.size < _RADIAL_FIRST_ANGLES:
             out = _sum_by_step(by_sign, phase.T, stream, flat.size)
         else:

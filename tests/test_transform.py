@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from planeharm import rotation
+from planeharm import basis, rotation
 from planeharm.basis import PlanePoint, SpinIndex, _plane_table, calZ, sector_labels
 from planeharm.errors import DomainError, SchemaError, UnitarityError
 from planeharm.quadrature import _plane_grid, plane_inner
@@ -786,13 +786,26 @@ def count_exp(monkeypatch):
     return calls
 
 
+def count_gathers(monkeypatch):
+    """The top of every gather index transform builds."""
+    calls = []
+    gather = transform._gather
+
+    def counted(top):
+        calls.append(top)
+        return gather(top)
+
+    monkeypatch.setattr(transform, "_gather", counted)
+    return calls
+
+
 def empty_store(monkeypatch):
     monkeypatch.setattr(transform, "_STORE", transform._Store())
     return transform._STORE
 
 
 def kept(kind):
-    """The tops of the store's entries of kind ("angles" or "rows") that hold arrays."""
+    """The tops of the store's entries of kind ("angles", "gather" or "rows") that hold arrays."""
     return [key[1] for key, (_, arrays) in transform._STORE.items() if key[0] == kind and arrays]
 
 
@@ -888,17 +901,20 @@ class TestStore:
     def test_a_default_grid_synthesize_reads_analyzes_entries_and_adds_none(
         self, sector, j_max, monkeypatch
     ):
+        # Its inner synthesize too reads analyze's gather index and builds none.
         block = random_block(sector, j_max, seed=51)
         phis, x, _ = _plane_grid(Fraction(j_max), None, None)
         store = empty_store(monkeypatch)
         calls = count_streams(monkeypatch)
+        gathers = count_gathers(monkeypatch)
         analyze(as_function(block), sector, j_max)
         held = sorted(snapshot(store)[0]), store.nbytes
         assert len(calls) == 1 and len(store) == 3
+        assert gathers == [block.two_j_max]
         for _ in range(2):
             synthesize(block, (x[None, :], phis[:, None]))
             synthesize(block, (x[:, None], phis[None, :]))
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(gathers) == 1
         assert (sorted(snapshot(store)[0]), store.nbytes) == held
 
     @pytest.mark.parametrize(
@@ -1096,6 +1112,51 @@ class TestStore:
                 assert str(warm.value) == str(cold.value)
                 assert snapshot(store) == held
 
+    def test_a_synthesize_at_fresh_radii_checks_them_once(self, monkeypatch):
+        checked = []
+        y_bounds = basis._y_bounds
+
+        def counted(y):
+            checked.append(y.size)
+            return y_bounds(y)
+
+        monkeypatch.setattr(basis, "_y_bounds", counted)
+        monkeypatch.setattr(transform, "_y_bounds", counted)
+        block = random_block("int", 32, seed=48)
+        empty_store(monkeypatch)
+        # Cold, kept on the second request, read on the third, and with
+        # nothing kept: each miss checks the radii once, and a read does not.
+        for count in (1, 1, 0):
+            checked.clear()
+            synthesize(block, (RADII, 0.3))
+            assert checked == [RADII.size] * count
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)
+        checked.clear()
+        synthesize(block, (RADII[:100], 0.3))
+        assert checked == [100]
+        y = RADII.copy()
+        y[7] = math.nan
+        with pytest.raises(DomainError) as error:
+            synthesize(block, (y, 0.3))
+        assert str(error.value) == "radial functions need finite y >= 0, got y[7] = nan"
+
+    @ANGLE_PATHS
+    def test_a_sparse_block_below_its_j_max_gives_the_same_bytes_cold_and_warm(
+        self, n_phi, monkeypatch
+    ):
+        # Its top multiplet, j = 3, lies below j_max 6: the coefficients go
+        # through the gather index of top 6, built where nothing is kept.
+        block = SYNTH_BLOCKS[SYNTH_IDS.index("sparse-int-6")]
+        point = at_angles(RADII, n_phi)
+        empty_store(monkeypatch)
+        gathers = count_gathers(monkeypatch)
+        outs = [synthesize(block, point).tobytes() for _ in range(3)]
+        assert gathers == [6] and kept("gather") == [6]
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)
+        empty_store(monkeypatch)
+        outs.append(synthesize(block, point).tobytes())
+        assert gathers == [6, 6] and outs == [outs[0]] * 4
+
     def test_non_finite_samples_raise_the_same_error_cold_and_warm(self, monkeypatch):
         empty_store(monkeypatch)
         for _ in range(2):
@@ -1103,13 +1164,34 @@ class TestStore:
                 analyze(lambda y, phi: np.nan, "int", 2)
             assert kept("angles") == kept("rows") == [4]
 
+    @pytest.mark.parametrize("top", range(42))
+    def test_the_gather_index_maps_each_label_to_its_own_entry_and_back(self, top):
+        # Label (j, m) reads entry (sign of m, j - |m|, |m|) of the sums, the
+        # sign 1 for m < 0 only, where synthesize scatters its coefficient.
+        sector = "int" if top % 2 == 0 else "half"
+        signs, source = transform._gather(top)
+        n_m = top // 2 + 1
+        assert signs.tolist() == [[-1.0 if sector == "half" else 1.0]] * n_m
+        labels = sector_labels(sector, Fraction(top, 2))
+        assert source.tolist() == [
+            (s.two_m < 0) * n_m * n_m + (s.two_j - abs(s.two_m)) // 2 * n_m + abs(s.two_m) // 2
+            for s in labels
+        ]
+        assert len(set(source.tolist())) == len(labels)
+        values = random_block(sector, Fraction(top, 2), seed=top)._values
+        scattered = np.zeros(2 * n_m * n_m, dtype=complex)
+        scattered[source] = values
+        assert scattered.take(source).tobytes() == values.tobytes()
+
     def test_kept_arrays_are_read_only(self, monkeypatch):
         store = empty_store(monkeypatch)
         for sector, j_max in (("int", 0), ("half", Fraction(5, 2)), ("half", 6)):
             analyze(lambda y, phi: np.exp(-y) + 0 * phi, sector, j_max)
         for _ in range(2):
             synthesize(random_block("int", 3, seed=46), (RADII, 0.3))
-        assert len(store) == 11 and all(arrays for _, arrays in store.values())
+        # Three analyze grids keep three entries each; synthesize keeps its
+        # rows, angles and gather index for top 6.
+        assert len(store) == 12 and all(arrays for _, arrays in store.values())
         for _, arrays in store.values():
             for array in arrays:
                 assert not array.flags.writeable
