@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -83,6 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rot.add_argument("--in", dest="infile", help="block JSON file (default: stdin)")
     p_rot.add_argument("--euler", required=True, metavar="A,B,C", help="z-y-z angles, radians")
     p_rot.add_argument("--format", choices=("csv", "json"), default="json")
+    # argparse's own negative-number pattern takes no commas, so it would read
+    # "--euler -0.5,1,2" as a flag missing its value.  Here an argument that
+    # starts with "-" and a digit, or "-." and a digit, is a value.
+    p_rot._negative_number_matcher = re.compile(r"^-\.?\d")
 
     p_quad = sub.add_parser("quadrature", help="print rule nodes and weights")
     p_quad.add_argument("--order", type=int, required=True)

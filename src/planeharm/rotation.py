@@ -18,7 +18,9 @@ other row negated, which is exact.  Jx commutes with the reversal m -> -m,
 so each eigenvector is reversal-symmetric or reversal-antisymmetric, and
 the recurrence only has to reach the middle row.  The two parity halves are
 folded back together, so the assembly is two half-size products instead of
-full-size ones.
+full-size ones.  Each is one real matrix product: the real eigenvectors
+times the complex weighted transpose read as interleaved real and
+imaginary parts, so the eigenvectors are never cast to complex.
 
 Unitarity is checked, never repaired, and the check reads the computed
 eigenvectors rather than the product.  With W = P V, Lambda =
@@ -286,8 +288,10 @@ def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
     into Jy.  V is taken from the two parity halves of Jx (_jx_halves), so
     V diag(expm1) V^T is folded from two half-size products
     G = u diag(expm1(-i b mu)) u^T: its quarter blocks are (G_s +- G_a)/2,
-    plus the sqrt(1/2)-scaled middle row and column when 2j+1 is odd.  The
-    expm1 form keeps the identity rotation exact.  Raises UnitarityError
+    plus the sqrt(1/2)-scaled middle row and column when 2j+1 is odd.  Each
+    G is one real matrix product on interleaved real and imaginary parts
+    (_half_product), so u is never cast to complex.  The expm1 form keeps the
+    identity rotation exact.  Raises UnitarityError
     if the eigenvectors' defect r (largest row sum of |u^T u - I| over both
     halves) gives a bound 4 r (1 + r) on max|U* U - I| above 1e-12, a bound
     that holds for every angle (see the module docstring).  For two_j up to
@@ -309,14 +313,18 @@ def _rotation_matrices(two_j: int, specs) -> list[np.ndarray]:
 
 
 def _assemble(two_j: int, halves, spec: RotationSpec) -> np.ndarray:
-    """The unitary of spec from the eigendata of _jx_halves(two_j)."""
-    # Halves of G_s and G_a, so that the quarter blocks are a sum and a difference.
-    g_s, g_a = ((u * (0.5 * np.expm1(-1j * spec.b * mu))) @ u.T for mu, u in halves)
+    """The unitary of spec from the eigendata of _jx_halves(two_j).
+
+    Each half's G = u diag(f) u^T, f = expm1(-i b mu), is one real matrix
+    product (_half_product), so u is never cast to complex.  The 1/2 of the
+    fold rides on the left phases.
+    """
+    g_s, g_a = (_half_product(u, np.expm1(-1j * spec.b * mu)) for mu, u in halves)
     n = two_j + 1
     h, odd = divmod(n, 2)
     out = np.empty((n, n), dtype=complex)
-    out[:h, :h] = g_s[:h, :h] + g_a
-    out[:h, n - h :] = (g_s[:h, :h] - g_a)[:, ::-1]
+    np.add(g_s[:h, :h], g_a, out=out[:h, :h])
+    np.subtract(g_s[:h, :h], g_a, out=out[:h, n - h :][:, ::-1])
     if odd:
         centre = math.sqrt(2.0) * g_s[h, :h]
         out[h, :h] = out[:h, h] = centre
@@ -328,7 +336,17 @@ def _assemble(two_j: int, halves, spec: RotationSpec) -> np.ndarray:
     m = np.arange(n) - two_j / 2.0
     p = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
     left, right = np.exp(-1j * spec.a * m), np.exp(-1j * spec.c * m)
-    out *= (left * p)[:, None]
+    out *= (0.5 * left * p)[:, None]
     out *= right * p.conj()
-    out[np.diag_indices(n)] += left * right
+    out.flat[:: n + 1] += left * right
     return out
+
+
+def _half_product(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """u diag(f) u^T for real u and complex f, as one real matrix product.
+
+    diag(f) u^T in C order, read as reals, holds the real and imaginary
+    part of each entry side by side along its rows.  u times it holds those
+    of G the same way, so read as complex it is G, with no copy.
+    """
+    return (u @ np.multiply(f[:, None], u.T, order="C").view(float)).view(complex)

@@ -20,7 +20,7 @@ import pytest
 from planeharm import rotation
 from planeharm.basis import SpinIndex, calZ
 from planeharm.cli import main
-from planeharm.transform import CoefficientBlock, random_block, synthesize
+from planeharm.transform import CoefficientBlock, _max_gap, random_block, synthesize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -313,6 +313,25 @@ class TestRotate:
         assert out == ""
         assert err.startswith("error: rotation matrix for two_j=2: ")
         assert "unexpected" not in err
+
+    @pytest.mark.parametrize("angles", ["-0.5,1,2", "-1e-3,-2,-3"])
+    def test_a_leading_negative_angle_needs_no_equals_sign(self, angles):
+        text = random_block("half", Fraction(7, 2), seed=4).to_json()
+        spaced = run_cli("rotate", "--euler", angles, stdin_text=text)
+        joined = run_cli("rotate", f"--euler={angles}", stdin_text=text)
+        assert spaced[0] == 0 and spaced[2] == ""
+        assert spaced == joined
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 12), ("half", Fraction(25, 2))])
+    @pytest.mark.parametrize("abc", [(-0.5, 1.0, 2.0), (0.4, -1.1, -0.3), (-1e-3, -2.0, -3.0)])
+    def test_rotating_by_minus_c_b_a_returns_the_block(self, sector, j_max, abc):
+        block = random_block(sector, j_max, seed=6)
+        a, b, c = abc
+        code, turned, _ = run_cli("rotate", "--euler", f"{a!r},{b!r},{c!r}", stdin_text=block.to_json())
+        assert code == 0
+        code, back, _ = run_cli("rotate", "--euler", f"{-c!r},{-b!r},{-a!r}", stdin_text=turned)
+        assert code == 0
+        assert _max_gap(CoefficientBlock.from_json(back), block) <= 1e-13
 
     def test_malformed_euler(self):
         code, _, err = run_cli("rotate", "--euler", "1,2", stdin_text="{}")

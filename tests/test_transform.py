@@ -90,6 +90,14 @@ def d_wigner(two_j: int, b: float) -> np.ndarray:
     return out
 
 
+def eigh_rotation(two_j: int, a: float, b: float, c: float) -> np.ndarray:
+    """exp(-ia J3) exp(-ib Jy) exp(-ic J3) through LAPACK's eigh of the
+    Hermitian Jy, sharing nothing with the Jx recurrence or the fold."""
+    ms = np.arange(two_j + 1) - two_j / 2.0
+    w, v = np.linalg.eigh(jy_matrix(two_j))
+    return np.exp(-1j * a * ms)[:, None] * ((v * np.exp(-1j * b * w)) @ v.conj().T) * np.exp(-1j * c * ms)
+
+
 class TestRotationSpec:
     def test_accepts_finite_reals(self):
         spec = RotationSpec(0, -7.5, 100.0)
@@ -236,6 +244,27 @@ class TestRotationMatrix:
             u = rotation_matrix(two_j, RotationSpec(a, b, c))
             defect = np.max(np.abs(u.conj().T @ u - np.eye(two_j + 1)))
             assert defect < 1e-12
+
+    @pytest.mark.parametrize(
+        "two_js", [range(0, 25), range(127, 130), range(258, 262)], ids=["to-24", "127-129", "258-261"]
+    )
+    def test_matches_eigh_of_jy_cold_and_warm(self, two_js, monkeypatch):
+        # The first call of each 2j starts from an empty store; later calls
+        # read the stored eigendata up to _STORE_TWO_J_MAX and rebuild it past.
+        rng = np.random.default_rng(29)
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        for two_j in two_js:
+            angles = rng.uniform(-7.0, 7.0, size=(3, 3))
+            cold = rotation_matrix(two_j, RotationSpec(*angles[0]))
+            assert (two_j in rotation._EIGENDATA) == (two_j <= rotation._STORE_TWO_J_MAX)
+            for a, b, c in angles:
+                got = rotation_matrix(two_j, RotationSpec(a, b, c))
+                assert np.max(np.abs(got - eigh_rotation(two_j, a, b, c))) <= 1e-13, two_j
+            assert rotation_matrix(two_j, RotationSpec(*angles[0])).tobytes() == cold.tobytes()
+
+    def test_zero_angles_give_the_identity_exactly(self):
+        for two_j in range(0, 301):
+            assert np.array_equal(rotation_matrix(two_j, RotationSpec(0, 0, 0)), np.eye(two_j + 1)), two_j
 
 
 REAL_JX_COLUMNS = rotation._jx_columns
@@ -387,11 +416,8 @@ class TestRotationHalves:
         a, b, c = 0.9, -2.3, 1.7
         block = random_block(sector, j_max, seed=21)
         two_j = block.two_j_max
-        ms = np.arange(two_j + 1) - two_j / 2.0
-        w, v = np.linalg.eigh(jy_matrix(two_j))
-        u = np.exp(-1j * a * ms)[:, None] * ((v * np.exp(-1j * b * w)) @ v.conj().T) * np.exp(-1j * c * ms)
         labels = range(-two_j, two_j + 1, 2)
-        want = u @ np.array([block.get(two_j, m) for m in labels])
+        want = eigh_rotation(two_j, a, b, c) @ np.array([block.get(two_j, m) for m in labels])
         rotated = rotate(block, RotationSpec(a, b, c))
         got = np.array([rotated.get(two_j, m) for m in labels])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
