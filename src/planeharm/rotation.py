@@ -16,11 +16,16 @@ power-of-two rescaling against overflow, so a multiplet costs O(j^2) rather
 than a dense eigensolve; the eigenvector of -mu is that of mu with every
 other row negated, which is exact.  Jx commutes with the reversal m -> -m,
 so each eigenvector is reversal-symmetric or reversal-antisymmetric, and
-the recurrence only has to reach the middle row.  The two parity halves are
-folded back together, so the assembly is two half-size products instead of
-full-size ones.  Each is one real matrix product: the real eigenvectors
-times the complex weighted transpose read as interleaved real and
-imaginary parts, so the eigenvectors are never cast to complex.
+the recurrence only has to reach the middle row.  Folded back together,
+the two parity halves give the top rows of the matrix, and the bottom rows
+are their mirror.  Since the eigenvector of -mu is that of mu with every
+other row negated, and expm1(-i b (-mu)) is the conjugate of
+expm1(-i b mu), those top rows come from one real matrix product over the
+stored mu >= 0 columns alone: the real eigenvectors times their complex
+weighted transpose read as interleaved real and imaginary parts, after
+which a parity mask zeroes the real or imaginary part of every other
+entry.  The eigenvectors are never unfolded or cast to complex, and the
+mask leaves d^j(b) = D(0, b, 0) exactly real.
 
 Unitarity is checked, never repaired, and the check reads the computed
 eigenvectors rather than the product.  With W = P V, Lambda =
@@ -31,12 +36,13 @@ every angle, where r is the largest row sum of |E| over both halves.  A bound ab
 raises rather than being silently re-orthogonalized.
 
 The eigenvectors and their gate depend on j alone, so the eigendata of each
-2j up to 259 is built and gated once per process and kept as the read-only
-mu >= 0 columns of its halves: about 2 (2j+1)^2 bytes per spin, 1.5 MB for
-both sectors up to 2j = 129 and at most 11.8 MB in all.  A larger 2j is
-built and gated on every call, as a one-shot rotation would be, so the
-store stays bounded however large a block is rotated.  A 2j that fails the
-gate is not kept, so it raises on every call.
+2j up to 259 is built and gated once per process and kept as one read-only
+array of the mu >= 0 columns of both halves side by side: (2j+2)^2 // 4
+doubles per spin, 1.5 MB for both sectors up to 2j = 129 and at most
+11.9 MB in all.  A larger 2j is built and gated on every call, as a
+one-shot rotation would be, so the store stays bounded however large a
+block is rotated.  A 2j that fails the gate is not kept, so it raises on
+every call.
 """
 
 from __future__ import annotations
@@ -62,12 +68,12 @@ _UNITARITY_TOL = 1e-12
 # Recurrence columns are scaled down past this, so their squares sum without overflow.
 _RESCALE_ABOVE = 2.0**256
 # The gated eigendata of every two_j up to _STORE_TWO_J_MAX built in this
-# process (see _eigendata): at most 11.8 MB for both sectors together.  The
+# process (see _gated_columns): at most 11.9 MB for both sectors together.  The
 # cap reaches int j_max 128 and half j_max 257/2; past it the build is about
 # a third of a call, and storing every spin of an int j_max 512 block would
 # take about 360 MB.
 _STORE_TWO_J_MAX = 259
-_EIGENDATA: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_EIGENDATA: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,8 @@ def expm(matrix: np.ndarray) -> np.ndarray:
 
 
 def _jx_columns(two_j: int):
-    """The mu >= 0 columns of the two parity halves of Jx (see _jx_halves).
+    """The mu >= 0 columns of the two parity halves of Jx (see _jx_halves),
+    as the two column blocks of one array (_blocks).
 
     Row i = m + j of Jx v = mu v reads
     beta_(i-1) v_(i-1) + beta_i v_(i+1) = mu v_i with
@@ -175,15 +182,16 @@ def _jx_columns(two_j: int):
     and stops at the middle row, which is all the fold needs.  Columns grow
     by up to about 2^j.  A cheap bound on the last two rows is carried
     along, and once it passes 2^256 every column is scaled by the power of
-    two that brings those rows below 1, which is exact.  Each folded column
-    is normalized at the end.
+    two that brings those rows below 1, which is exact.  The columns run in
+    the order the store keeps them (_column_mu), so each folded column is
+    normalized in place and the recurrence's array is the store's.
     """
     n = two_j + 1
     h, odd = divmod(n, 2)
     rows = h + odd  # v_0 .. v_(h-1), and the middle v_h when n is odd
     k = np.arange(1.0, rows)
     beta = np.sqrt(k * (n - k)) / 2.0  # beta[i] couples rows i and i+1
-    mu = (np.arange(n) - two_j / 2.0)[h:]
+    mu = np.concatenate(_column_mu(two_j))
     # v_(i+1) = a[i] v_i - c[i] v_(i-1)
     a, c = mu / beta[:, None], np.append(0.0, beta[:-1] / beta[1:])
     # |v_(i+1)| <= growth[i] max(|v_i|, |v_(i-1)|), and every growth[i] >= 1.
@@ -204,12 +212,44 @@ def _jx_columns(two_j: int):
             v[: i + 2] = np.ldexp(v[: i + 2], -shift)
             top = 1.0
     v[h:] *= math.sqrt(0.5)  # folded, the rows k < h read sqrt(2) v_k and the middle v_h
-    columns = []
-    # Column h + p of the full v has mu = mu[p] and is symmetric when j - mu is even.
-    for cols, size in ((slice((two_j - h) % 2, None, 2), rows), (slice((two_j - h + 1) % 2, None, 2), h)):
-        u = v[:size, cols]
-        columns.append(u / np.linalg.norm(u, axis=0))
+    columns = _blocks(two_j, v)
+    v[h:, columns[0].shape[1] :] = 0.0  # the antisymmetric block's pad row
+    for u in columns:
+        u /= np.linalg.norm(u, axis=0)
     return columns
+
+
+def _column_mu(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mu >= 0 of the symmetric half (j - mu even), then of the
+    antisymmetric half (j - mu odd), each ascending: the order of the
+    stored columns."""
+    stop = two_j / 2.0 + 1.0
+    return np.arange(two_j % 4 / 2.0, stop, 2.0), np.arange((two_j + 2) % 4 / 2.0, stop, 2.0)
+
+
+def _blocks(two_j: int, store: np.ndarray) -> list[np.ndarray]:
+    """Views of the two column blocks of a stored (n + 1) // 2 square array,
+    n = 2j+1: the symmetric half's mu >= 0 columns, then the antisymmetric
+    half's, which lack the middle row; when n is odd, that row of the
+    array is the antisymmetric block's pad row of zeros."""
+    width = two_j // 4 + 1  # the symmetric mu >= 0: j, j - 2, ..., down to 0, 1/2 or 1
+    return [store[:, :width], store[: (two_j + 1) // 2, width:]]
+
+
+def _side_by_side(two_j: int, columns) -> np.ndarray:
+    """The stored array whose _blocks are columns: the array _jx_columns
+    returns views of, or else a new one they are copied into."""
+    store = columns[0].base
+    shape = ((two_j + 2) // 2,) * 2
+    if (
+        store is None
+        or store.shape != shape
+        or any(u.__array_interface__ != b.__array_interface__ for u, b in zip(columns, _blocks(two_j, store)))
+    ):
+        store = np.zeros(shape)
+        for b, u in zip(_blocks(two_j, store), columns):
+            b[...] = u
+    return store
 
 
 def _unfold(two_j: int, columns) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -251,32 +291,37 @@ def _jx_halves(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _eigendata(two_j: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_jx_halves(two_j), passed through the unitarity gate.
+    """_jx_halves(two_j), unfolded from the gated columns (_gated_columns)."""
+    return _unfold(two_j, _blocks(two_j, _gated_columns(two_j)))
 
-    The gate reads exactly the halves that are returned for assembly.  For
-    two_j up to _STORE_TWO_J_MAX, the mu >= 0 columns they unfold from are
-    kept in _EIGENDATA, read-only, once the gate passes: about n^2 / 4
-    doubles, or 2 (2j+1)^2 bytes, per spin.  Later calls unfold the stored
-    columns again, to the same bits.  A two_j whose eigenvectors fail the
-    gate is not stored, so it raises UnitarityError on every call.
+
+def _gated_columns(two_j: int) -> np.ndarray:
+    """The mu >= 0 columns of both halves of Jx, side by side (_blocks),
+    passed through the unitarity gate.
+
+    The gate reads the halves they unfold to (_unfold), whose columns are
+    the eigenvectors the assembly uses.  For two_j up to _STORE_TWO_J_MAX
+    the array is kept in _EIGENDATA, read-only, once the gate passes:
+    (2j+2)^2 // 4 doubles per spin.  The recurrence writes straight into it
+    (_jx_columns), so the build makes no copy.  A two_j whose eigenvectors
+    fail the gate is not stored, so it raises UnitarityError on every call.
     """
-    columns = _EIGENDATA.get(two_j)
-    if columns is not None:
-        return _unfold(two_j, columns)
+    store = _EIGENDATA.get(two_j)
+    if store is not None:
+        return store
     columns = _jx_columns(two_j)
-    halves = _unfold(two_j, columns)
-    r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in halves)
+    r = max(np.abs(u.T @ u - np.eye(len(u))).sum(axis=1).max(initial=0.0) for _, u in _unfold(two_j, columns))
     bound = 4.0 * r * (1.0 + r)
     if bound > _UNITARITY_TOL:
         raise UnitarityError(
             f"rotation matrix for two_j={two_j}: eigenvector defect bounds "
             f"max|U* U - I| by {bound:.3e} > {_UNITARITY_TOL:g}"
         )
+    store = _side_by_side(two_j, columns)
     if two_j <= _STORE_TWO_J_MAX:
-        for u in columns:
-            u.flags.writeable = False
-        _EIGENDATA[two_j] = tuple(columns)
-    return halves
+        store.flags.writeable = False
+        _EIGENDATA[two_j] = store
+    return store
 
 
 def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
@@ -285,18 +330,16 @@ def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
     Computed as diag(e^(-i a m)) [I + P V diag(expm1(-i b m)) V^T P*]
     diag(e^(-i c m)), where V diagonalizes the real symmetric Jx, whose
     eigenvalues are exactly m = -j..j, and P = diag(e^(-i pi m/2)) turns Jx
-    into Jy.  V is taken from the two parity halves of Jx (_jx_halves), so
-    V diag(expm1) V^T is folded from two half-size products
-    G = u diag(expm1(-i b mu)) u^T: its quarter blocks are (G_s +- G_a)/2,
-    plus the sqrt(1/2)-scaled middle row and column when 2j+1 is odd.  Each
-    G is one real matrix product on interleaved real and imaginary parts
-    (_half_product), so u is never cast to complex.  The expm1 form keeps the
-    identity rotation exact.  Raises UnitarityError
+    into Jy.  V is taken from the two parity halves of Jx (_jx_halves), and
+    V diag(expm1) V^T comes from one real matrix product over their stored
+    mu >= 0 columns alone, with a parity mask (_assemble), so
+    rotation_matrix(two_j, RotationSpec(0, b, 0)) is exactly real.  The
+    expm1 form keeps the identity rotation exact.  Raises UnitarityError
     if the eigenvectors' defect r (largest row sum of |u^T u - I| over both
     halves) gives a bound 4 r (1 + r) on max|U* U - I| above 1e-12, a bound
     that holds for every angle (see the module docstring).  For two_j up to
-    259, the halves and their gate are built on the first call in the
-    process and kept at about 2 (2j+1)^2 bytes, and later calls only
+    259, the columns and their gate are built on the first call in the
+    process and kept at (2j+2)^2 // 4 doubles, and later calls only
     assemble; a larger two_j builds them on every call.  two_j may be any
     integer (numpy integers included, bool not).
     """
@@ -308,45 +351,57 @@ def rotation_matrix(two_j: int, spec: RotationSpec) -> np.ndarray:
 
 def _rotation_matrices(two_j: int, specs) -> list[np.ndarray]:
     """rotation_matrix(two_j, spec) for each of specs, valid arguments."""
-    halves = _eigendata(two_j)
-    return [_assemble(two_j, halves, spec) for spec in specs]
+    store = _gated_columns(two_j)
+    return [_assemble(two_j, store, spec) for spec in specs]
 
 
-def _assemble(two_j: int, halves, spec: RotationSpec) -> np.ndarray:
-    """The unitary of spec from the eigendata of _jx_halves(two_j).
+def _assemble(two_j: int, store: np.ndarray, spec: RotationSpec) -> np.ndarray:
+    """The unitary of spec from the gated columns C of _jx_columns(two_j).
 
-    Each half's G = u diag(f) u^T, f = expm1(-i b mu), is one real matrix
-    product (_half_product), so u is never cast to complex.  The 1/2 of the
-    fold rides on the left phases.
+    The eigenvector of -mu is S = diag((-1)^k) times that of mu, and
+    f(-mu) = conj f(mu) for f = expm1(-i b mu).  So the quarter blocks of
+    the fold, (G_s +- G_a) / 2, are (X +- S conj(X) S) / 2 for
+    X = C diag(f) C^T and X = C diag(sigma f) C^T, sigma = -1 on the
+    antisymmetric columns: each entry is Re X or i Im X.  At output entry
+    (k, l) it is the real part when k + l is even, in both blocks.  So one
+    real product, C times [f C^T | sigma f C^T reversed] read as interleaved
+    real and imaginary parts, writes both blocks side by side into the top
+    rows of the output, and zeroing the other part of every entry completes
+    the fold.  P turns the kept parts real, and its entries 1, -i, -1, i
+    multiply exactly, so the d-matrix is exactly real.  The middle row, when
+    2j+1 is odd, is copied to the middle column and mirrored, and the bottom
+    rows are the top rows mirrored, so d[n-1-k, n-1-l] = (-1)^(k-l) d[k, l]
+    exactly.  The sqrt(2) of the middle row and column rides on the phases.
     """
-    g_s, g_a = (_half_product(u, np.expm1(-1j * spec.b * mu)) for mu, u in halves)
     n = two_j + 1
     h, odd = divmod(n, 2)
+    rows = h + odd
+    mu_s, mu_a = _column_mu(two_j)
+    f = np.expm1(-1j * spec.b * np.concatenate((mu_s, mu_a)))
+    w = np.empty((len(f), n), dtype=complex)
+    np.multiply(f[:, None], store.T, out=w[:, :rows])
+    np.negative(f[len(mu_s) :], out=f[len(mu_s) :])
+    np.multiply(f[:, None], store[:h][::-1].T, out=w[:, rows:])
     out = np.empty((n, n), dtype=complex)
-    np.add(g_s[:h, :h], g_a, out=out[:h, :h])
-    np.subtract(g_s[:h, :h], g_a, out=out[:h, n - h :][:, ::-1])
+    top = out[:rows].view(float)
+    np.matmul(store, w.view(float), out=top)
+    # Float column q holds the real (q even) or imaginary part of column q // 2.
+    for k, q in ((0, 1), (0, 2), (1, 0), (1, 3)):
+        top[k::2, q::4] = 0.0
     if odd:
-        centre = math.sqrt(2.0) * g_s[h, :h]
-        out[h, :h] = out[:h, h] = centre
-        out[h, h + 1 :] = centre[::-1]
-        out[h, h] = 2.0 * g_s[h, h]
+        out[h, h + 1 :] = out[h, :h][::-1]
+        out[:h, h] = out[h, :h]
     out[n - h :] = out[:h][::-1, ::-1]  # the fold is symmetric under m -> -m on both sides
     # P up to a constant phase that cancels against P*: its entries 1, -i, -1, i
     # multiply exactly, so P adds no rounding to D_a and D_c.
     m = np.arange(n) - two_j / 2.0
     p = np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
     left, right = np.exp(-1j * spec.a * m), np.exp(-1j * spec.c * m)
-    out *= (0.5 * left * p)[:, None]
-    out *= right * p.conj()
+    row_phase, column_phase = left * p, right * p.conj()
+    if odd:
+        row_phase[h] *= math.sqrt(2.0)
+        column_phase[h] *= math.sqrt(2.0)
+    out *= row_phase[:, None]
+    out *= column_phase
     out.flat[:: n + 1] += left * right
     return out
-
-
-def _half_product(u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """u diag(f) u^T for real u and complex f, as one real matrix product.
-
-    diag(f) u^T in C order, read as reals, holds the real and imaginary
-    part of each entry side by side along its rows.  u times it holds those
-    of G the same way, so read as complex it is G, with no copy.
-    """
-    return (u @ np.multiply(f[:, None], u.T, order="C").view(float)).view(complex)

@@ -692,14 +692,19 @@ def rotate(block: CoefficientBlock, spec: RotationSpec) -> CoefficientBlock:
     """Apply a rotation to a block, one unitary per j-multiplet.
 
     Within each j the coefficients transform by the z-y-z rotation matrix
-    in the ascending-m basis; different j never mix.
+    in the ascending-m basis; different j never mix.  A multiplet that is
+    all zero stays zero, and its matrix is not built.
     """
     if not isinstance(spec, RotationSpec):
         raise DomainError(f"spec must be a RotationSpec, got {spec!r}")
     values = np.zeros_like(block._values)
-    for two_j in _sector_ladder(block.sector, block.two_j_max):
-        part = slice(_index(two_j, -two_j), _index(two_j, two_j) + 1)
-        if np.any(block._values[part]):
+    ladder = _sector_ladder(block.sector, block.two_j_max)
+    starts = [_index(two_j, -two_j) for two_j in ladder]
+    # The multiplets tile the block in ladder order, so one pass finds the nonzero ones.
+    nonzero = np.logical_or.reduceat(block._values != 0, starts).tolist()
+    for two_j, start, live in zip(ladder, starts, nonzero):
+        if live:
+            part = slice(start, start + two_j + 1)
             values[part] = rotation_matrix(two_j, spec) @ block._values[part]
     return object.__new__(CoefficientBlock)._finish(block.sector, block.two_j_max, values)
 

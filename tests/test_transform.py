@@ -266,6 +266,31 @@ class TestRotationMatrix:
         for two_j in range(0, 301):
             assert np.array_equal(rotation_matrix(two_j, RotationSpec(0, 0, 0)), np.eye(two_j + 1)), two_j
 
+    @staticmethod
+    def d_matrices_cold_and_warm(monkeypatch):
+        """(two_j, d(b)) for 2j in 0..40, 127-129 and 258-261 at seeded b,
+        first from an empty store, then from the store those calls filled."""
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        two_js = [*range(0, 41), *range(127, 130), *range(258, 262)]
+        angles = np.random.default_rng(31).uniform(-7.0, 7.0, size=len(two_js))
+        for _ in range(2):
+            for two_j, b in zip(two_js, angles):
+                yield two_j, rotation_matrix(two_j, RotationSpec(0.0, b, 0.0))
+
+    def test_d_is_exactly_real_cold_and_warm(self, monkeypatch):
+        # The parity mask keeps only the parts that P turns real, and P's
+        # entries 1, -i, -1, i multiply exactly.
+        for two_j, d in self.d_matrices_cold_and_warm(monkeypatch):
+            assert not d.imag.any(), two_j
+
+    def test_d_is_exactly_mirror_symmetric_cold_and_warm(self, monkeypatch):
+        # d[n-1-k, n-1-l] = (-1)^(k-l) d[k, l] holds exactly: the bottom rows
+        # and the right half of the middle row are copies.
+        for two_j, d in self.d_matrices_cold_and_warm(monkeypatch):
+            k = np.arange(two_j + 1)
+            sign = (-1.0) ** (k[:, None] - k)
+            assert np.array_equal(d[::-1, ::-1], sign * d), two_j
+
 
 REAL_JX_COLUMNS = rotation._jx_columns
 DELTAS = [10.0**-k for k in range(16, 8, -1)]
@@ -511,6 +536,24 @@ class TestRotationEigendata:
         # Both sectors stored in full take 2 (2j+1)^2 bytes a spin, 11.8 MB in all.
         full = {two_j: rotation._jx_columns(two_j) for two_j in range(cap + 1)}
         assert sum(u.nbytes for cols in full.values() for u in cols) < 11.9e6
+
+    def test_each_stored_entry_is_one_array_of_both_column_blocks(self, monkeypatch):
+        monkeypatch.setattr(rotation, "_EIGENDATA", {})
+        for two_j in [*range(0, 41), 127, 128, 129, 258, 259]:
+            rotation_matrix(two_j, RotationSpec(0.1, 0.2, 0.3))
+            store = rotation._EIGENDATA[two_j]
+            assert isinstance(store, np.ndarray) and store.dtype == np.float64
+            assert store.flags.c_contiguous and not store.flags.writeable
+            n = two_j + 1
+            assert store.shape == (n - n // 2, n - n // 2)
+            # (2j+2)^2 // 4 doubles for integer j, (2j+1)^2 / 4 for half-integer j.
+            assert store.size == (two_j + 2 - two_j % 2) ** 2 // 4
+            symmetric, antisymmetric = rotation._jx_columns(two_j)
+            width = symmetric.shape[1]
+            assert store[:, :width].tobytes() == symmetric.tobytes(), two_j
+            assert store[: n // 2, width:].tobytes() == antisymmetric.tobytes(), two_j
+            # The antisymmetric block's pad row, when n is odd, is exact zeros.
+            assert np.array_equal(store[n // 2 :, width:], np.zeros((n % 2, store.shape[1] - width))), two_j
 
     def test_stored_arrays_are_read_only(self, monkeypatch):
         monkeypatch.setattr(rotation, "_EIGENDATA", {})
@@ -1663,6 +1706,30 @@ class TestRotate:
     def test_spec_type_enforced(self):
         with pytest.raises(DomainError):
             rotate(random_block("int", 1, seed=0), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("sector, j_max", [("int", 12), ("half", Fraction(23, 2))], ids=["int-12", "half-23/2"])
+    def test_zero_multiplets_make_no_matrix(self, sector, j_max, monkeypatch):
+        spec = RotationSpec(0.9, -2.3, 1.7)
+        block = random_block(sector, j_max, seed=3)
+        values = block._values.copy()
+        ladder = range(block.two_j_max % 2, block.two_j_max + 1, 2)
+        parts = {two_j: slice(two_j * two_j // 4, two_j * two_j // 4 + two_j + 1) for two_j in ladder}
+        zero = set(ladder[::3]) | {ladder[-1]}
+        for two_j in zero:
+            values[parts[two_j]] = 0.0
+        values[parts[ladder[1]]][1:] = 0.0  # zero but for its first entry
+        block = object.__new__(CoefficientBlock)._finish(sector, block.two_j_max, values)
+        # The per-multiplet loop this must match, byte for byte.
+        want = np.zeros_like(values)
+        for two_j, part in parts.items():
+            if np.any(values[part]):
+                want[part] = rotation_matrix(two_j, spec) @ values[part]
+        calls = []
+        counted = lambda two_j, s: calls.append(two_j) or rotation_matrix(two_j, s)  # noqa: E731
+        monkeypatch.setattr(transform, "rotation_matrix", counted)
+        got = rotate(block, spec)
+        assert calls == [two_j for two_j in ladder if two_j not in zero]
+        assert got._values.tobytes() == want.tobytes()
 
 
 class TestRandomBlock:
