@@ -33,28 +33,37 @@ b"") and ("rows", top, point bytes), top being the ladder's last 2|m|.
 The one ("gather", top) entry maps labels both ways: analyze gathers each
 label's coefficient from its step sums through it, and synthesize
 scatters each coefficient through it to the same (sign of m, step, |m|)
-entry; both keep it on the first request.  analyze keeps what its grid
-needs on the first request, before it samples f, so a round trip
-analyze(as_function(b)) whose entries fit runs the recurrence once cold
-and not at all warm: synthesize reads those rows, and e^(i|m|phi) from
-the angular matrix.  synthesize keeps rows and angles only on the second
-request for a key while that key is held, so points that never repeat
-keep no arrays.  An entry that alone passes the budget, such as the rows
-or the angular matrix of the int j_max 128 default grid, is never kept.
-Every output is the streamed one bit for bit.  synthesize picks one of two
-sums from n_phi alone.
-With few angles, at each step the coefficients with e^(+-i m phi) and the
-sign s_m folded in form a real (2 n_phi, |m|) matrix, and one matrix
-product adds the step to every angle, in O(j_max^2 n_phi P)
-time; the fold is built a few steps at a time, never as a whole
-(steps, n_phi, |m|) tensor.  With many angles (_RADIAL_FIRST_ANGLES), the
+entry; both keep it on the first request.  Beside that index it holds the
+step-major one by which rows are laid out, which depends on the number of
+|m| alone.  A "rows" entry is one C-contiguous (sum n_k, P) array, the
+n_m - k rows of step k after those of the steps before it.  analyze keeps
+what its grid needs on the first request, before it samples f, so a round
+trip analyze(as_function(b)) whose entries fit runs the recurrence once
+cold and not at all warm: synthesize reads those rows, and e^(i|m|phi)
+from the angular matrix.  synthesize keeps rows and angles only on the
+second request for a key while that key is held, so points that never
+repeat keep no arrays.  An entry that alone passes the budget, such as the
+rows or the angular matrix of the int j_max 128 default grid, is never
+kept.  Every output is the streamed one bit for bit.  synthesize picks one
+of two sums from n_phi alone.
+With few angles, each row's coefficients, with e^(+-i m phi) and the sign
+s_m folded in through the step-major index, form a real (2 n_phi, rows)
+matrix, and one matrix product per block of steps adds the block to every
+angle, in O(j_max^2 n_phi P) time.  The blocks are cut from (n_m, P, n_phi)
+alone: all steps at once where their rows and their folded coefficients
+each fit in _BLOCK_BYTES (2 MiB), so rows the store keeps make one product
+at up to P / 2 angles, and one step a block, read from the stream's own
+arrays, where they do not.  With many angles (_RADIAL_FIRST_ANGLES), the
 rows, times their coefficients, go a block of steps at a time into one
 radial sum R_(+-|m|)(y) per m, one batched real product per |m| and block,
 and one (n_phi x |m|) @ (|m| x P) product per sign of m gives the grid at
-the end, in O(j_max^2 P + j_max n_phi P) time.  A block of rows holds at
-most _FOLD_ENTRIES entries, or one step if that step alone holds more, so
-memory stays O(n_phi P + j_max (n_phi + P)) on both paths, besides the
-store's 2 MiB.
+the end, in O(j_max^2 P + j_max n_phi P) time.  A block of rows there holds
+at most _FOLD_ENTRIES entries, or one step if that step alone holds more.
+So besides the block's own O(j_max^2) coefficients and the store's 2 MiB,
+memory stays O(n_phi P + j_max (n_phi + P)) on the many-angle path; the
+few-angle path holds at most one block of rows and one of folded
+coefficients, each at most _BLOCK_BYTES, or one step's rows and their
+coefficients.
 
 Blocks serialize to a flat JSON document::
 
@@ -72,7 +81,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Mapping
+from collections.abc import Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -429,7 +439,7 @@ def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
     first request where it fits (see _kept): (angular, signs, source, rows)."""
     top = _ladder_top(sector, two_j_max)
     (angular,) = _kept("angles", top, phis, True) or (_angular(top, phis),)
-    signs, source = _kept("gather", top, phis[:0], True) or _gather(top)
+    signs, source, _ = _kept("gather", top, phis[:0], True) or _ladder(top)
     return angular, signs, source, _kept("rows", top, x, True)
 
 
@@ -457,38 +467,79 @@ def _gather(top: int) -> tuple:
     return signs, (two_m < 0) * (n_m * n_m) + q * n_m - i * (n_m - 1)
 
 
+def _ladder(top: int) -> tuple:
+    """What the ladder up to top alone gives: _gather's (signs, source), and
+    the step-major index entry that _kept lays rows out by: row i of step k
+    (k + i < n_m) is entry[k n_m - k (k - 1) / 2 + i] = k n_m + i of the
+    (step, |m|) sums."""
+    n_m = top // 2 + 1
+    return *_gather(top), np.flatnonzero(np.add.outer(np.arange(n_m), np.arange(n_m)) < n_m)
+
+
 def _kept(kind: str, top: int, points, keep_first: bool):
     """The store's arrays of one kind for the ladder up to top (see
     _Store.request): "angles", (angular,) at the angles points, or None;
-    "gather", (signs, source), which take no points, or None; "rows", the
-    radial rows of every step at the radii points, n_m, n_m - 1, ..., 1 rows
-    a step, or a fresh stream of them."""
+    "gather", _ladder's (signs, source, entry), which take no points, or
+    None; "rows", the radial rows of every step at the radii points, n_m,
+    n_m - 1, ..., 1 rows a step: the kept (sum n_k, P) array, in step
+    order, or a fresh stream."""
     n_m, check = top // 2 + 1, None
     if kind == "angles":
         size, build = 32 * n_m * points.size, lambda: (_angular(top, points),)
     elif kind == "gather":
-        size, build = 8 * (n_m + _index(top, top) + 1), lambda: _gather(top)
+        size = 8 * (n_m + _index(top, top) + 1 + n_m * (n_m + 1) // 2)
+        build = lambda: _ladder(top)
     else:
         # A miss rejects bad radii before the store changes, and its stream
         # starts from the bounds that check took.
         bounds = []
         stream = lambda: _radial_rows(range(top % 2, top + 1, 2), top, points, *bounds)
-        size, build = 4 * points.size * n_m * (n_m + 1), lambda: tuple(stream())
+        rows = n_m * (n_m + 1) // 2
+        size, build = 8 * rows * points.size, lambda: (_laid_out(stream(), rows, points.size),)
         check = lambda: bounds.append(_y_bounds(points))
     kept = _STORE.request((kind, top, points.tobytes()), size, build, keep_first, check)
-    return stream() if kept is None and kind == "rows" else kept
+    if kind != "rows":
+        return kept
+    return stream() if kept is None else kept[0]
+
+
+def _laid_out(stream, rows: int, size: int) -> np.ndarray:
+    """The steps of a radial stream, rows rows in all, end to end in one new
+    (rows, size) array, filled a step at a time."""
+    out = np.empty((rows, size))
+    start = 0
+    for step in stream:
+        out[start : start + len(step)] = step
+        start += len(step)
+    return out
 
 
 # The bytes the store holds at most, counting each entry's arrays and key.
 _STORE_BYTES = 2**21
 
 
-class _Store(dict):
+class _Store(Mapping):
     """Read-only arrays that analyze and synthesize derive from points
     alone, by key, least recently used first: key -> (counted bytes, arrays
-    or None while key is held without them)."""
+    or None while key is held without them).  Only request and clear change
+    it, so nbytes is always the sum of the counted bytes."""
 
-    nbytes = 0  # the sum of the counted bytes
+    def __init__(self):
+        self._entries = {}
+        self.nbytes = 0
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
 
     def request(self, key: tuple, size: int, build: Callable, keep_first: bool, check=None):
         """key's kept arrays, or None for the caller to build or stream its own.
@@ -504,9 +555,10 @@ class _Store(dict):
         key_bytes = len(key[-1]) + 256
         if size + key_bytes > _STORE_BYTES:
             return None
-        held = self.get(key)
+        entries = self._entries
+        held = entries.get(key)
         if held is not None and held[1] is not None:
-            self[key] = self.pop(key)
+            entries[key] = entries.pop(key)
             return held[1]
         if check is not None:
             check()
@@ -516,11 +568,11 @@ class _Store(dict):
             for array in arrays:
                 array.flags.writeable = False
         if held is not None:
-            self.nbytes -= self.pop(key)[0]
+            self.nbytes -= entries.pop(key)[0]
         counted = key_bytes + (0 if arrays is None else size)
         while self.nbytes + counted > _STORE_BYTES:
-            self.nbytes -= self.pop(next(iter(self)))[0]
-        self[key] = counted, arrays
+            self.nbytes -= entries.pop(next(iter(entries)))[0]
+        entries[key] = counted, arrays
         self.nbytes += counted
         return arrays
 
@@ -528,10 +580,10 @@ class _Store(dict):
 _STORE = _Store()
 
 
-# Entries of the coefficient fold (step x angle x |m|) or of a block of
-# radial rows (|m| x step x point) built at once, so a grid of many angles
-# or points never holds a whole (steps, n_phi, |m|) or (|m|, steps, P)
-# tensor.
+# Entries of a block of radial rows (|m| x step x point) that analyze and the
+# many-angle sum build at once, or of the coefficients (row x angle) that the
+# few-angle sum folds at once when it takes one step at a time, so a grid of
+# many points never holds a whole (|m|, steps, P) tensor.
 _FOLD_ENTRIES = 2**12
 
 
@@ -540,12 +592,16 @@ def _row_blocks(stream, steps: int, size: int):
     consecutive steps at a time.
 
     stream yields step k's (n_k, size) rows, n_k not increasing, as
-    _radial_rows does or the store keeps them.  Yields (k, block): block
-    has shape (n_k, s, size) and holds steps k .. k + s - 1, block[i, t]
-    being row i of step k + t, or exact zeros past that step's last row.  A
+    _radial_rows does, or is a kept (sum n_k, size) array (see _kept), read
+    a step at a time.  Yields (k, block): block has shape (n_k, s, size)
+    and holds steps k .. k + s - 1, block[i, t] being row i of step k + t,
+    or exact zeros past that step's last row.  A
     block holds at most _FOLD_ENTRIES entries, or one step if that step
     alone holds more, and the blocks take every step once, in order.
     """
+    if isinstance(stream, np.ndarray):
+        yield from _kept_row_blocks(stream, steps, size)
+        return
     stream = iter(stream)
     k = 0
     for first in stream:
@@ -558,11 +614,50 @@ def _row_blocks(stream, steps: int, size: int):
         yield k, block
         k += s
 
+
+def _kept_row_blocks(rows, steps: int, size: int):
+    """_row_blocks of a kept (sum n_k, size) array, whose step k holds
+    steps - k rows: each step is sliced out as it is copied into its block,
+    with no list of per-step views made first, which costs a round trip
+    about 2 %."""
+    k = start = 0
+    while k < steps:
+        n = steps - k
+        s = min(n, max(1, _FOLD_ENTRIES // max(1, n * size)))
+        block = np.zeros((n, s, size))
+        for t in range(s):
+            block[: n - t, t] = rows[start : start + n - t]
+            start += n - t
+        yield k, block
+        k += s
+
+
+def _steps(rows, steps: int):
+    """Step k's rows, k = 0 .. steps - 1: views of a kept (sum n_k, P) array,
+    steps - k rows a step (see _kept), or a stream as it is."""
+    if not isinstance(rows, np.ndarray):
+        return rows
+    views, start = [], 0
+    for n in range(steps, 0, -1):
+        views.append(rows[start : start + n])
+        start += n
+    return views
+
+
+# The bytes a block of rows, or of the coefficients folded onto them, holds at
+# most in the few-angle sum: the store's budget as the module loads, so that
+# no output depends on what the store may keep.  Rows the store can keep are
+# one block wherever there are at least twice as many radii as angles.
+_BLOCK_BYTES = _STORE_BYTES
+
 # From this many angles on, synthesize sums each m's radial series first and
-# takes its angular products once at the end; below it, every step reaches
-# every angle through one folded matrix product.  Timed on one BLAS thread
-# at j_max 8 to 128 with 10 to 300 radii, the two paths break even at 32 to
-# 56 angles, and at 48 neither is more than 12 % slower than the other.
+# takes its angular products once at the end; below it, every block of steps
+# reaches every angle through one folded matrix product (_sum_by_rows).  Timed
+# call by call on one BLAS thread at int j_max 8 to 128, the few-angle sum is
+# the faster up to 40-80 angles or more at 100-300 radii, but from j_max 20 on
+# only below 8 to 32 angles at 10-30 radii, whether the rows stream or are kept.
+# No one count suits every grid; 48 keeps a default-grid round trip, at 79-81
+# angles, on the many-angle sum.
 _RADIAL_FIRST_ANGLES = 48
 
 
@@ -587,9 +682,13 @@ def synthesize(block: CoefficientBlock, point):
     request for a top.  Every output is the streamed one bit for bit.  No
     angles, or an empty block, give zeros of the broadcast
     shape.  The number of angles n_phi picks how the steps are summed.  With
-    few angles the coefficients of step k, with e^(+-i m phi) and the sign s_m
-    folded in, form a real (2 n_phi, n_k) matrix, and the step adds one
-    (2 n_phi x n_k) @ (n_k x P) product: O(j_max^2 n_phi P) in all.  With
+    few angles each row's coefficients, with e^(+-i m phi) and the sign s_m
+    folded in, form a real (2 n_phi, rows) matrix, and a block of steps adds
+    one (2 n_phi x rows) @ (rows x P) product: O(j_max^2 n_phi P) in all.
+    The blocks depend on (top multiplet, P, n_phi) alone, so kept and
+    streamed rows are summed alike: every step at once where the rows and
+    their folded coefficients each fit in 2 MiB, as those of an int j_max 32
+    block at 256 radii do, and one step a block where they do not.  With
     many angles the rows, times their coefficients, go a block of steps at
     a time into the radial sums R_(+-|m|)(y) of each m, and two
     (n_phi x |m|) @ (|m| x P) products, one per sign of m, give the grid at
@@ -615,9 +714,9 @@ def synthesize(block: CoefficientBlock, point):
         # Kept rows are this recurrence on these points, and a kept
         # angular[1] is this phase, as 0.5j * 1 is exactly 0.5j.  The rows
         # come first: a miss checks the points before the store changes.
-        stream = _kept("rows", top, flat, False)
+        rows = _kept("rows", top, flat, False)
         angles = _kept("angles", top, phis, False)
-        signs, source = _kept("gather", top, phis[:0], True) or _gather(top)
+        signs, source, entry = _kept("gather", top, phis[:0], True) or _ladder(top)
         # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0 included,
         # by_sign[1] those of e^(-i|m|phi); indexed by (step, |m|), each
         # coefficient at the entry that analyze's gather reads it from.
@@ -631,9 +730,9 @@ def synthesize(block: CoefficientBlock, point):
         else:
             phase = angles[0][1, 0]
         if phis.size < _RADIAL_FIRST_ANGLES:
-            out = _sum_by_step(by_sign, phase.T, stream, flat.size)
+            out = _sum_by_rows(by_sign, phase, entry, rows, flat.size)
         else:
-            out = _sum_by_m(by_sign, phase.T, stream, flat.size)
+            out = _sum_by_m(by_sign, phase.T, rows, flat.size)
     else:
         _y_bounds(flat)  # the points the nonzero path would reject
         out = np.zeros((phis.size, flat.size), dtype=complex)
@@ -645,20 +744,48 @@ def synthesize(block: CoefficientBlock, point):
     return out if out.ndim else complex(out)
 
 
-def _sum_by_step(by_sign, phase, stream, size):
-    """The (n_phi, size) grid, each step of the row stream added to every angle
-    by one matrix product."""
-    acc = np.zeros((2 * len(phase), size))  # real parts, then imaginary parts
-    phase_conj = phase.conj()
-    chunk = max(1, _FOLD_ENTRIES // phase.size)
-    for k, rows in enumerate(stream):
-        n = len(rows)
-        if k % chunk == 0:
-            part = by_sign[:, k : k + chunk, None, :n]
-            folded = part[0] * phase[:, :n] + part[1] * phase_conj[:, :n]
-            folded = np.concatenate([folded.real, folded.imag], axis=1)
-        acc += folded[k % chunk, :, :n] @ rows
-    return acc[: len(phase)] + 1j * acc[len(phase) :]
+def _sum_by_rows(by_sign, phase, entry, rows, size):
+    """The (n_phi, size) grid from one real product per block of steps:
+    (2 n_phi x rows of the block) @ (rows of the block x size).
+
+    phase is e^(i|m|phi), (|m|, angle); entry is _ladder's step-major index
+    and rows a kept (sum n_k, size) array or a stream (see _kept).  Each
+    row's coefficients, with e^(+-i|m|phi) and s_m folded in, are the real
+    and imaginary parts of every angle in turn.  The blocks are cut from
+    (n_m, size, n_phi) alone, so kept and streamed rows give the same bytes:
+    all steps, if their rows and their folded coefficients each fit in
+    _BLOCK_BYTES, and one step each if not.  A single block reads streamed
+    rows from one array they are laid out in; a step reads the stream's own.
+    """
+    n_m, n_phi = phase.shape
+    total, coeffs = len(entry), by_sign.reshape(2, -1)
+    group = max(1, _FOLD_ENTRIES // n_phi)  # rows whose temporaries stay small
+
+    def folded(start, stop):  # rows start .. stop - 1, as (2 n_phi, rows)
+        both = np.empty((stop - start, n_phi), dtype=complex)
+        for first in range(start, stop, group):
+            part = entry[first : min(stop, first + group)]
+            turn = phase.take(part % n_m, axis=0)
+            plus, minus = coeffs.take(part, axis=1)[..., None]
+            out = both[first - start : first - start + len(part)]
+            np.multiply(plus, turn, out=out)
+            out += minus * np.conjugate(turn, out=turn)
+        return both.view(float).T
+
+    if 8 * total * max(size, 2 * n_phi) <= _BLOCK_BYTES:
+        block = rows if isinstance(rows, np.ndarray) else _laid_out(rows, total, size)
+        acc = folded(0, total) @ block
+    else:
+        # One product per step, over the stream's own rows: no copy.
+        acc = np.zeros((2 * n_phi, size))
+        start = stop = 0
+        for step in _steps(rows, n_m):
+            if start + len(step) > stop:
+                first, stop = start, min(total, start + max(len(step), group))
+                coeff = folded(first, stop)
+            acc += coeff[:, start - first : start - first + len(step)] @ step
+            start += len(step)
+    return acc[0::2] + 1j * acc[1::2]
 
 
 def _sum_by_m(by_sign, phase, stream, size):

@@ -8,6 +8,7 @@ checked independently of each other.
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -943,6 +944,18 @@ class TestStore:
         assert store.request(self.key(2), fits, lambda: (np.zeros(fits // 8),), True)
         assert list(store) == [self.key(2)] and store.nbytes == transform._STORE_BYTES
 
+    def test_clear_empties_the_store_and_its_byte_count(self, monkeypatch):
+        store = empty_store(monkeypatch)
+        for i in range(3):
+            store.request(self.key(i), 800, lambda: (np.zeros(100),), True)
+        store.clear()
+        assert list(store) == [] and store.nbytes == 0
+        # A request for the whole budget then finds nothing left to evict.
+        fits = transform._STORE_BYTES - self.ONE
+        arrays = store.request(self.key(3), fits, lambda: (np.zeros(fits // 8),), True)
+        assert list(store) == [self.key(3)] and store[self.key(3)][1] is arrays
+        assert store.nbytes == transform._STORE_BYTES
+
     @pytest.mark.parametrize(
         "sector, j_max",
         # int j_max 33 and half 65/2 are the smallest grids past int j_max 32
@@ -1405,6 +1418,110 @@ class TestRowBlocks:
         stepwise = analyze(as_function(block), sector, j_max)
         assert _max_gap(stepwise, blocked) <= 1e-13
 
+
+
+def count_steps(monkeypatch):
+    """The step count of every kept row array or stream read a step at a time."""
+    calls = []
+    steps = transform._steps
+
+    def counted(rows, n):
+        calls.append(n)
+        return steps(rows, n)
+
+    monkeypatch.setattr(transform, "_steps", counted)
+    return calls
+
+
+def per_label_sum(block, point):
+    """The expansion at point as a sum of c_jm calZ_j^m over the labels."""
+    return sum(c * calZ(SpinIndex(two_j, two_m), point) for (two_j, two_m), c in block.items())
+
+
+def force_path(monkeypatch, path):
+    """Make synthesize take the few-angle or the many-angle sum at any angle count."""
+    monkeypatch.setattr(transform, "_RADIAL_FIRST_ANGLES", 10**9 if path == "few" else 0)
+
+
+class TestFewAngleSum:
+    """synthesize below _RADIAL_FIRST_ANGLES: one real product per block of steps."""
+
+    @pytest.mark.parametrize(
+        "j_max, radii, n_phi, one_block",
+        [(32, 256, 1, True), (32, 256, 16, True), (128, 300, 4, False)],
+        ids=["int-32-one-angle", "int-32-16-angles", "int-128-streamed-steps"],
+    )
+    def test_cold_warm_and_streamed_give_the_same_bytes(
+        self, j_max, radii, n_phi, one_block, monkeypatch
+    ):
+        # int j_max 32's rows at 256 radii fit the store and make one block;
+        # int j_max 128's at 300 radii pass it, so they stream, a step a block.
+        block = random_block("int", j_max, seed=60)
+        y = np.random.default_rng(61).uniform(0.01, 4.0 * j_max + 10.0, radii)
+        point = at_angles(y, n_phi, seed=62)
+        empty_store(monkeypatch)
+        calls = count_streams(monkeypatch)
+        steps = count_steps(monkeypatch)
+        cold, keeping, warm = (synthesize(block, point).tobytes() for _ in range(3))
+        assert kept("rows") == ([2 * j_max] if one_block else [])
+        assert len(calls) == (2 if one_block else 3)
+        monkeypatch.setattr(transform, "_STORE_BYTES", -1)  # nothing is kept
+        empty_store(monkeypatch)
+        streamed = synthesize(block, point).tobytes()
+        assert transform._STORE == {} and len(calls) == (3 if one_block else 4)
+        assert steps == ([] if one_block else [j_max + 1] * 4)
+        assert cold == keeping == warm == streamed
+
+    @pytest.mark.parametrize("by_step", [False, True], ids=["one-block", "a-step-a-block"])
+    @pytest.mark.parametrize("n_phi", [1, 5, _RADIAL_FIRST_ANGLES - 1])
+    @pytest.mark.parametrize("sector, j_max", [("int", 20), ("half", Fraction(39, 2))])
+    def test_matches_the_per_label_sum(self, sector, j_max, n_phi, by_step, monkeypatch):
+        if by_step:  # no block holds more than one step
+            monkeypatch.setattr(transform, "_BLOCK_BYTES", 0)
+        block = random_block(sector, j_max, seed=63)
+        y = np.concatenate([[0.0], np.geomspace(1e-3, 4.0 * j_max + 10.0, 39)])
+        point = at_angles(y, n_phi, seed=64)
+        empty_store(monkeypatch)
+        steps = count_steps(monkeypatch)
+        got = synthesize(block, point)
+        assert steps == ([block.two_j_max // 2 + 1] if by_step else [])
+        want = per_label_sum(block, point)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_phi", [_RADIAL_FIRST_ANGLES - 1, _RADIAL_FIRST_ANGLES])
+    @pytest.mark.parametrize(
+        "sector, j_max, radii", [("int", 32, 256), ("half", Fraction(63, 2), 40), ("int", 64, 300)]
+    )
+    def test_matches_the_many_angle_sum(self, sector, j_max, radii, n_phi, monkeypatch):
+        block = random_block(sector, j_max, seed=65)
+        y = np.random.default_rng(66).uniform(0.01, 4.0 * j_max + 10.0, radii)
+        point = at_angles(y, n_phi, seed=67)
+        force_path(monkeypatch, "few")
+        few = synthesize(block, point)
+        force_path(monkeypatch, "many")
+        many = synthesize(block, point)
+        assert np.max(np.abs(few - many)) <= 1e-13 * np.max(np.abs(many))
+
+    def test_a_streamed_call_holds_at_most_a_block_of_rows_and_one_of_coefficients(
+        self, monkeypatch
+    ):
+        # int j_max 128's rows at 300 radii, 20 MB, pass the budget tenfold.
+        block = random_block("int", 128, seed=68)
+        gen = np.random.default_rng(69)
+        phis = gen.uniform(-math.pi, math.pi, 4)[:, None]
+        empty_store(monkeypatch)
+        synthesize(block, (gen.uniform(0.01, 500.0, 300)[None, :], phis))
+        y = gen.uniform(0.01, 500.0, 300)[None, :]
+        tracemalloc.start()
+        try:
+            out = synthesize(block, (y, phis))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept("rows") == []
+        # A block of rows and one of folded coefficients hold at most
+        # _BLOCK_BYTES each.
+        assert peak <= 2 * transform._BLOCK_BYTES + out.nbytes
 
 
 SYNTH_BLOCKS = [
