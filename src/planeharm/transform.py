@@ -63,7 +63,9 @@ So besides the block's own O(j_max^2) coefficients and the store's 2 MiB,
 memory stays O(n_phi P + j_max (n_phi + P)) on the many-angle path; the
 few-angle path holds at most one block of rows and one of folded
 coefficients, each at most _BLOCK_BYTES, or one step's rows and their
-coefficients.
+coefficients.  Rows that are not kept are laid out in their block while the
+recurrence's own O(j_max P) arrays are alive beside it, and the folded
+coefficients are made after that.
 
 Blocks serialize to a flat JSON document::
 
@@ -440,7 +442,7 @@ def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
     top = _ladder_top(sector, two_j_max)
     (angular,) = _kept("angles", top, phis, True) or (_angular(top, phis),)
     signs, source, _ = _kept("gather", top, phis[:0], True) or _ladder(top)
-    return angular, signs, source, _kept("rows", top, x, True)
+    return angular, signs, source, _kept("rows", top, x, True)[1]
 
 
 def _angular(top: int, phis) -> np.ndarray:
@@ -480,9 +482,10 @@ def _kept(kind: str, top: int, points, keep_first: bool):
     """The store's arrays of one kind for the ladder up to top (see
     _Store.request): "angles", (angular,) at the angles points, or None;
     "gather", _ladder's (signs, source, entry), which take no points, or
-    None; "rows", the radial rows of every step at the radii points, n_m,
-    n_m - 1, ..., 1 rows a step: the kept (sum n_k, P) array, in step
-    order, or a fresh stream."""
+    None; "rows", (laid, steps), the radial rows of every step at the radii
+    points, n_m, n_m - 1, ..., 1 rows a step: steps are the kept views that
+    tile laid, one (sum n_k, P) array in step order, or laid is None and
+    steps a fresh stream."""
     n_m, check = top // 2 + 1, None
     if kind == "angles":
         size, build = 32 * n_m * points.size, lambda: (_angular(top, points),)
@@ -495,23 +498,26 @@ def _kept(kind: str, top: int, points, keep_first: bool):
         bounds = []
         stream = lambda: _radial_rows(range(top % 2, top + 1, 2), top, points, *bounds)
         rows = n_m * (n_m + 1) // 2
-        size, build = 8 * rows * points.size, lambda: (_laid_out(stream(), rows, points.size),)
+        size, build = 8 * rows * points.size, lambda: _laid_out(stream(), rows, points.size)[1]
         check = lambda: bounds.append(_y_bounds(points))
     kept = _STORE.request((kind, top, points.tobytes()), size, build, keep_first, check)
     if kind != "rows":
         return kept
-    return stream() if kept is None else kept[0]
+    if kept is None:
+        return None, stream()
+    return (kept[0].base if kept else None), kept  # an empty ladder has no steps
 
 
-def _laid_out(stream, rows: int, size: int) -> np.ndarray:
+def _laid_out(stream, rows: int, size: int) -> tuple:
     """The steps of a radial stream, rows rows in all, end to end in one new
-    (rows, size) array, filled a step at a time."""
+    (rows, size) array, filled a step at a time: (array, its step views)."""
     out = np.empty((rows, size))
-    start = 0
+    steps, start = [], 0
     for step in stream:
-        out[start : start + len(step)] = step
+        steps.append(out[start : start + len(step)])
+        steps[-1][...] = step
         start += len(step)
-    return out
+    return out, tuple(steps)
 
 
 # The bytes the store holds at most, counting each entry's arrays and key.
@@ -592,16 +598,12 @@ def _row_blocks(stream, steps: int, size: int):
     consecutive steps at a time.
 
     stream yields step k's (n_k, size) rows, n_k not increasing, as
-    _radial_rows does, or is a kept (sum n_k, size) array (see _kept), read
-    a step at a time.  Yields (k, block): block has shape (n_k, s, size)
-    and holds steps k .. k + s - 1, block[i, t] being row i of step k + t,
-    or exact zeros past that step's last row.  A
+    _radial_rows does or the store keeps them.  Yields (k, block): block
+    has shape (n_k, s, size) and holds steps k .. k + s - 1, block[i, t]
+    being row i of step k + t, or exact zeros past that step's last row.  A
     block holds at most _FOLD_ENTRIES entries, or one step if that step
     alone holds more, and the blocks take every step once, in order.
     """
-    if isinstance(stream, np.ndarray):
-        yield from _kept_row_blocks(stream, steps, size)
-        return
     stream = iter(stream)
     k = 0
     for first in stream:
@@ -615,35 +617,6 @@ def _row_blocks(stream, steps: int, size: int):
         k += s
 
 
-def _kept_row_blocks(rows, steps: int, size: int):
-    """_row_blocks of a kept (sum n_k, size) array, whose step k holds
-    steps - k rows: each step is sliced out as it is copied into its block,
-    with no list of per-step views made first, which costs a round trip
-    about 2 %."""
-    k = start = 0
-    while k < steps:
-        n = steps - k
-        s = min(n, max(1, _FOLD_ENTRIES // max(1, n * size)))
-        block = np.zeros((n, s, size))
-        for t in range(s):
-            block[: n - t, t] = rows[start : start + n - t]
-            start += n - t
-        yield k, block
-        k += s
-
-
-def _steps(rows, steps: int):
-    """Step k's rows, k = 0 .. steps - 1: views of a kept (sum n_k, P) array,
-    steps - k rows a step (see _kept), or a stream as it is."""
-    if not isinstance(rows, np.ndarray):
-        return rows
-    views, start = [], 0
-    for n in range(steps, 0, -1):
-        views.append(rows[start : start + n])
-        start += n
-    return views
-
-
 # The bytes a block of rows, or of the coefficients folded onto them, holds at
 # most in the few-angle sum: the store's budget as the module loads, so that
 # no output depends on what the store may keep.  Rows the store can keep are
@@ -655,7 +628,7 @@ _BLOCK_BYTES = _STORE_BYTES
 # reaches every angle through one folded matrix product (_sum_by_rows).  Timed
 # call by call on one BLAS thread at int j_max 8 to 128, the few-angle sum is
 # the faster up to 40-80 angles or more at 100-300 radii, but from j_max 20 on
-# only below 8 to 32 angles at 10-30 radii, whether the rows stream or are kept.
+# only below 8 to 40 angles at 10-30 radii, whether the rows stream or are kept.
 # No one count suits every grid; 48 keeps a default-grid round trip, at 79-81
 # angles, on the many-angle sum.
 _RADIAL_FIRST_ANGLES = 48
@@ -693,6 +666,14 @@ def synthesize(block: CoefficientBlock, point):
     a time into the radial sums R_(+-|m|)(y) of each m, and two
     (n_phi x |m|) @ (|m| x P) products, one per sign of m, give the grid at
     the end: O(j_max^2 P + j_max n_phi P) in all.
+
+    The bytes of the result hold at one BLAS thread count only.  Under 1
+    and 2 OpenBLAS threads they agreed at int j_max 20, 24, 32 and 64 and
+    half 129/2 on analyze's default grid and at 256 radii with one angle,
+    and at 256 radii with 4, 16 or 47 angles at all of those but int j_max
+    32, whose one (2 n_phi x 561) @ (561 x 256) product a threaded BLAS
+    splits.  A change to _BLOCK_BYTES or _RADIAL_FIRST_ANGLES moves that
+    boundary.
     """
     y, phi = _point_parts(point)
     y_arr = _real_array("y", y)
@@ -714,7 +695,7 @@ def synthesize(block: CoefficientBlock, point):
         # Kept rows are this recurrence on these points, and a kept
         # angular[1] is this phase, as 0.5j * 1 is exactly 0.5j.  The rows
         # come first: a miss checks the points before the store changes.
-        rows = _kept("rows", top, flat, False)
+        laid, steps = _kept("rows", top, flat, False)
         angles = _kept("angles", top, phis, False)
         signs, source, entry = _kept("gather", top, phis[:0], True) or _ladder(top)
         # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0 included,
@@ -730,9 +711,9 @@ def synthesize(block: CoefficientBlock, point):
         else:
             phase = angles[0][1, 0]
         if phis.size < _RADIAL_FIRST_ANGLES:
-            out = _sum_by_rows(by_sign, phase, entry, rows, flat.size)
+            out = _sum_by_rows(by_sign, phase, entry, laid, steps, flat.size)
         else:
-            out = _sum_by_m(by_sign, phase.T, rows, flat.size)
+            out = _sum_by_m(by_sign, phase.T, steps, flat.size)
     else:
         _y_bounds(flat)  # the points the nonzero path would reject
         out = np.zeros((phis.size, flat.size), dtype=complex)
@@ -744,12 +725,12 @@ def synthesize(block: CoefficientBlock, point):
     return out if out.ndim else complex(out)
 
 
-def _sum_by_rows(by_sign, phase, entry, rows, size):
+def _sum_by_rows(by_sign, phase, entry, laid, steps, size):
     """The (n_phi, size) grid from one real product per block of steps:
     (2 n_phi x rows of the block) @ (rows of the block x size).
 
-    phase is e^(i|m|phi), (|m|, angle); entry is _ladder's step-major index
-    and rows a kept (sum n_k, size) array or a stream (see _kept).  Each
+    phase is e^(i|m|phi), (|m|, angle); entry is _ladder's step-major index,
+    and (laid, steps) the rows as _kept gives them.  Each
     row's coefficients, with e^(+-i|m|phi) and s_m folded in, are the real
     and imaginary parts of every angle in turn.  The blocks are cut from
     (n_m, size, n_phi) alone, so kept and streamed rows give the same bytes:
@@ -773,13 +754,14 @@ def _sum_by_rows(by_sign, phase, entry, rows, size):
         return both.view(float).T
 
     if 8 * total * max(size, 2 * n_phi) <= _BLOCK_BYTES:
-        block = rows if isinstance(rows, np.ndarray) else _laid_out(rows, total, size)
-        acc = folded(0, total) @ block
+        if laid is None:
+            laid, _ = _laid_out(steps, total, size)
+        acc = folded(0, total) @ laid
     else:
         # One product per step, over the stream's own rows: no copy.
         acc = np.zeros((2 * n_phi, size))
         start = stop = 0
-        for step in _steps(rows, n_m):
+        for step in steps:
             if start + len(step) > stop:
                 first, stop = start, min(total, start + max(len(step), group))
                 coeff = folded(first, stop)

@@ -1420,17 +1420,26 @@ class TestRowBlocks:
 
 
 
-def count_steps(monkeypatch):
-    """The step count of every kept row array or stream read a step at a time."""
+def count_layouts(monkeypatch):
+    """The row count of every radial stream laid out in one array."""
     calls = []
-    steps = transform._steps
+    laid_out = transform._laid_out
 
-    def counted(rows, n):
-        calls.append(n)
-        return steps(rows, n)
+    def counted(stream, rows, size):
+        calls.append(rows)
+        return laid_out(stream, rows, size)
 
-    monkeypatch.setattr(transform, "_steps", counted)
+    monkeypatch.setattr(transform, "_laid_out", counted)
     return calls
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def per_label_sum(block, point):
@@ -1461,7 +1470,7 @@ class TestFewAngleSum:
         point = at_angles(y, n_phi, seed=62)
         empty_store(monkeypatch)
         calls = count_streams(monkeypatch)
-        steps = count_steps(monkeypatch)
+        layouts = count_layouts(monkeypatch)
         cold, keeping, warm = (synthesize(block, point).tobytes() for _ in range(3))
         assert kept("rows") == ([2 * j_max] if one_block else [])
         assert len(calls) == (2 if one_block else 3)
@@ -1469,7 +1478,10 @@ class TestFewAngleSum:
         empty_store(monkeypatch)
         streamed = synthesize(block, point).tobytes()
         assert transform._STORE == {} and len(calls) == (3 if one_block else 4)
-        assert steps == ([] if one_block else [j_max + 1] * 4)
+        # Cold, keeping and streamed rows are laid out in one block, or
+        # never: a step a block reads the stream's own arrays.
+        rows = (j_max + 1) * (j_max + 2) // 2
+        assert layouts == ([rows] * 3 if one_block else [])
         assert cold == keeping == warm == streamed
 
     @pytest.mark.parametrize("by_step", [False, True], ids=["one-block", "a-step-a-block"])
@@ -1482,9 +1494,10 @@ class TestFewAngleSum:
         y = np.concatenate([[0.0], np.geomspace(1e-3, 4.0 * j_max + 10.0, 39)])
         point = at_angles(y, n_phi, seed=64)
         empty_store(monkeypatch)
-        steps = count_steps(monkeypatch)
+        layouts = count_layouts(monkeypatch)
         got = synthesize(block, point)
-        assert steps == ([block.two_j_max // 2 + 1] if by_step else [])
+        n_m = block.two_j_max // 2 + 1
+        assert layouts == ([] if by_step else [n_m * (n_m + 1) // 2])
         want = per_label_sum(block, point)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -1512,16 +1525,37 @@ class TestFewAngleSum:
         empty_store(monkeypatch)
         synthesize(block, (gen.uniform(0.01, 500.0, 300)[None, :], phis))
         y = gen.uniform(0.01, 500.0, 300)[None, :]
-        tracemalloc.start()
-        try:
-            out = synthesize(block, (y, phis))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: synthesize(block, (y, phis)))
         assert kept("rows") == []
         # A block of rows and one of folded coefficients hold at most
         # _BLOCK_BYTES each.
         assert peak <= 2 * transform._BLOCK_BYTES + out.nbytes
+
+    @pytest.mark.parametrize("n_phi", [1, 16])
+    def test_a_one_block_call_at_fresh_radii_holds_its_rows_beside_the_recurrence(
+        self, n_phi, monkeypatch
+    ):
+        # int j_max 32's 561 rows at 256 radii are one block.  At radii the
+        # store does not hold they are laid out from the stream, whose own
+        # arrays are alive meanwhile; the folded coefficients come after.
+        block = random_block("int", 32, seed=70)
+        gen = np.random.default_rng(71)
+        phis = gen.uniform(-math.pi, math.pi, n_phi)[:, None]
+        empty_store(monkeypatch)
+        synthesize(block, (gen.uniform(0.01, 140.0, 256)[None, :], phis))
+        y = gen.uniform(0.01, 140.0, 256)
+        _, recurrence = traced_peak(
+            lambda: [None for _ in transform._radial_rows(range(0, 65, 2), 64, y)]
+        )
+        out, peak = traced_peak(lambda: synthesize(block, (y[None, :], phis)))
+        assert kept("rows") == []
+        rows, n_m = 561, 33
+        folded = 8 * 2 * n_phi * rows
+        # Besides those, the call holds a few arrays of O(labels + P): the
+        # coefficients scattered by sign of m, the index of the block's
+        # nonzero entries, and copies of y.
+        small = 16 * 2 * n_m * n_m + 8 * block._values.size + 4 * y.nbytes
+        assert peak <= 8 * rows * y.size + folded + recurrence + small + out.nbytes
 
 
 SYNTH_BLOCKS = [
