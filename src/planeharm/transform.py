@@ -31,12 +31,14 @@ least-recently-used store (_STORE) of 2 MiB at most (_STORE_BYTES), keyed
 on what they derive from: ("angles", top, angle bytes), ("gather", top,
 b"") and ("rows", top, point bytes), top being the ladder's last 2|m|.
 The one ("gather", top) entry maps labels both ways: analyze gathers each
-label's coefficient from its step sums through it, and synthesize
-scatters each coefficient through it to the same (sign of m, step, |m|)
-entry; both keep it on the first request.  Beside that index it holds the
-step-major one by which rows are laid out, which depends on the number of
-|m| alone.  A "rows" entry is one C-contiguous (sum n_k, P) array, the
-n_m - k rows of step k after those of the steps before it.  analyze keeps
+label's coefficient from its step sums through it, and synthesize's
+many-angle sum scatters each coefficient through it to the same (sign of
+m, step, |m|) entry; both keep it on the first request.  Beside that index
+it holds what the few-angle sum reads instead, derived from it once per
+top: for each row, the block positions of its (j, +|m|) and (j, -|m|)
+labels, and the place of its |m|.  A "rows" entry is one C-contiguous
+(sum n_k, P) array, the n_m - k rows of step k after those of the steps
+before it.  analyze keeps
 what its grid needs on the first request, before it samples f, so a round
 trip analyze(as_function(b)) whose entries fit runs the recurrence once
 cold and not at all warm: synthesize reads those rows, and e^(i|m|phi)
@@ -46,16 +48,17 @@ repeat keep no arrays.  An entry that alone passes the budget, such as the
 rows or the angular matrix of the int j_max 128 default grid, is never
 kept.  Every output is the streamed one bit for bit.  synthesize picks one
 of two sums from n_phi alone.
-With few angles, each row's coefficients, with e^(+-i m phi) and the sign
-s_m folded in through the step-major index, form a real (2 n_phi, rows)
-matrix, and one matrix product per block of steps adds the block to every
-angle, in O(j_max^2 n_phi P) time.  The blocks are cut from (n_m, P, n_phi)
-alone: all steps at once where their rows and their folded coefficients
-each fit in _BLOCK_BYTES (2 MiB), so rows the store keeps make one product
-at up to P / 2 angles, and one step a block, read from the stream's own
-arrays, where they do not.  With many angles (_RADIAL_FIRST_ANGLES), the
-rows, times their coefficients, go a block of steps at a time into one
-radial sum R_(+-|m|)(y) per m, one batched real product per |m| and block,
+With few angles, each row's two coefficients, read straight from the block
+by label with no scatter, with e^(+-i m phi) and the sign s_m folded in,
+form a real (2 n_phi, rows) matrix, and one matrix product per block of
+steps adds the block to every angle, in O(j_max^2 n_phi P) time.  The
+blocks are cut from (n_m, P, n_phi) alone: all steps at once where their
+rows and their folded coefficients each fit in _BLOCK_BYTES (2 MiB), so
+rows the store keeps make one product at up to P / 2 angles, and one step
+a block, read from the stream's own arrays, where they do not.  With many
+angles (_RADIAL_FIRST_ANGLES), the coefficients are scattered through the
+gather index, and the rows, times them, go a block of steps at a time into
+one radial sum R_(+-|m|)(y) per m, one batched real product per |m| and block,
 and one (n_phi x |m|) @ (|m| x P) product per sign of m gives the grid at
 the end, in O(j_max^2 P + j_max n_phi P) time.  A block of rows there holds
 at most _FOLD_ENTRIES entries, or one step if that step alone holds more.
@@ -441,7 +444,7 @@ def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
     first request where it fits (see _kept): (angular, signs, source, rows)."""
     top = _ladder_top(sector, two_j_max)
     (angular,) = _kept("angles", top, phis, True) or (_angular(top, phis),)
-    signs, source, _ = _kept("gather", top, phis[:0], True) or _ladder(top)
+    signs, source = (_kept("gather", top, phis[:0], True) or _ladder(top))[:2]
     return angular, signs, source, _kept("rows", top, x, True)[1]
 
 
@@ -471,26 +474,35 @@ def _gather(top: int) -> tuple:
 
 def _ladder(top: int) -> tuple:
     """What the ladder up to top alone gives: _gather's (signs, source), and
-    the step-major index entry that _kept lays rows out by: row i of step k
-    (k + i < n_m) is entry[k n_m - k (k - 1) / 2 + i] = k n_m + i of the
-    (step, |m|) sums."""
+    for the few-angle sum, whose rows run in step order (row i of step k, k
+    + i < n_m, is row k n_m - k (k - 1) / 2 + i), labels and rungs:
+    labels[0, r] is the block position of row r's label (j, +|m|) and
+    labels[1, r] that of (j, -|m|), or for m = 0 source.size, one zero pad
+    slot past the ladder's labels; rungs[r] is the place i of its |m| in
+    the ladder."""
     n_m = top // 2 + 1
-    return *_gather(top), np.flatnonzero(np.add.outer(np.arange(n_m), np.arange(n_m)) < n_m)
+    signs, source = _gather(top)
+    # Row i of step k sums entry (sign, k, i) of the step sums, k n_m + i on
+    # either side; source inverted gives the label scattered to each entry.
+    entry = np.flatnonzero(np.add.outer(np.arange(n_m), np.arange(n_m)) < n_m)
+    label = np.full(2 * n_m * n_m, source.size)
+    label[source] = np.arange(source.size)
+    return signs, source, label.take(entry + np.array([[0], [n_m * n_m]])), entry % n_m
 
 
 def _kept(kind: str, top: int, points, keep_first: bool):
     """The store's arrays of one kind for the ladder up to top (see
     _Store.request): "angles", (angular,) at the angles points, or None;
-    "gather", _ladder's (signs, source, entry), which take no points, or
-    None; "rows", (laid, steps), the radial rows of every step at the radii
-    points, n_m, n_m - 1, ..., 1 rows a step: steps are the kept views that
-    tile laid, one (sum n_k, P) array in step order, or laid is None and
-    steps a fresh stream."""
+    "gather", _ladder's (signs, source, labels, rungs), which take no
+    points, or None; "rows", (laid, steps), the radial rows of every step
+    at the radii points, n_m, n_m - 1, ..., 1 rows a step: steps are the
+    kept views that tile laid, one (sum n_k, P) array in step order, or
+    laid is None and steps a fresh stream."""
     n_m, check = top // 2 + 1, None
     if kind == "angles":
         size, build = 32 * n_m * points.size, lambda: (_angular(top, points),)
     elif kind == "gather":
-        size = 8 * (n_m + _index(top, top) + 1 + n_m * (n_m + 1) // 2)
+        size = 8 * (n_m + _index(top, top) + 1 + 3 * (n_m * (n_m + 1) // 2))
         build = lambda: _ladder(top)
     else:
         # A miss rejects bad radii before the store changes, and its stream
@@ -626,11 +638,12 @@ _BLOCK_BYTES = _STORE_BYTES
 # From this many angles on, synthesize sums each m's radial series first and
 # takes its angular products once at the end; below it, every block of steps
 # reaches every angle through one folded matrix product (_sum_by_rows).  Timed
-# call by call on one BLAS thread at int j_max 8 to 128, the few-angle sum is
-# the faster up to 40-80 angles or more at 100-300 radii, but from j_max 20 on
-# only below 8 to 40 angles at 10-30 radii, whether the rows stream or are kept.
-# No one count suits every grid; 48 keeps a default-grid round trip, at 79-81
-# angles, on the many-angle sum.
+# call by call on one BLAS thread at int j_max 8 to 128, with each row's
+# coefficients read from the block by label, the few-angle sum is the faster
+# up to 40-80 angles or more at 100-300 radii, but from j_max 20 on only below
+# 8 to 32 angles at 10-30 radii, whether the rows stream or are kept.  No one
+# count suits every grid; 48 keeps a default-grid round trip, at 79-81 angles,
+# on the many-angle sum.
 _RADIAL_FIRST_ANGLES = 48
 
 
@@ -649,21 +662,28 @@ def synthesize(block: CoefficientBlock, point):
     all where the store holds their rows up to the top multiplet: kept by
     analyze on its grid, or by an earlier call at the same points and top
     whose key was held (see _Store.request).  e^(i|m|phi) comes from the
-    store's angular matrix in the same way.  The coefficients go to their
-    (sign of m, step, |m|) entries through the store's ("gather", top)
-    index, the one analyze reads them back through, kept on the first
-    request for a top.  Every output is the streamed one bit for bit.  No
-    angles, or an empty block, give zeros of the broadcast
-    shape.  The number of angles n_phi picks how the steps are summed.  With
-    few angles each row's coefficients, with e^(+-i m phi) and the sign s_m
-    folded in, form a real (2 n_phi, rows) matrix, and a block of steps adds
-    one (2 n_phi x rows) @ (rows x P) product: O(j_max^2 n_phi P) in all.
+    store's angular matrix in the same way.  The top multiplet is that of
+    the block's last nonzero entry: one look for a dense block, whose last
+    label is nonzero, and a backward search otherwise, never a scan of the
+    whole block.  The store's ("gather", top) entry, kept on the first
+    request for a top, says where each coefficient goes.  Every output is
+    the streamed one bit for bit.  No angles, or an empty block, give zeros
+    of the broadcast shape.  The number of angles n_phi picks how the steps
+    are summed.  With few angles each row reads its two coefficients, of
+    e^(+i|m|phi) and e^(-i|m|phi), straight from the block by label, with
+    no scatter; with e^(+-i m phi) and the sign s_m folded in, they form a
+    real (2 n_phi, rows) matrix, and a block of steps adds one (2 n_phi x
+    rows) @ (rows x P) product: O(j_max^2 n_phi P) in all.  numpy's complex
+    products fuse multiply-adds, so their operand order, the coefficient
+    first, is part of the output's bytes.
     The blocks depend on (top multiplet, P, n_phi) alone, so kept and
     streamed rows are summed alike: every step at once where the rows and
     their folded coefficients each fit in 2 MiB, as those of an int j_max 32
     block at 256 radii do, and one step a block where they do not.  With
-    many angles the rows, times their coefficients, go a block of steps at
-    a time into the radial sums R_(+-|m|)(y) of each m, and two
+    many angles the coefficients are scattered through the gather index to
+    their (sign of m, step, |m|) entries, the ones analyze reads them back
+    from, and the rows, times them, go a block of steps at a time into the
+    radial sums R_(+-|m|)(y) of each m, and two
     (n_phi x |m|) @ (|m| x P) products, one per sign of m, give the grid at
     the end: O(j_max^2 P + j_max n_phi P) in all.
 
@@ -687,32 +707,39 @@ def synthesize(block: CoefficientBlock, point):
             "a grid: on every axis one of them must have size 1"
         )
     flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1)
-    nonzero = np.flatnonzero(block._values) if phis.size else ()
-    if len(nonzero):
+    last = _last_nonzero(block._values) if phis.size else -1
+    if last >= 0:
         # The recurrence stops at the top multiplet with a nonzero entry: the
         # sector's last 2j whose first label, at 2j * 2j // 4, is not past it.
-        top = _ladder_top(block.sector, math.isqrt(4 * int(nonzero[-1]) + 3))
+        top = _ladder_top(block.sector, math.isqrt(4 * last + 3))
         # Kept rows are this recurrence on these points, and a kept
         # angular[1] is this phase, as 0.5j * 1 is exactly 0.5j.  The rows
         # come first: a miss checks the points before the store changes.
         laid, steps = _kept("rows", top, flat, False)
         angles = _kept("angles", top, phis, False)
-        signs, source, entry = _kept("gather", top, phis[:0], True) or _ladder(top)
-        # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0 included,
-        # by_sign[1] those of e^(-i|m|phi); indexed by (step, |m|), each
-        # coefficient at the entry that analyze's gather reads it from.
-        n_m = len(signs)
-        by_sign = np.zeros(2 * n_m * n_m, dtype=complex)
-        by_sign[source] = block._values[: source.size]
-        by_sign = by_sign.reshape(2, n_m, n_m)
-        by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
+        signs, source, labels, rungs = _kept("gather", top, phis[:0], True) or _ladder(top)
         if angles is None:
             phase = np.exp(0.5j * np.arange(top % 2, top + 1, 2)[:, None] * phis)
         else:
             phase = angles[0][1, 0]
         if phis.size < _RADIAL_FIRST_ANGLES:
-            out = _sum_by_rows(by_sign, phase, entry, laid, steps, flat.size)
+            # Each row's coefficients of e^(+i|m|phi) and e^(-i|m|phi), read
+            # from the block by label; m = 0 reads the pad slot for its second.
+            padded = np.zeros(source.size + 1, dtype=complex)
+            padded[:-1] = block._values[: source.size]
+            coeffs = padded.take(labels)
+            coeffs[0] *= _sign(top)  # every m > 0 of a sector has this s_m
+            out = _sum_by_rows(coeffs, phase, rungs, laid, steps, flat.size)
         else:
+            # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0
+            # included, by_sign[1] those of e^(-i|m|phi); indexed by (step,
+            # |m|), each coefficient at the entry that analyze's gather
+            # reads it from.
+            n_m = len(signs)
+            by_sign = np.zeros(2 * n_m * n_m, dtype=complex)
+            by_sign[source] = block._values[: source.size]
+            by_sign = by_sign.reshape(2, n_m, n_m)
+            by_sign[0] *= _sign(top)  # every m > 0 of a sector has this s_m
             out = _sum_by_m(by_sign, phase.T, steps, flat.size)
     else:
         _y_bounds(flat)  # the points the nonzero path would reject
@@ -725,37 +752,60 @@ def synthesize(block: CoefficientBlock, point):
     return out if out.ndim else complex(out)
 
 
-def _sum_by_rows(by_sign, phase, entry, laid, steps, size):
+def _last_nonzero(values) -> int:
+    """The position of the last nonzero entry of values, -1 if none: one
+    look where the last entry is nonzero, as in every dense block, else a
+    backward search over chunks that double in size."""
+    if values.size and values[-1]:
+        return values.size - 1
+    stop, width = values.size, 64
+    while stop:
+        start = max(0, stop - width)
+        hit = np.flatnonzero(values[start:stop])
+        if hit.size:
+            return start + int(hit[-1])
+        stop, width = start, 2 * width
+    return -1
+
+
+def _sum_by_rows(coeffs, phase, rungs, laid, steps, size):
     """The (n_phi, size) grid from one real product per block of steps:
     (2 n_phi x rows of the block) @ (rows of the block x size).
 
-    phase is e^(i|m|phi), (|m|, angle); entry is _ladder's step-major index,
-    and (laid, steps) the rows as _kept gives them.  Each
-    row's coefficients, with e^(+-i|m|phi) and s_m folded in, are the real
-    and imaginary parts of every angle in turn.  The blocks are cut from
-    (n_m, size, n_phi) alone, so kept and streamed rows give the same bytes:
-    all steps, if their rows and their folded coefficients each fit in
-    _BLOCK_BYTES, and one step each if not.  A single block reads streamed
-    rows from one array they are laid out in; a step reads the stream's own.
+    coeffs holds each row's coefficients of e^(+i|m|phi), times s_m, and of
+    e^(-i|m|phi), (sign of m, row) with the rows in step order; phase is
+    e^(i|m|phi), (|m|, angle); rungs is _ladder's place of each row's |m|,
+    and (laid, steps) the rows as _kept gives them.  Each row's
+    coefficients, with e^(+-i|m|phi) folded in, are the real and imaginary
+    parts of every angle in turn.  The blocks are cut from (n_m, size,
+    n_phi) alone, so kept and streamed rows give the same bytes: all steps,
+    if their rows and their folded coefficients each fit in _BLOCK_BYTES,
+    and one step each if not.  A single block reads streamed rows from one
+    array they are laid out in, before any coefficient is folded; a step
+    reads the stream's own.
     """
-    n_m, n_phi = phase.shape
-    total, coeffs = len(entry), by_sign.reshape(2, -1)
+    n_phi = phase.shape[1]
+    total = len(rungs)
     group = max(1, _FOLD_ENTRIES // n_phi)  # rows whose temporaries stay small
+    one_block = 8 * total * max(size, 2 * n_phi) <= _BLOCK_BYTES
+    if one_block and laid is None:
+        laid, _ = _laid_out(steps, total, size)
 
     def folded(start, stop):  # rows start .. stop - 1, as (2 n_phi, rows)
         both = np.empty((stop - start, n_phi), dtype=complex)
         for first in range(start, stop, group):
-            part = entry[first : min(stop, first + group)]
-            turn = phase.take(part % n_m, axis=0)
-            plus, minus = coeffs.take(part, axis=1)[..., None]
-            out = both[first - start : first - start + len(part)]
+            last = min(stop, first + group)
+            turn = phase.take(rungs[first:last], axis=0)
+            plus, minus = coeffs[:, first:last, None]
+            out = both[first - start : last - start]
+            # The coefficient goes first in both products: numpy's complex
+            # product fuses multiply-adds, and the swapped order changes
+            # last bits.
             np.multiply(plus, turn, out=out)
             out += minus * np.conjugate(turn, out=turn)
         return both.view(float).T
 
-    if 8 * total * max(size, 2 * n_phi) <= _BLOCK_BYTES:
-        if laid is None:
-            laid, _ = _laid_out(steps, total, size)
+    if one_block:
         acc = folded(0, total) @ laid
     else:
         # One product per step, over the stream's own rows: no copy.

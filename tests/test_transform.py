@@ -1265,6 +1265,35 @@ class TestStore:
         scattered[source] = values
         assert scattered.take(source).tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize("top", range(42))
+    def test_each_few_angle_row_reads_its_own_labels(self, top):
+        # Row i of step k is label (j, +-|m|) with 2|m| the i-th of the
+        # ladder and 2j the (k + i)-th; m = 0 reads the zero pad slot for its
+        # -|m| side.
+        ladder = transform._sector_ladder("int" if top % 2 == 0 else "half", top)
+        _, source, labels, rungs = transform._ladder(top)
+        n_m = len(ladder)
+        rows = [(k, i) for k in range(n_m) for i in range(n_m - k)]
+        assert rungs.tolist() == [i for _, i in rows]
+        assert labels[0].tolist() == [
+            transform._index(ladder[k + i], ladder[i]) for k, i in rows
+        ]
+        assert labels[1].tolist() == [
+            transform._index(ladder[k + i], -ladder[i]) if ladder[i] else source.size
+            for k, i in rows
+        ]
+
+    @pytest.mark.parametrize("top", [-1, 0, 1, 2, 7, 40, 63, 64, 129, 256])
+    def test_the_gather_entry_counts_every_array_it_holds(self, top, monkeypatch):
+        # _kept's size for it is written by hand, so an array _ladder adds
+        # must be counted there too.
+        store = empty_store(monkeypatch)
+        arrays = transform._kept("gather", top, np.empty(0), True)
+        counted, held = store["gather", top, b""]
+        assert held is arrays
+        assert counted - KEY_BYTES == sum(array.nbytes for array in transform._ladder(top))
+        assert counted - KEY_BYTES == sum(array.nbytes for array in arrays)
+
     def test_kept_arrays_are_read_only(self, monkeypatch):
         store = empty_store(monkeypatch)
         for sector, j_max in (("int", 0), ("half", Fraction(5, 2)), ("half", 6)):
@@ -1556,6 +1585,59 @@ class TestFewAngleSum:
         # nonzero entries, and copies of y.
         small = 16 * 2 * n_m * n_m + 8 * block._values.size + 4 * y.nbytes
         assert peak <= 8 * rows * y.size + folded + recurrence + small + out.nbytes
+
+
+def without(block, drop):
+    """block with every label for which drop(two_j, two_m) holds set to zero."""
+    keep = {key: c for key, c in block.items() if not drop(*key)}
+    return CoefficientBlock(block.sector, block.j_max, keep)
+
+
+# Blocks whose last nonzero label lies short of the block's end, with the
+# top multiplet, as 2j, that synthesize must find from it (None: all zero).
+TOP_BLOCKS = {
+    "top-multiplet-zero": (without(random_block("int", 20, seed=80), lambda j, m: j == 40), 38),
+    "only-(0,0)": (CoefficientBlock("int", 20, {(0, 0): 0.5 - 0.25j}), 0),
+    "only-top-m=-j": (CoefficientBlock("int", 20, {(40, -40): 1.5 + 0.5j}), 40),
+    "half-top-m=+j-zero": (
+        without(random_block("half", Fraction(39, 2), seed=81), lambda j, m: j == m == 39),
+        39,
+    ),
+    "all-zero": (CoefficientBlock("int", 20), None),
+}
+
+
+class TestTopMultiplet:
+    """synthesize finds the top multiplet from the end of the block."""
+
+    @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 200, 1089])
+    def test_the_last_nonzero_entry_is_found_from_the_end(self, size):
+        for last in [None, *range(size)]:
+            values = np.zeros(size, dtype=complex)
+            values[: size if last is None else last : 7] = 1j
+            if last is not None:
+                values[last] = 2.0
+            want = np.flatnonzero(values)
+            assert transform._last_nonzero(values) == (want[-1] if want.size else -1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("by_step", [False, True], ids=["one-block", "a-step-a-block"])
+    @pytest.mark.parametrize("n_phi", [1, 5, _RADIAL_FIRST_ANGLES - 1])
+    @pytest.mark.parametrize("name", sorted(TOP_BLOCKS))
+    def test_matches_the_per_label_sum(self, name, n_phi, by_step, monkeypatch):
+        if by_step:  # no block holds more than one step
+            monkeypatch.setattr(transform, "_BLOCK_BYTES", 0)
+        block, top = TOP_BLOCKS[name]
+        y = np.concatenate([[0.0], np.geomspace(1e-3, 90.0, 39)])
+        point = at_angles(y, n_phi, seed=82)
+        empty_store(monkeypatch)
+        got = synthesize(block, point)
+        assert kept("gather") == ([] if top is None else [top])
+        want = per_label_sum(block, point)
+        assert got.shape == (n_phi, y.size)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(DomainError, match=r"got y\[1\] = -0.5"):
+            synthesize(block, (np.array([1.0, -0.5]), point[1]))
 
 
 SYNTH_BLOCKS = [
