@@ -664,16 +664,16 @@ def synthesize(block: CoefficientBlock, point):
     whose key was held (see _Store.request).  e^(i|m|phi) comes from the
     store's angular matrix in the same way.  The top multiplet is that of
     the block's last nonzero entry: one look for a dense block, whose last
-    label is nonzero, and a backward search otherwise, never a scan of the
-    whole block.  The store's ("gather", top) entry, kept on the first
-    request for a top, says where each coefficient goes.  Every output is
-    the streamed one bit for bit.  No angles, or an empty block, give zeros
-    of the broadcast shape.  The number of angles n_phi picks how the steps
-    are summed.  With few angles each row reads its two coefficients, of
-    e^(+i|m|phi) and e^(-i|m|phi), straight from the block by label, with
-    no scatter; with e^(+-i m phi) and the sign s_m folded in, they form a
-    real (2 n_phi, rows) matrix, and a block of steps adds one (2 n_phi x
-    rows) @ (rows x P) product: O(j_max^2 n_phi P) in all.  numpy's complex
+    label is nonzero, and a scan of the whole block otherwise.  The store's
+    ("gather", top) entry, kept on the first request for a top, says where
+    each coefficient goes.  Every output is the streamed one bit for bit.
+    No angles, or an empty block, give zeros of the broadcast shape.  The
+    number of angles n_phi picks how the steps are summed.  With few
+    angles each row reads its two coefficients, of e^(+i|m|phi) and
+    e^(-i|m|phi), straight from the block by label, with no scatter; with
+    e^(+-i m phi) and the sign s_m folded in, they form a real (2 n_phi,
+    rows) matrix, and a block of steps adds one (2 n_phi x rows) @ (rows x
+    P) product: O(j_max^2 n_phi P) in all.  numpy's complex
     products fuse multiply-adds, so their operand order, the coefficient
     first, is part of the output's bytes.
     The blocks depend on (top multiplet, P, n_phi) alone, so kept and
@@ -698,14 +698,17 @@ def synthesize(block: CoefficientBlock, point):
     y, phi = _point_parts(point)
     y_arr = _real_array("y", y)
     phi_arr = _finite_phi(phi)
-    ndim = max(y_arr.ndim, phi_arr.ndim)
-    y_shape = (1,) * (ndim - y_arr.ndim) + y_arr.shape
-    phi_shape = (1,) * (ndim - phi_arr.ndim) + phi_arr.shape
-    if any(a != 1 and b != 1 for a, b in zip(y_shape, phi_shape)):
-        raise DomainError(
-            f"y of shape {y_arr.shape} and phi of shape {phi_arr.shape} do not form "
-            "a grid: on every axis one of them must have size 1"
-        )
+    # A scalar y or phi always forms a grid, the other's shape.
+    grid = y_arr.ndim and phi_arr.ndim
+    if grid:
+        ndim = max(y_arr.ndim, phi_arr.ndim)
+        y_shape = (1,) * (ndim - y_arr.ndim) + y_arr.shape
+        phi_shape = (1,) * (ndim - phi_arr.ndim) + phi_arr.shape
+        if any(a != 1 and b != 1 for a, b in zip(y_shape, phi_shape)):
+            raise DomainError(
+                f"y of shape {y_arr.shape} and phi of shape {phi_arr.shape} do not form "
+                "a grid: on every axis one of them must have size 1"
+            )
     flat, phis = y_arr.reshape(-1), phi_arr.reshape(-1)
     last = _last_nonzero(block._values) if phis.size else -1
     if last >= 0:
@@ -728,7 +731,8 @@ def synthesize(block: CoefficientBlock, point):
             padded = np.zeros(source.size + 1, dtype=complex)
             padded[:-1] = block._values[: source.size]
             coeffs = padded.take(labels)
-            coeffs[0] *= _sign(top)  # every m > 0 of a sector has this s_m
+            if _sign(top) < 0:  # every m > 0 of a sector has this s_m
+                coeffs[0] *= -1.0
             out = _sum_by_rows(coeffs, phase, rungs, laid, steps, flat.size)
         else:
             # by_sign[0] holds the coefficients of e^(+i|m|phi), m = 0
@@ -744,28 +748,25 @@ def synthesize(block: CoefficientBlock, point):
     else:
         _y_bounds(flat)  # the points the nonzero path would reject
         out = np.zeros((phis.size, flat.size), dtype=complex)
-    # (angle, point) -> the broadcast shape: interleave phi's axes with y's,
-    # then merge each pair, one of which has size 1.
-    out = out.reshape(phi_shape + y_shape)
-    out = out.transpose([i for t in range(ndim) for i in (t, ndim + t)])
-    out = out.reshape(np.broadcast_shapes(y_shape, phi_shape))
+    if grid:
+        # (angle, point) -> the broadcast shape: interleave phi's axes with
+        # y's, then merge each pair, one of which has size 1.
+        out = out.reshape(phi_shape + y_shape)
+        out = out.transpose([i for t in range(ndim) for i in (t, ndim + t)])
+        out = out.reshape(np.broadcast_shapes(y_shape, phi_shape))
+    else:
+        out = out.reshape(y_arr.shape or phi_arr.shape)
     return out if out.ndim else complex(out)
 
 
 def _last_nonzero(values) -> int:
     """The position of the last nonzero entry of values, -1 if none: one
     look where the last entry is nonzero, as in every dense block, else a
-    backward search over chunks that double in size."""
+    scan of the whole block."""
     if values.size and values[-1]:
         return values.size - 1
-    stop, width = values.size, 64
-    while stop:
-        start = max(0, stop - width)
-        hit = np.flatnonzero(values[start:stop])
-        if hit.size:
-            return start + int(hit[-1])
-        stop, width = start, 2 * width
-    return -1
+    hit = np.flatnonzero(values)
+    return int(hit[-1]) if hit.size else -1
 
 
 def _sum_by_rows(coeffs, phase, rungs, laid, steps, size):

@@ -1793,6 +1793,17 @@ class TestSynthesize:
         with pytest.raises(DomainError):
             synthesize(block, (y[:, None], np.zeros((3, 2))))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 1, 3)])
+    def test_a_scalar_y_or_phi_gives_the_others_shape(self, shape):
+        block = random_block("half", Fraction(9, 2), seed=4)
+        one = (1,) * len(shape)
+        y = np.linspace(0.0, 9.0, math.prod(shape)).reshape(shape)
+        phi = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        for scalar, same in [((y, 0.7), (y, np.full(one, 0.7))), ((2.5, phi), (np.full(one, 2.5), phi))]:
+            got, want = synthesize(block, scalar), synthesize(block, same)
+            assert got.shape == want.shape == shape
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "block", [random_block("int", 4, seed=1), CoefficientBlock("int", 4)], ids=["dense", "zero"]
