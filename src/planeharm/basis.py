@@ -29,13 +29,16 @@ elsewhere; a power-of-two exponent per point carries whatever the start or
 the recurrence would push outside the double range, so large labels and
 large y give finite, accurate values.  ``_radial_rows`` runs it for all m
 of a sector at once, one row per k; synthesize, analyze and gauss_laguerre
-share it.  ``_radial_column`` reads calL, calL' and calL'' of labels of one
-m or of several off one call, each label at its own nodes and its own step
-of a stream over their concatenation, into a ``_Column``: the labels with
-their nodes laid end to end, which the residual cores of basis and actions
-take whole.  The verify label checks make one per |m| column, the
-hermiticity check one for all its spans, and one-label columns serve calL,
-calL_deriv, ode_residual and the ladder actions.  ``_plane_table`` gives
+share it.  Each (2|m|, y) takes the start it would take alone, so every row
+equals, bit for bit, the stream of its one alpha at each point alone,
+whatever else shares the call.  ``_radial_column`` reads calL, calL' and
+calL'' of labels of one m or of several off one call, each label at its own
+nodes and its own step of a stream over their concatenation, into a
+``_Column``: the labels with their nodes laid end to end, which the
+residual cores of basis and actions take whole.  The verify label checks
+make one per |m| column, the hermiticity check one for all its spans, and
+one-label columns serve calL, calL_deriv, ode_residual and the ladder
+actions.  ``_plane_table`` gives
 calZ of every label of a sector on one (phi, y) grid from one column.
 A call up to j_max at P points costs O(j_max^2 P) time and O(j_max P)
 memory.
@@ -56,7 +59,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, SectorMixingError
+from .errors import DomainError
 
 __all__ = [
     "SpinIndex",
@@ -210,23 +213,22 @@ def _finite_phi(phi) -> np.ndarray:
     return phi
 
 
-def _plain_start_fits(a_lo: int, a_hi: int, lo: float, hi: float) -> bool:
-    """Whether y^|m|, e^(-y/2), 1/sqrt((2|m|)!) and their product are normal
-    doubles for every 2|m| in [a_lo, a_hi] and every y in [lo, hi], lo > 0.
-
-    The log of the product is concave in y and in 2|m|, so its minimum over
-    the box lies at a corner; |log y^|m|| peaks at a_hi and an end of y.
-    """
-    if not (0.5 * hi < _LOG_RANGE and 0.5 * math.lgamma(a_hi + 1) < _LOG_RANGE):
-        return False
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    if 0.5 * a_hi * max(-log_lo, log_hi) >= _LOG_RANGE:
-        return False
-    return all(
-        0.5 * (a * log_y - y - math.lgamma(a + 1)) > -_LOG_RANGE
-        for a in (a_lo, a_hi)
-        for y, log_y in ((lo, log_lo), (hi, log_hi))
+def _plain_start_fits(half_a_log_y, half_y, half_log_gamma):
+    """Whether y^(a/2), e^(-y/2), 1/sqrt(a!) and their product are normal
+    doubles at a = 2|m| and y, from half of a log y, of y and of log a!:
+    floats, or arrays that broadcast, compared elementwise."""
+    return (
+        (half_y < _LOG_RANGE)
+        & (half_log_gamma < _LOG_RANGE)
+        & (abs(half_a_log_y) < _LOG_RANGE)
+        & (half_a_log_y - half_y - half_log_gamma > -_LOG_RANGE)
     )
+
+
+def _plain_start(abs2m: int, y, decay):
+    """y^|m| e^(-y/2) / sqrt((2|m|)!) at 2|m| = abs2m, given decay = e^(-y/2),
+    as a plain product, accurate to a few ulps."""
+    return y ** (0.5 * abs2m) * decay * math.exp(-0.5 * math.lgamma(abs2m + 1))
 
 
 def _y_bounds(y: np.ndarray) -> tuple[float, float]:
@@ -248,6 +250,11 @@ def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray, bounds=None):
     n_k entries, those with 2|m| + 2k <= two_j_max; the stream ends when
     none is left.  The label (2|m| + 2k, +2|m|) is _sign(2|m|) times the
     same row.  Each yielded array is new and not touched afterwards.
+    Each (2|m|, y) takes the plain start where it passes _plain_start_fits
+    and the log-space one elsewhere, as it would alone, so each value equals
+    that of the one-alpha stream at that one point.  When the corners of the
+    call's 2|m| and y ranges pass, so does every point, and no point is
+    checked on its own.
     Raises DomainError, at the first step, unless every y is finite and
     nonnegative (see _y_bounds); bounds, if given, is _y_bounds(y) already
     taken, and the stream does not check y again.
@@ -259,24 +266,35 @@ def _radial_rows(abs2ms, two_j_max: int, y: np.ndarray, bounds=None):
     a = np.array(abs2ms[:n], dtype=float)[:, None]
     if lo == 0.0:  # the plain product is exact at y = 0
         lo = float(np.min(y, where=y > 0, initial=hi))
-    scaled = lo > 0.0 and not _plain_start_fits(abs2ms[0], abs2ms[n - 1], lo, hi)
+    # Each factor's log is monotone in 2|m| and in y or |log y|, and the
+    # product's is concave in 2|m| and in y, so where the corners of the
+    # call's 2|m| and y ranges pass, every (2|m|, y) between them passes alone.
+    scaled = lo > 0.0 and not all(
+        _plain_start_fits(0.5 * v * math.log(end), 0.5 * end, 0.5 * math.lgamma(v + 1))
+        for v, end in itertools.product({abs2ms[0], abs2ms[n - 1]}, {lo, hi})
+    )
+    decay = np.exp(-0.5 * y)
     if scaled:
         # The start in log space, split into a mantissa and a power-of-two
         # exponent; y^0 = 1 also at y = 0, where y^|m| is an exact 0 otherwise.
         log_y = np.log(y, out=np.full(y.shape, -np.inf), where=y > 0)
-        log_start = np.multiply(0.5 * a, log_y, out=np.zeros((n, y.size)), where=a > 0)
-        log_start -= 0.5 * y
-        log_start -= 0.5 * np.array([math.lgamma(v + 1) for v in abs2ms[:n]])[:, None]
+        half_a_log_y = np.multiply(0.5 * a, log_y, out=np.zeros((n, y.size)), where=a > 0)
+        half_log_gamma = 0.5 * np.array([math.lgamma(v + 1) for v in abs2ms[:n]])[:, None]
+        log_start = half_a_log_y - 0.5 * y - half_log_gamma
         exponent = np.zeros(log_start.shape, dtype=np.int64)
         low = (log_start < -_LOG_RANGE) & (log_start > -np.inf)
         exponent[low] = np.maximum(np.floor(log_start[low] / _LN2), _MIN_EXPONENT)
         p = np.exp(log_start - exponent * _LN2)
-    else:
-        # The plain product, accurate to a few ulps.
-        p = np.empty((n, y.size))
-        decay = np.exp(-0.5 * y)
+        # A point that passes alone takes the plain start, with exponent 0,
+        # as in a stream of its own; at y = 0 both starts give 0 or 1.
+        plain = _plain_start_fits(half_a_log_y, 0.5 * y, half_log_gamma)
         for i, v in enumerate(abs2ms[:n]):
-            p[i] = y ** (0.5 * v) * decay * math.exp(-0.5 * math.lgamma(v + 1))
+            fits = plain[i]
+            p[i, fits] = _plain_start(v, y[fits], decay[fits])
+    else:
+        p = np.empty((n, y.size))
+        for i, v in enumerate(abs2ms[:n]):
+            p[i] = _plain_start(v, y, decay)
     yield np.ldexp(p, exponent) if scaled else p
     n = bisect.bisect_right(abs2ms, two_j_max - 2)
     if not n:
@@ -517,11 +535,9 @@ def _plane_table(sector: str, j_max, x: np.ndarray, phis: np.ndarray) -> np.ndar
     Entry i, of shape (phis.size, x.size), is calZ(s, (x[None, :],
     phis[:, None])) of s = sector_labels(sector, j_max)[i]: the label's calL
     row of one _radial_column over the whole sector, times e^(i m phi) as
-    calZ forms it.  It equals calZ bit for bit wherever that column's one
-    stream, like each one-label call, takes the plain start (see
-    _plain_start_fits), as it does on the plane grid up to j_max 6.  The
-    table holds labels x n_phi x P values, O(j_max^4) on the plane grid, so
-    it is meant for small j_max.
+    calZ forms it, so it equals calZ bit for bit.  The table holds labels x
+    n_phi x P values, O(j_max^4) on the plane grid, so it is meant for small
+    j_max.
     """
     labels = sector_labels(sector, j_max)
     if not labels:  # the half sector at j_max 0
@@ -550,9 +566,3 @@ def _ode_on_jet(col: _Column) -> np.ndarray:
     f, df, ddf = col.jet
     return y * ddf + df - (m * m / y) * f - 0.25 * y * f + (j + 0.5) * f
 
-
-def require_same_sector(a: SpinIndex, b: SpinIndex) -> None:
-    if a.sector != b.sector:
-        raise SectorMixingError(
-            f"labels {a} and {b} live in different parity sectors"
-        )

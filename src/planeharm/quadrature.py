@@ -16,10 +16,13 @@ each of several alphas, together: each alpha's Jacobi diagonals are built
 once, at its top order, and the rules of one order take the eigenvalues of
 their matrices from one stacked eigvalsh across the alphas; per alpha, each
 Newton polish and the weight sum is one kernel stream over the nodes of all
-its orders, each order reading its own step.  A cold verify run makes one
-request for the rules of every |m| column and one for the quadrature
-checks, and builds its 248 distinct rules in 3 requests at j_max 8 (the
-third is algebra.hermiticity's order 30), and 4,294 in 2 at j_max 64.
+its orders, each order reading its own step.  The kernel gives each node
+what a stream of its own would, so that one stream per alpha gives every
+order the values of a stream over its nodes alone.  A cold verify run
+makes one request for the rules of every |m| column and one for the
+quadrature checks, and builds its 248 distinct rules in 3 requests at
+j_max 8 (the third is algebra.hermiticity's order 30), and 4,294 in 2 at
+j_max 64.
 
 plane_inner, analyze and parseval_gap sample each function once on the
 (phi, y) grid of _plane_grid: the callable gets y of shape (1, n_radial) and
@@ -43,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import _as_cap, _as_half_integer, _plain_start_fits, _radial_rows
+from .basis import _as_cap, _as_half_integer, _radial_rows
 from .errors import DomainError, _as_int
 
 __all__ = ["QuadratureRule", "gauss_laguerre", "halfline_inner", "plane_inner"]
@@ -147,29 +150,12 @@ def _kernel_rows(x, orders, alpha):
     """f_N^alpha, f_(N-1)^(alpha+1) and sum_(k<N) (f_k^alpha)^2 at x, whose
     consecutive blocks hold the nodes of the rules of the ascending orders N.
 
-    _radial_rows takes its start, plain or log-scaled, from the range of all
-    its points.  The blocks whose own range takes the plain start (a prefix,
-    since the ranges nest) stream apart from the rest, so each block gets the
-    values of a stream over its nodes alone.
+    One stream over all of x serves every block, each reading its own step:
+    _radial_rows gives each point the values of a stream of its own, so of
+    one over its block alone.  The blocks still summing at step k, those
+    with N > k, are a suffix of x.
     """
-    ends = list(itertools.accumulate(orders))
-
-    def scaled(i):
-        return not _plain_start_fits(alpha, alpha + 1, x[ends[i] - orders[i]], x[ends[i] - 1])
-
-    cut = bisect.bisect_left(range(len(orders)), True, key=scaled)
-    split = ends[cut - 1] if cut else 0
-    low = _kernel_stream(x[:split], orders[:cut], alpha)
-    high = _kernel_stream(x[split:], orders[cut:], alpha)
-    return [np.concatenate(part) for part in zip(low, high)]
-
-
-def _kernel_stream(x, orders, alpha):
-    """_kernel_rows from one stream, each block of x reading its own step; the
-    blocks still summing at step k, those with N > k, are a suffix of x."""
     f_n, f_up, csum = np.empty(x.size), np.empty(x.size), np.zeros(x.size)
-    if not orders:
-        return f_n, f_up, csum
     starts = list(itertools.accumulate(orders, initial=0))
     block = {order: slice(start, start + order) for order, start in zip(orders, starts)}
     for k, rows in enumerate(_radial_rows([alpha, alpha + 1], alpha + 2 * orders[-1], x)):

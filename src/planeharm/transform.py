@@ -23,8 +23,8 @@ in the block at the end, in O(j_max^2 P + j_max n_phi P) time.  Its
 projection, _project, takes a stack of sample grids and gives each the
 coefficients analyze would, so many functions share one run of the
 recurrence.  What it derives from the grid alone is its plan: the angular
-matrix of its angles, the s_m column and gather index of its ladder, and
-the radial rows of every step at its nodes.
+matrix of its angles, the gather index of its ladder, and the radial rows
+of every step at its nodes.
 
 analyze and synthesize keep such arrays, read-only, in one per-process
 least-recently-used store (_STORE) of 2 MiB at most (_STORE_BYTES), keyed
@@ -416,15 +416,17 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
     large enough for a threaded BLAS to split them, and their last bits then
     depend on how many threads it uses.
     """
-    angular, signs, source, rows = plan or _plan(sector, two_j_max, phis, x)
-    count, n_m = len(samples), len(signs)
+    angular, source, rows = plan or _plan(sector, two_j_max, phis, x)
+    top = _ladder_top(sector, two_j_max)
+    count, n_m = len(samples), top // 2 + 1
     with np.errstate(over="ignore", invalid="ignore"):
         # Angular projections onto m = +|m| and m = -|m|, each times the
         # weights, indexed by (sign of m, function, |m|, point) like
         # synthesize's by_sign; the +|m| side also carries the sign s_m of
         # its radial function.
         proj = w * (angular @ samples) / phis.size
-        proj[0] *= signs
+        if _sign(top) < 0:  # every m > 0 of a sector has this s_m
+            proj[0] *= -1.0
         # One real matrix per |m|, its rows the real parts, then the
         # imaginary parts, of every (function, sign) projection: indexed by
         # (|m|, part, point), so a block of steps is one batched product.
@@ -441,11 +443,11 @@ def _project(samples, sector: str, two_j_max: int, phis, x, w, plan=None) -> np.
 
 def _plan(sector: str, two_j_max: int, phis, x) -> tuple:
     """What _project derives from the grid (phis, x) alone, kept on the
-    first request where it fits (see _kept): (angular, signs, source, rows)."""
+    first request where it fits (see _kept): (angular, source, rows)."""
     top = _ladder_top(sector, two_j_max)
     (angular,) = _kept("angles", top, phis, True) or (_angular(top, phis),)
-    signs, source = (_kept("gather", top, phis[:0], True) or _ladder(top))[:2]
-    return angular, signs, source, _kept("rows", top, x, True)[1]
+    source = (_kept("gather", top, phis[:0], True) or _ladder(top))[0]
+    return angular, source, _kept("rows", top, x, True)[1]
 
 
 def _angular(top: int, phis) -> np.ndarray:
@@ -455,13 +457,11 @@ def _angular(top: int, phis) -> np.ndarray:
     return np.exp(0.5j * np.array([-1, 1])[:, None, None, None] * abs2m[:, None] * phis)
 
 
-def _gather(top: int) -> tuple:
-    """(signs, source): the s_m column of the ladder up to top, and the
-    gather index that places entry (sign, j - |m|, |m|) of the step sums at
-    label (j, +-|m|)."""
+def _gather(top: int) -> np.ndarray:
+    """The gather index of the ladder up to top, which places entry (sign,
+    j - |m|, |m|) of the step sums at label (j, +-|m|)."""
     abs2m = np.arange(top % 2, top + 1, 2)
     n_m = len(abs2m)
-    signs = np.full((n_m, 1), _sign(top))  # every |m| of a sector has one s_m
     # Label (j, m) of the q-th multiplet, 2j = abs2m[q] and 2|m| = abs2m[i],
     # reads entry (sign of m, q - i, i) of each function's sums, m = 0 on the
     # + side, gathered at once: indexing the stack with one index array on
@@ -469,31 +469,31 @@ def _gather(top: int) -> tuple:
     q = np.repeat(np.arange(n_m), abs2m + 1)
     two_m = 2 * (np.arange(q.size) - (abs2m * abs2m // 4)[q]) - abs2m[q]
     i = (np.abs(two_m) - top % 2) // 2
-    return signs, (two_m < 0) * (n_m * n_m) + q * n_m - i * (n_m - 1)
+    return (two_m < 0) * (n_m * n_m) + q * n_m - i * (n_m - 1)
 
 
 def _ladder(top: int) -> tuple:
-    """What the ladder up to top alone gives: _gather's (signs, source), and
-    for the few-angle sum, whose rows run in step order (row i of step k, k
+    """What the ladder up to top alone gives: _gather's source, and for the
+    few-angle sum, whose rows run in step order (row i of step k, k
     + i < n_m, is row k n_m - k (k - 1) / 2 + i), labels and rungs:
     labels[0, r] is the block position of row r's label (j, +|m|) and
     labels[1, r] that of (j, -|m|), or for m = 0 source.size, one zero pad
     slot past the ladder's labels; rungs[r] is the place i of its |m| in
     the ladder."""
     n_m = top // 2 + 1
-    signs, source = _gather(top)
+    source = _gather(top)
     # Row i of step k sums entry (sign, k, i) of the step sums, k n_m + i on
     # either side; source inverted gives the label scattered to each entry.
     entry = np.flatnonzero(np.add.outer(np.arange(n_m), np.arange(n_m)) < n_m)
     label = np.full(2 * n_m * n_m, source.size)
     label[source] = np.arange(source.size)
-    return signs, source, label.take(entry + np.array([[0], [n_m * n_m]])), entry % n_m
+    return source, label.take(entry + np.array([[0], [n_m * n_m]])), entry % n_m
 
 
 def _kept(kind: str, top: int, points, keep_first: bool):
     """The store's arrays of one kind for the ladder up to top (see
     _Store.request): "angles", (angular,) at the angles points, or None;
-    "gather", _ladder's (signs, source, labels, rungs), which take no
+    "gather", _ladder's (source, labels, rungs), which take no
     points, or None; "rows", (laid, steps), the radial rows of every step
     at the radii points, n_m, n_m - 1, ..., 1 rows a step: steps are the
     kept views that tile laid, one (sum n_k, P) array in step order, or
@@ -502,7 +502,7 @@ def _kept(kind: str, top: int, points, keep_first: bool):
     if kind == "angles":
         size, build = 32 * n_m * points.size, lambda: (_angular(top, points),)
     elif kind == "gather":
-        size = 8 * (n_m + _index(top, top) + 1 + 3 * (n_m * (n_m + 1) // 2))
+        size = 8 * (_index(top, top) + 1 + 3 * (n_m * (n_m + 1) // 2))
         build = lambda: _ladder(top)
     else:
         # A miss rejects bad radii before the store changes, and its stream
@@ -720,7 +720,7 @@ def synthesize(block: CoefficientBlock, point):
         # come first: a miss checks the points before the store changes.
         laid, steps = _kept("rows", top, flat, False)
         angles = _kept("angles", top, phis, False)
-        signs, source, labels, rungs = _kept("gather", top, phis[:0], True) or _ladder(top)
+        source, labels, rungs = _kept("gather", top, phis[:0], True) or _ladder(top)
         if angles is None:
             phase = np.exp(0.5j * np.arange(top % 2, top + 1, 2)[:, None] * phis)
         else:
@@ -739,7 +739,7 @@ def synthesize(block: CoefficientBlock, point):
             # included, by_sign[1] those of e^(-i|m|phi); indexed by (step,
             # |m|), each coefficient at the entry that analyze's gather
             # reads it from.
-            n_m = len(signs)
+            n_m = top // 2 + 1
             by_sign = np.zeros(2 * n_m * n_m, dtype=complex)
             by_sign[source] = block._values[: source.size]
             by_sign = by_sign.reshape(2, n_m, n_m)

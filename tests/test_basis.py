@@ -13,14 +13,15 @@ from planeharm.algebra import build_operator
 from planeharm.basis import (
     PlanePoint,
     SpinIndex,
+    _radial_column,
+    _radial_rows,
     calL,
     calL_deriv,
     calZ,
     ode_residual,
-    require_same_sector,
     sector_labels,
 )
-from planeharm.errors import DomainError, SectorMixingError
+from planeharm.errors import DomainError
 from planeharm.quadrature import gauss_laguerre, halfline_inner
 
 YS = np.linspace(0.1, 30.0, 40)
@@ -87,12 +88,6 @@ def test_sector_labels_counts_and_order():
 def test_sector_labels_rejects_a_j_max_that_is_no_nonnegative_half_integer(sector, j_max):
     with pytest.raises(DomainError):
         sector_labels(sector, j_max)
-
-
-def test_sector_mixing_guard():
-    require_same_sector(SpinIndex(2, 0), SpinIndex(4, 2))
-    with pytest.raises(SectorMixingError):
-        require_same_sector(SpinIndex(2, 0), SpinIndex(3, 1))
 
 
 # ---------------------------------------------------------- radial values
@@ -195,6 +190,65 @@ def test_radial_rejects_non_finite_y():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             calL(SpinIndex(2, 0), bad)
+
+
+# ------------------------------------------------------- the kernel's start
+
+
+def _one_point_stream(a, two_j_max, y):
+    """Alpha a's rows at the one point y, a step at a time, from a stream of its own."""
+    return np.array([rows[0, 0] for rows in _radial_rows([a], two_j_max, np.array([y]))])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_each_row_is_its_own_one_alpha_one_point_stream(seed):
+    # Each (2|m|, y) takes the start, plain or in log space, that it would
+    # take alone, so no other alpha or point of the call changes its bits.
+    # The radii reach where e^(-y/2), y^|m| and the whole start leave the
+    # double range, so batches take either branch.
+    rng = np.random.default_rng(seed)
+    abs2ms = sorted(rng.choice(401, size=rng.integers(1, 6), replace=False).tolist())
+    y = np.exp(rng.uniform(math.log(1e-6), math.log(2e3), size=7))
+    y = np.insert(y, rng.integers(0, 8), 0.0)
+    two_j_max = abs2ms[-1] + 2 * int(rng.integers(0, 8))
+    steps = list(_radial_rows(abs2ms, two_j_max, y))
+    for i, a in enumerate(abs2ms):
+        n_steps = (two_j_max - a) // 2 + 1
+        assert [len(rows) > i for rows in steps] == [k < n_steps for k in range(len(steps))]
+        got = np.array([rows[i] for rows in steps[:n_steps]])
+        for p, point in enumerate(y):
+            assert got[:, p].tobytes() == _one_point_stream(a, two_j_max, point).tobytes()
+
+
+def test_a_high_m_column_equals_its_one_label_calls():
+    # The 2|m| = 241 and 243 columns up to 2j = 256, each label at its own
+    # nodes as verify's label checks place them, stream partly in log space;
+    # every jet value and ladder target is still the one-label call's.
+    two_j_max = 256
+    for a in (241, 243):
+        labels = [SpinIndex(two_j, -a) for two_j in range(a, two_j_max + 1, 2)]
+        with np.errstate(over="ignore"):  # raw weights overflow from alpha 171
+            nodes = [gauss_laguerre((s.two_j - a) // 2 + 2, a).nodes for s in labels]
+        col = _radial_column(labels, nodes, 2, targets=True)
+        for i, (s, y) in enumerate(zip(labels, nodes)):
+            span = slice(col.starts[i], col.starts[i] + y.size)
+            for order, values in enumerate(col.jet):
+                assert values[span].tobytes() == np.asarray(calL_deriv(s, y, order)).tobytes()
+            for d, two_dm in (("+", 2), ("-", -2)):
+                two_m = s.two_m + two_dm  # 0 past the multiplet's edge
+                want = calL(SpinIndex(s.two_j, two_m), y) if abs(two_m) <= s.two_j else 0 * y
+                assert col.targets[d][span].tobytes() == want.tobytes()
+
+
+def test_high_m_rows_are_orthonormal_on_their_rule():
+    # The Gram matrix of the 2|m| = 241 rows up to 2j = 256 on the rule
+    # basis.radial-orthonormality uses there at j_max 128.
+    with np.errstate(over="ignore"):  # raw weights overflow from alpha 171
+        rule = gauss_laguerre(10, 241)
+    rows = np.concatenate(list(_radial_rows([241], 256, rule.nodes)))
+    gram = (rows * rule.lifted_weights()) @ rows.T
+    assert len(rows) == 8
+    assert np.abs(gram - np.eye(len(rows))).max() <= 1e-14
 
 
 # ----------------------------------------------------------- derivatives

@@ -228,8 +228,9 @@ def _assert_same_rule(got, want):
 
 
 _COLUMN_REQUESTS = [{alpha: _orders_at_j_max_64(alpha)} for alpha in (0, 1, 5, 16, 63, 127)] + [
-    # The column of 2|m| = 242 at j_max 128: the kernel stream of a rule
-    # starts plain up to order 7 and log-scaled from order 8.
+    # The column of 2|m| = 242 at j_max 128: every node of orders up to 7
+    # takes the kernel's plain start, and from order 8 the largest node
+    # takes the log-space one.
     {242: list(range(2, 10))}
 ]
 

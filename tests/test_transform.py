@@ -1251,9 +1251,8 @@ class TestStore:
         # Label (j, m) reads entry (sign of m, j - |m|, |m|) of the sums, the
         # sign 1 for m < 0 only, where synthesize scatters its coefficient.
         sector = "int" if top % 2 == 0 else "half"
-        signs, source = transform._gather(top)
+        source = transform._gather(top)
         n_m = top // 2 + 1
-        assert signs.tolist() == [[-1.0 if sector == "half" else 1.0]] * n_m
         labels = sector_labels(sector, Fraction(top, 2))
         assert source.tolist() == [
             (s.two_m < 0) * n_m * n_m + (s.two_j - abs(s.two_m)) // 2 * n_m + abs(s.two_m) // 2
@@ -1271,7 +1270,7 @@ class TestStore:
         # ladder and 2j the (k + i)-th; m = 0 reads the zero pad slot for its
         # -|m| side.
         ladder = transform._sector_ladder("int" if top % 2 == 0 else "half", top)
-        _, source, labels, rungs = transform._ladder(top)
+        source, labels, rungs = transform._ladder(top)
         n_m = len(ladder)
         rows = [(k, i) for k in range(n_m) for i in range(n_m - k)]
         assert rungs.tolist() == [i for _, i in rows]
